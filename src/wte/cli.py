@@ -3,7 +3,7 @@
 Output is reproducible by construction: float reductions are exactly
 rounded, term order is the canonical pairing order, and the JSON
 renderer sorts keys and omits wall-clock timing, so identical runs give
-byte-identical JSON at any thread count.
+byte-identical JSON.  ``--threads`` is accepted and has no effect.
 
 Exit codes: 0 success, 1 failure or verification mismatch, 2 parse
 errors (expression or input files), 3 dimension/binding errors, 4 work
@@ -20,11 +20,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import engine as _engine
 from .engine import (
-    Gram,
     MomentResult,
     MomentSpec,
+    TermReport,
     clt_report,
     cumulant,
     moment,
@@ -37,11 +36,13 @@ from .matrices import (
     Matrix,
     MatrixFormatError,
     UnboundSlotError,
+    _parse_number,
     parse_bindings,
+    parse_gram,
     slot_identity_fill,
 )
 from .oracles import BudgetError, mc_oracle, wick_oracle
-from .perm import crossings, enumerate_pairings, pairing_count
+from .perm import crossings, cycle_string, enumerate_pairings, pairing_count
 
 FLOAT_TOL = 1e-10
 MC_SIGMA = 5.0
@@ -64,7 +65,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
     p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--threads", type=int, default=0, help="0 means all cores")
+    p.add_argument(
+        "--threads", type=int, default=0,
+        help="accepted for compatibility; has no effect (pairings are summed in one pass)",
+    )
     p.add_argument("--terms", action="store_true", help="emit the per-term table")
     p.add_argument("--wigner", default="", help="comma-separated Wigner families")
 
@@ -87,35 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_number_token(token: str):
-    if "/" in token:
-        return Fraction(token)
-    try:
-        return int(token)
-    except ValueError:
-        return float(token)
-
-
-def parse_gram(text: str) -> Gram:
-    """Gram file: a line of family names, then the symmetric matrix rows."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise MatrixFormatError("empty gram file")
-    labels = tuple(lines[0].split())
-    if len(lines) != len(labels) + 1:
-        raise MatrixFormatError(
-            f"gram file: expected {len(labels)} rows after the label line"
-        )
-    rows = []
-    for ln in lines[1:]:
-        tokens = ln.split()
-        if len(tokens) != len(labels):
-            raise MatrixFormatError("gram file: row width does not match labels")
-        rows.append(tuple(_parse_number_token(t) for t in tokens))
-    return Gram(labels, tuple(rows))
-
-
 def _expression_text(args) -> str:
     if bool(args.expr) == bool(args.expr_file):
         raise ParseError("provide exactly one of --expr or --expr-file", 0, 0)
@@ -123,10 +98,6 @@ def _expression_text(args) -> str:
         return args.expr
     with open(args.expr_file, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _threads(args) -> int:
-    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
 
 
 def _make_spec(args, ast: TraceWordAst) -> MomentSpec:
@@ -147,28 +118,24 @@ def _make_spec(args, ast: TraceWordAst) -> MomentSpec:
         bindings,
         args.n_dim,
         args.m_dim,
-        q=_parse_number_token(args.q),
+        q=_parse_number(args.q),
         gram=gram,
         wigner=wigner,
     )
-
-
-def _fnum(x) -> float:
-    return float(x)
 
 
 def _exact_str(x) -> str:
     return str(Fraction(x)) if not isinstance(x, float) else repr(x)
 
 
-def _term_record(t: _engine.TermReport, exact: bool) -> dict:
+def _term_record(t: TermReport, exact: bool) -> dict:
     rec = {
         "index": t.index,
         "blocks": [list(b) for b in t.blocks],
-        "weight": _fnum(t.weight),
+        "weight": float(t.weight),
         "order_exponent": t.order_exponent,
-        "cycles": _cycles_str(t.cycles),
-        "value": _fnum(t.value),
+        "cycles": cycle_string(t.cycles),
+        "value": float(t.value),
         "surface": {
             "components": [
                 {
@@ -191,8 +158,9 @@ def _term_record(t: _engine.TermReport, exact: bool) -> dict:
     return rec
 
 
-def _cycles_str(cyc_list) -> str:
-    return "".join("(" + ",".join(str(k) for k in c) + ")" for c in cyc_list)
+def _blocks_str(blocks) -> str:
+    """Render pairing blocks as e.g. ``1-2;3-4``."""
+    return ";".join("-".join(str(x) for x in b) for b in blocks)
 
 
 def _result_payload(args, ast, spec, result: MomentResult, statistic: str) -> dict:
@@ -204,10 +172,10 @@ def _result_payload(args, ast, spec, result: MomentResult, statistic: str) -> di
         "expression": pretty(ast),
         "n_dim": spec.n_dim,
         "m_dim": spec.m_dim,
-        "q": _fnum(spec.q),
+        "q": float(spec.q),
         "exact": args.exact,
-        "normalized_total": _fnum(result.total),
-        "unnormalized_total": _fnum(result.total) * spec.n_dim**r,
+        "normalized_total": float(result.total),
+        "unnormalized_total": float(result.total) * spec.n_dim**r,
         "prefactor_exponent": result.prefactor_exponent,
         "unnormalized_prefactor_exponent": result.prefactor_exponent + r,
         "term_count": len(result.terms),
@@ -259,7 +227,7 @@ def _emit_result_text(payload: dict, result: MomentResult) -> None:
             f"{'chi':<8} {'class':<22} {'cycles':<26} value\n"
         )
         for t in payload["terms"]:
-            blocks = ";".join("-".join(str(x) for x in b) for b in t["blocks"])
+            blocks = _blocks_str(t["blocks"])
             chis = ",".join(str(c["chi"]) for c in t["surface"]["components"])
             cls = ",".join(c["classification"] for c in t["surface"]["components"])
             value = t.get("value_exact", repr(t["value"]))
@@ -281,7 +249,7 @@ def _emit_result_csv(payload: dict) -> None:
         writer.writerow(
             [
                 t["index"],
-                ";".join("-".join(str(x) for x in b) for b in t["blocks"]),
+                _blocks_str(t["blocks"]),
                 t["weight"],
                 t["order_exponent"],
                 "|".join(str(c["chi"]) for c in comps),
@@ -293,12 +261,12 @@ def _emit_result_csv(payload: dict) -> None:
         )
 
 
-def _cmd_moment(args, statistic: str) -> int:
+def _cmd_moment(args) -> int:
     ast = parse(_expression_text(args))
     spec = _make_spec(args, ast)
-    effective = "cumulant" if (statistic == "cumulant" or ast.kind == "cumulant") else "moment"
+    effective = "cumulant" if "cumulant" in (args.command, ast.kind) else "moment"
     fn = cumulant if effective == "cumulant" else moment
-    result = fn(spec, exact=args.exact, threads=_threads(args))
+    result = fn(spec, exact=args.exact)
     if args.format == "csv":
         args.terms = True
     payload = _result_payload(args, ast, spec, result, effective)
@@ -317,7 +285,7 @@ def _cmd_verify(args) -> int:
     effective_cumulant = ast.kind == "cumulant"
     if effective_cumulant:
         raise ValueError("verify compares moments; use an E[...] expression")
-    result = moment(spec, exact=args.exact, threads=_threads(args))
+    result = moment(spec, exact=args.exact)
     oracle = wick_oracle(spec, exact=args.exact)
     checks = []
     if args.exact:
@@ -376,13 +344,13 @@ def _cmd_census(args) -> int:
     detail = []
     for idx, p in enumerate(enumerate_pairings(shape.m)):
         report = surface_census(p, shape)
-        transitive = _engine.is_transitive(p, shape)
+        cross = crossings(p)
         chis = tuple(sorted(report.chi_list))
         orients = tuple(sorted(c.orientable for c in report.components))
-        key = (report.order_exponent, chis, orients, transitive, crossings(p))
+        key = (report.order_exponent, chis, orients, report.connected, cross)
         groups[key] = groups.get(key, 0) + 1
         if args.terms:
-            detail.append((idx, p, report, transitive))
+            detail.append((idx, p, report, cross))
     rows = sorted(groups.items(), key=lambda kv: (-kv[0][0], kv[0]))
     payload = {
         "schema": "wte.census.v1",
@@ -411,10 +379,10 @@ def _cmd_census(args) -> int:
                 "chi": list(rep.chi_list),
                 "orientable": [c.orientable for c in rep.components],
                 "classification": [c.classification for c in rep.components],
-                "transitive": tr,
-                "crossings": crossings(p),
+                "transitive": rep.connected,
+                "crossings": cross,
             }
-            for idx, p, rep, tr in detail
+            for idx, p, rep, cross in detail
         ]
     if args.format == "json":
         _emit_json(payload)
@@ -454,8 +422,7 @@ def _cmd_census(args) -> int:
         if args.terms:
             for rec in payload["pairings"]:
                 sys.stdout.write(
-                    f"  #{rec['index']}: blocks="
-                    + ";".join("-".join(str(x) for x in b) for b in rec["blocks"])
+                    f"  #{rec['index']}: blocks={_blocks_str(rec['blocks'])}"
                     + f" exp={rec['order_exponent']}"
                     + f" chi={rec['chi']} class={rec['classification']}"
                     + f" transitive={'yes' if rec['transitive'] else 'no'}"
@@ -479,8 +446,8 @@ def _cmd_clt(args) -> int:
         "expression": pretty(ast),
         "n_dim": spec.n_dim,
         "m_dim": spec.m_dim,
-        "full": [[_fnum(x) for x in row] for row in report.full],
-        "leading": [[_fnum(x) for x in row] for row in report.leading],
+        "full": [[float(x) for x in row] for row in report.full],
+        "leading": [[float(x) for x in row] for row in report.leading],
         "gap": gap,
     }
     if args.format == "json":
@@ -504,18 +471,29 @@ def _cmd_clt(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "moment": _cmd_moment,
+    "cumulant": _cmd_moment,
+    "verify": _cmd_verify,
+    "census": _cmd_census,
+    "clt": _cmd_clt,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("moment", "cumulant"):
-            return _cmd_moment(args, args.command)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "census":
-            return _cmd_census(args)
-        if args.command == "clt":
-            return _cmd_clt(args)
-        raise AssertionError(args.command)
+        code = _COMMANDS[args.command](args)
+        # Flush here so that a closed pipe raises inside this try, not
+        # during the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. ``wte ... | head``).  Point stdout
+        # at devnull so the final flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ParseError, MatrixFormatError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -14,9 +14,13 @@ single-matrix model is q = 1 with a rank-one unit Gram.  Wigner letters
 are averaged over both transpose signs with weight 1/2 per letter, which
 requires square X.
 
-Float evaluation reduces with error-free summation in canonical pairing
-order, so results are bit-identical regardless of the thread count;
-exact mode keeps everything in integers and rationals.
+Evaluation is one sequential pass over the pairings in canonical order.
+Each pairing's particular cycles and surface census come from
+``_combinatorics``; a cumulant keeps a pairing when that census has a
+single component.  Float evaluation reduces the term values with
+error-free summation in canonical pairing order, so the same
+configuration gives the same bits on every run; exact mode keeps
+everything in integers and rationals.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import hashlib
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -87,13 +90,6 @@ class Gram:
         return set(labels) <= set(self.labels)
 
 
-def _distinct_in_order(labels: Sequence[str]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for lab in labels:
-        seen.setdefault(lab)
-    return tuple(seen)
-
-
 @dataclass(frozen=True)
 class MomentSpec:
     """A fully bound trace-word problem ready for evaluation.
@@ -121,7 +117,7 @@ class MomentSpec:
         object.__setattr__(self, "wigner", frozenset(self.wigner))
         if self.gram is None:
             object.__setattr__(
-                self, "gram", Gram.identity(_distinct_in_order(self.shape.labels))
+                self, "gram", Gram.identity(tuple(dict.fromkeys(self.shape.labels)))
             )
         elif not self.gram.covers(self.shape.labels):
             missing = sorted(set(self.shape.labels) - set(self.gram.labels))
@@ -217,26 +213,36 @@ def moment(spec: MomentSpec, *, exact: bool = False, threads: int = 1) -> Moment
 
     Odd letter counts give exactly 0 with an empty term list.  Wigner
     families are averaged over both transpose signs per occurrence.
+    ``threads`` is accepted and has no effect.
     """
-    return _evaluate(spec, transitive_only=False, exact=exact, threads=threads)
+    return _evaluate(spec, transitive_only=False, exact=exact)
 
 
 def cumulant(spec: MomentSpec, *, exact: bool = False, threads: int = 1) -> MomentResult:
     """Joint cumulant of the word's factors: the pairing sum restricted to
-    pairings connecting all factors, with the same global prefactor."""
-    return _evaluate(spec, transitive_only=True, exact=exact, threads=threads)
+    pairings connecting all factors, with the same global prefactor.
+
+    A pairing connects all factors when its glued surface has a single
+    component; the empty word counts as connected.  ``threads`` is
+    accepted and has no effect.
+    """
+    return _evaluate(spec, transitive_only=True, exact=exact)
 
 
 def wigner_moment(spec: MomentSpec, *, exact: bool = False, threads: int = 1) -> MomentResult:
-    """Moment of a word containing Wigner letters (explicit-name variant)."""
+    """Moment of a word containing Wigner letters (explicit-name variant);
+    ``threads`` has no effect."""
     if not spec.wigner:
         raise ValueError("spec declares no Wigner families")
-    return moment(spec, exact=exact, threads=threads)
+    return moment(spec, exact=exact)
 
 
 def is_transitive(p: Pairing, shape: WordShape) -> bool:
     """True when the pairing connects all factors: the factor rotation and
-    the pairing together have a single orbit on the letters."""
+    the pairing together have a single orbit on the letters.
+
+    The engine reads this off ``surface_census``; tests use this function
+    as the independent reference."""
     from .gluing import front_rotation
 
     if shape.m == 0:
@@ -253,9 +259,7 @@ def _combinatorics(p: Pairing, shape: WordShape):
     return parts, surface_census(p, shape, particular=parts)
 
 
-def _evaluate(
-    spec: MomentSpec, transitive_only: bool, exact: bool, threads: int = 1
-) -> MomentResult:
+def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentResult:
     start = time.perf_counter()
     shape = spec.shape
     m, r = shape.m, shape.r
@@ -278,15 +282,6 @@ def _evaluate(
         "spec_hash": spec.fingerprint(),
     }
 
-    if m % 2:
-        metadata["elapsed_s"] = time.perf_counter() - start
-        return MomentResult(
-            total=Fraction(0) if exact else 0.0,
-            prefactor_exponent=prefactor_exp,
-            terms=(),
-            metadata=metadata,
-        )
-
     assignments = list(itertools.product((1, -1), repeat=w))
     share: Number = Fraction(1, 2**w) if exact else 0.5**w
 
@@ -299,47 +294,33 @@ def _evaluate(
         return WordShape(shape.lengths, tuple(eps), shape.labels)
 
     shapes = [shape_with(a) for a in assignments]
-    pairings = list(enumerate_pairings(m))
-
-    def terms_for(span: tuple[int, int]) -> list[TermReport]:
-        out = []
-        for idx in range(*span):
-            p = pairings[idx]
-            if transitive_only and not is_transitive(p, shape):
-                continue
-            base_weight = pairing_weight(p, spec, exact)
-            weight = base_weight * share
-            for shape_a in shapes:
-                parts, census = _combinatorics(p, shape_a)
-                if weight == 0:
-                    value: Number = weight
-                else:
-                    value = weight * trace_along(parts, spec.matrices, exact)
-                out.append(
-                    TermReport(
-                        index=idx,
-                        blocks=p.blocks(),
-                        weight=weight,
-                        cycles=parts,
-                        surface=census,
-                        order_exponent=census.order_exponent,
-                        value=value,
-                        epsilon=shape_a.epsilon if w else None,
-                    )
+    # Odd m has no pairings: the sum is empty and the total is 0.
+    terms = []
+    for idx, p in enumerate(enumerate_pairings(m)):
+        gluings = [_combinatorics(p, shape_a) for shape_a in shapes]
+        # The components of the letters do not depend on the transpose
+        # signs, so any sign assignment's census decides transitivity; the
+        # empty word has no components and counts as connected.
+        if transitive_only and m and not gluings[0][1].connected:
+            continue
+        weight = pairing_weight(p, spec, exact) * share
+        for shape_a, (parts, census) in zip(shapes, gluings):
+            if weight == 0:
+                value: Number = weight
+            else:
+                value = weight * trace_along(parts, spec.matrices, exact)
+            terms.append(
+                TermReport(
+                    index=idx,
+                    blocks=p.blocks(),
+                    weight=weight,
+                    cycles=parts,
+                    surface=census,
+                    order_exponent=census.order_exponent,
+                    value=value,
+                    epsilon=shape_a.epsilon if w else None,
                 )
-        return out
-
-    if threads > 1 and len(pairings) > 1:
-        nchunks = min(threads * 4, len(pairings))
-        bounds = [
-            (i * len(pairings) // nchunks, (i + 1) * len(pairings) // nchunks)
-            for i in range(nchunks)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(terms_for, bounds))
-        terms = [t for chunk in chunks for t in chunk]
-    else:
-        terms = terms_for((0, len(pairings)))
+            )
 
     if exact:
         prefactor: Number = Fraction(1, spec.n_dim ** (m // 2 + r))
@@ -401,7 +382,7 @@ def concat_specs(a: MomentSpec, b: MomentSpec) -> MomentSpec:
     for attr in ("n_dim", "m_dim", "q", "wigner"):
         if getattr(a, attr) != getattr(b, attr):
             raise ValueError(f"cannot combine specs with different {attr}")
-    labels = _distinct_in_order(a.shape.labels + b.shape.labels)
+    labels = tuple(dict.fromkeys(a.shape.labels + b.shape.labels))
     gram = a.gram if a.gram.covers(labels) else b.gram
     if not gram.covers(labels):
         raise ValueError("neither gram matrix covers the combined families")

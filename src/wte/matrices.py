@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .gluing import WordShape, slot_dimensions
+
+if TYPE_CHECKING:
+    from .engine import Gram
 
 Number = Union[int, float, Fraction]
 
@@ -34,11 +37,17 @@ class UnboundSlotError(LookupError):
 
 
 def _parse_number(token: str) -> Number:
-    if "/" in token:
-        return Fraction(token)
+    """An int for an integer token, an exact Fraction for a fraction or a
+    decimal (``0.3`` is 3/10, not the nearest binary float), and a float
+    only for what Fraction rejects, such as ``inf``.  Anything else,
+    ``1/0`` included, raises ValueError."""
     try:
         return int(token)
     except ValueError:
+        pass
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
         return float(token)
 
 
@@ -96,7 +105,8 @@ class Matrix:
 def parse_matrix(text: str) -> Matrix:
     """Parse the plain-text format: first line "rows cols", then the rows.
 
-    Entries may be integers, fractions like 3/4, or floats.
+    Entries may be integers, fractions like 3/4, or decimals like 0.1,
+    which are read as exact rationals.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -121,6 +131,31 @@ def parse_matrix(text: str) -> Matrix:
         except ValueError:
             raise MatrixFormatError(f"row {i}: unparseable entry in {ln!r}")
     return Matrix(data)
+
+
+def parse_gram(text: str) -> Gram:
+    """Gram file: a line of family names, then the symmetric matrix rows.
+
+    Entries are read like matrix entries, so decimals stay exact.
+    """
+    from .engine import Gram
+
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise MatrixFormatError("empty gram file")
+    labels = tuple(lines[0].split())
+    if len(lines) != len(labels) + 1:
+        raise MatrixFormatError(
+            f"gram file: expected {len(labels)} rows after the label line"
+        )
+    rows = []
+    for ln in lines[1:]:
+        tokens = ln.split()
+        if len(tokens) != len(labels):
+            raise MatrixFormatError("gram file: row width does not match labels")
+        rows.append(tuple(_parse_number(t) for t in tokens))
+    return Gram(labels, tuple(rows))
 
 
 def load_matrix(path: str) -> Matrix:

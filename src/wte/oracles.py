@@ -241,7 +241,7 @@ def mc_oracle(
     if statistic == "cumulant" and r > 2:
         raise ValueError("plug-in cumulants are available up to r = 2 only")
 
-    families = _distinct(shape.labels)
+    families = tuple(dict.fromkeys(shape.labels))
     chol = _gram_factor(spec, families)
     n_dim, m_dim = spec.n_dim, spec.m_dim
     const = [mat.as_array() for mat in spec.matrices.matrices]
@@ -310,10 +310,3 @@ def mc_oracle(
         factor_means=factor_means,
         statistic=statistic,
     )
-
-
-def _distinct(labels: Sequence[str]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for lab in labels:
-        seen.setdefault(lab)
-    return tuple(seen)

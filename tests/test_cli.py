@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import wte
 from wte.cli import main
 
 RESULT_SCHEMA = {
@@ -108,13 +112,30 @@ class TestMomentCommand:
         )
         jsonschema.validate(payload, RESULT_SCHEMA)
 
-    def test_json_identical_across_threads(self, capsys):
-        args = ("moment", "--expr", "E[ tr(X' D1 X D2 X' D3 X D4) ]",
+    @pytest.mark.parametrize(
+        "command,expr",
+        [
+            ("moment", "E[ tr(X' D1 X D2 X' D3 X D4) ]"),
+            ("cumulant", "k[ tr(X' D1 X D2) tr(X' D3 X D4) ]"),
+            ("census", "E[ tr(X' D1 X D2 X' D3 X D4) tr(X' D5 X D6) ]"),
+        ],
+        ids=["moment", "cumulant", "census"],
+    )
+    def test_json_identical_across_threads(self, capsys, command, expr):
+        args = (command, "--expr", expr,
                 "--bind-identity", "-N", "3", "-M", "2", "--terms")
         code1, out1, _ = run(capsys, *args, "--threads", "1", "--format", "json")
         code4, out4, _ = run(capsys, *args, "--threads", "4", "--format", "json")
         assert code1 == code4 == 0
         assert out1 == out4
+
+    def test_decimal_q_is_exact(self, capsys):
+        args = ("moment", "--expr", "E[ tr(X' D1 X D2 X' D3 X D4) ]",
+                "--bind-identity", "-N", "3", "-M", "2", "--exact")
+        decimal = run_json(capsys, *args, "--q", "0.3")
+        fraction = run_json(capsys, *args, "--q", "3/10")
+        assert decimal["normalized_total_exact"] == "53/45"
+        assert decimal == fraction
 
     def test_csv_emits_term_rows(self, capsys):
         code, out, _ = run(
@@ -202,6 +223,25 @@ class TestExitCodes:
     def test_missing_expression_is_2(self, capsys):
         code, _, _ = run(capsys, "moment", "--bind-identity")
         assert code == 2
+
+    def test_closed_pipe_is_not_a_traceback(self):
+        # The m=12 census table is far larger than a pipe buffer, so the
+        # writer is still writing when the reader closes its end.
+        expr = "E[ tr(" + " ".join(
+            f"X' D{2 * k - 1} X D{2 * k}" for k in range(1, 7)
+        ) + ") ]"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wte.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wte.cli", "census", "--expr", expr, "--terms"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith(b"census:")
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestVerifyCommand:

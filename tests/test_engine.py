@@ -208,12 +208,33 @@ class TestCumulant:
             total += prod
         assert total == moment(spec, exact=True).total
 
-    def test_is_transitive_matches_census_connectivity(self):
+    @pytest.mark.parametrize(
+        "lengths,eps",
+        [
+            ((2, 4), (-1, 1, -1, 1, -1, 1)),
+            ((4,), (1, -1, -1, 1)),
+            ((1, 1, 2), (1, -1, -1, 1)),
+            ((2, 1, 3), (1, -1, 1, 1, -1, 1)),
+            ((1, 3, 2, 2), (-1, 1, 1, -1, 1, -1, -1, 1)),
+        ],
+        ids=["2-4", "4", "1-1-2", "2-1-3", "1-3-2-2"],
+    )
+    def test_is_transitive_matches_census_connectivity(self, lengths, eps):
         from wte.gluing import surface_census
 
-        shape = WordShape.alternating((2, 4))
-        for p in enumerate_pairings(6):
+        spec = make_spec(lengths, eps, 2, 2, seed=30)
+        shape = spec.shape
+        transitive = []
+        for idx, p in enumerate(enumerate_pairings(shape.m)):
             assert is_transitive(p, shape) == surface_census(p, shape).connected
+            if is_transitive(p, shape):
+                transitive.append(idx)
+        assert [t.index for t in cumulant(spec, exact=True).terms] == transitive
+
+    def test_empty_word_keeps_its_term(self):
+        spec = MomentSpec(WordShape(()), MatrixSet([]), 4, 3)
+        res = cumulant(spec, exact=True)
+        assert res.total == 1 and len(res.terms) == 1
 
 
 class TestWigner:

@@ -14,6 +14,7 @@ from wte.matrices import (
     UnboundSlotError,
     bind_matrices,
     parse_bindings,
+    parse_gram,
     parse_matrix,
     slot_identity_fill,
     trace_along,
@@ -56,6 +57,21 @@ class TestParseMatrix:
     def test_fraction_and_float_entries(self):
         m = parse_matrix("1 3\n1/2 2.5 -3\n")
         assert m.entries == ((Fraction(1, 2), 2.5, -3),)
+
+    def test_decimals_are_exact(self):
+        m = parse_matrix("1 3\n0.1 1e-3 inf\n")
+        assert m.entries == ((Fraction(1, 10), Fraction(1, 1000), math.inf),)
+        assert Matrix([m.entries[0][:2]]).is_exact
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(MatrixFormatError, match="unparseable"):
+            parse_matrix("1 1\n1/0\n")
+
+    def test_gram_decimals_are_exact(self):
+        gram = parse_gram("# families\nG H\n1 0.5\n0.5 1\n")
+        assert gram.labels == ("G", "H")
+        assert gram.value("G", "H") == Fraction(1, 2)
+        assert isinstance(gram.value("G", "H"), Fraction)
 
     def test_comments_and_blanks_skipped(self):
         m = parse_matrix("# demo\n\n1 1\n7\n")
