@@ -6,8 +6,8 @@ renderer sorts keys and omits wall-clock timing, so identical runs give
 byte-identical JSON.  ``--threads`` is accepted and has no effect.
 
 Exit codes: 0 success, 1 failure or verification mismatch, 2 parse
-errors (expression or input files), 3 dimension/binding errors, 4 work
-budget exceeded.
+errors (expression or input files) and input files that cannot be read,
+3 dimension/binding errors, 4 work budget exceeded.
 """
 
 from __future__ import annotations
@@ -494,7 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (ParseError, MatrixFormatError) as exc:
+    except (ParseError, MatrixFormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (DimensionError, UnboundSlotError) as exc:

@@ -208,33 +208,23 @@ def _as_number(x: Number, exact: bool) -> Number:
     return float(x)
 
 
-def moment(spec: MomentSpec, *, exact: bool = False, threads: int = 1) -> MomentResult:
+def moment(spec: MomentSpec, *, exact: bool = False) -> MomentResult:
     """Expected value of the product of the word's normalized trace factors.
 
     Odd letter counts give exactly 0 with an empty term list.  Wigner
     families are averaged over both transpose signs per occurrence.
-    ``threads`` is accepted and has no effect.
     """
     return _evaluate(spec, transitive_only=False, exact=exact)
 
 
-def cumulant(spec: MomentSpec, *, exact: bool = False, threads: int = 1) -> MomentResult:
+def cumulant(spec: MomentSpec, *, exact: bool = False) -> MomentResult:
     """Joint cumulant of the word's factors: the pairing sum restricted to
     pairings connecting all factors, with the same global prefactor.
 
     A pairing connects all factors when its glued surface has a single
-    component; the empty word counts as connected.  ``threads`` is
-    accepted and has no effect.
+    component; the empty word counts as connected.
     """
     return _evaluate(spec, transitive_only=True, exact=exact)
-
-
-def wigner_moment(spec: MomentSpec, *, exact: bool = False, threads: int = 1) -> MomentResult:
-    """Moment of a word containing Wigner letters (explicit-name variant);
-    ``threads`` has no effect."""
-    if not spec.wigner:
-        raise ValueError("spec declares no Wigner families")
-    return moment(spec, exact=exact)
 
 
 def is_transitive(p: Pairing, shape: WordShape) -> bool:

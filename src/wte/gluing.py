@@ -33,10 +33,16 @@ Permutation dictionary (all bijections of {-m..-1, 1..m}):
   transposed matrices.
 
 ``surface_census`` classifies the glued surface per connected component
-(V - E + F, orientability via cover-orbit splitting) and reports the
-order exponent of the corresponding term: a term with V vertices in
-total contributes at order N^(V - m/2 - r) when the word is built from
-traces normalized by 1/N.
+(V - E + F and orientability) and reports the order exponent of the
+corresponding term: a term with V vertices in total contributes at order
+N^(V - m/2 - r) when the word is built from traces normalized by 1/N.
+It reads everything off the vertex cycles.  Each factor has one face on
+each sheet of the cover (2r sheet faces), and the corner +k (-k) lies on
+the front (back) face of k's factor.  Consecutive corners of a vertex
+cycle are joined by a lifted gluing, so their sheet faces lie in one
+connected piece of the cover.  A component of the surface is the union
+of a factor's front and back pieces, and it is orientable iff those two
+pieces differ, i.e. the two sheets stay apart over it.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from .perm import (
     Pairing,
     SignedPermutation,
     _UnionFind,
-    _canonical_rotation,
     signed_domain,
 )
 
@@ -121,13 +126,6 @@ class WordShape:
             out.append((start, start + length - 1))
             start += length
         return tuple(out)
-
-    def factor_of(self, letter: int) -> int:
-        """1-based factor index containing the given letter."""
-        for i, (a, b) in enumerate(self.factor_ranges(), start=1):
-            if a <= letter <= b:
-                return i
-        raise ValueError(f"letter {letter} outside 1..{self.m}")
 
 
 def _rotation_arrays(lengths: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -267,7 +265,9 @@ def particular_cycles(v: SignedPermutation) -> tuple[tuple[int, ...], ...]:
 
     Raises :class:`MirrorPropertyError` if the cycles of ``v`` do not come
     in distinct reverse-negated pairs, which means ``v`` was not a vertex
-    permutation.
+    permutation.  The cycle list is closed under reverse-and-negate iff
+    v(-v(k)) = -k for every k; a cycle that is its own mirror is the only
+    way to have more than half of the cycles chosen.
     """
     from .perm import cycles as _cycles
 
@@ -275,11 +275,9 @@ def particular_cycles(v: SignedPermutation) -> tuple[tuple[int, ...], ...]:
     chosen = tuple(c for c in all_cycles if c[0] > 0)
     if 2 * len(chosen) != len(all_cycles):
         raise MirrorPropertyError("cycle count is not twice the particular count")
-    cycle_set = set(all_cycles)
-    for c in chosen:
-        mirror = _canonical_rotation(tuple(-x for x in reversed(c)))
-        if mirror == c or mirror not in cycle_set:
-            raise MirrorPropertyError(f"cycle {c} has no distinct mirror partner")
+    for k in v.domain():
+        if v(-v(k)) != -k:
+            raise MirrorPropertyError(f"the cycle through {k} has no mirror partner")
     return chosen
 
 
@@ -357,12 +355,15 @@ def surface_census(
 ) -> SurfaceReport:
     """Classify the surface glued by ``p`` on the faces of ``shape``.
 
-    Components are orbits of the letters under the factor rotation and
-    the pairing.  Per component: F counts the faces (trace factors),
-    E the glued edges (pairing blocks), V the particular vertex cycles
-    supported there.  A component is orientable iff its two sheets stay
-    disjoint on the cover, i.e. the cover orbit of any letter k (under
-    front/back rotations and the lifted pairing) avoids -k.
+    Union-find over the 2r sheet faces (node f is factor f's face on the
+    front sheet, node f + r its face on the back sheet): consecutive
+    corners x, y of each particular cycle join the sheet faces of x and
+    y, and their mirrors join those of -x and -y.  A component is the set
+    of factors whose front and back classes meet, listed by its smallest
+    factor.  Per component: F counts its faces (trace factors), E its
+    glued edges (pairing blocks), V the particular vertex cycles starting
+    there.  It is orientable iff its front and back faces stay in
+    different classes.
     """
     if p.m != shape.m:
         raise ValueError(f"domain mismatch: pairing m={p.m}, word m={shape.m}")
@@ -373,48 +374,45 @@ def surface_census(
     if m == 0:
         return SurfaceReport((), order_exponent)
 
-    gamma, gamma_inv = _rotation_arrays(shape.lengths)
-    eps = [0] + list(shape.epsilon)
-    partner = p.partner
+    ranges = shape.factor_ranges()
+    # Sheet face of the corner k, indexed by slot k + m (slots 0..2m).
+    face = [0] * (2 * m + 1)
+    for f, (a, b) in enumerate(ranges):
+        for k in range(a, b + 1):
+            face[m + k] = f
+            face[m - k] = f + r
 
-    base = _UnionFind(range(1, m + 1))
-    for k in range(1, m + 1):
-        base.union(k, gamma[k])
-        base.union(k, partner[k - 1])
-
-    cover = _UnionFind(signed_domain(m))
-    for k in range(1, m + 1):
-        cover.union(k, gamma[k])
-        cover.union(-k, -gamma[k])
-        l = partner[k - 1]
-        lifted = -eps[k] * eps[l] * l
-        cover.union(k, lifted)
-        cover.union(-k, -lifted)
-
-    roots: dict[int, int] = {}
-    letters_of: list[list[int]] = []
-    for k in range(1, m + 1):
-        root = base.find(k)
-        if root not in roots:
-            roots[root] = len(letters_of)
-            letters_of.append([])
-        letters_of[roots[root]].append(k)
-
-    vertex_in = [0] * len(letters_of)
+    sheets = _UnionFind(range(2 * r))
     for cyc in particular:
-        vertex_in[roots[base.find(abs(cyc[0]))]] += 1
+        x = cyc[-1]
+        for y in cyc:
+            sheets.union(face[m + x], face[m + y])
+            sheets.union(face[m - x], face[m - y])
+            x = y
+
+    # The classes come in mirror pairs, so two factors' {front, back}
+    # class pairs are equal or disjoint, and the smaller root names one.
+    component_of = [min(sheets.find(f), sheets.find(f + r)) for f in range(r)]
+    members: dict[int, list[int]] = {}
+    for f, c in enumerate(component_of):
+        members.setdefault(c, []).append(f)
+    vertex_in = dict.fromkeys(members, 0)
+    for cyc in particular:
+        vertex_in[component_of[face[m + abs(cyc[0])]]] += 1
 
     components = []
-    for ci, letters in enumerate(letters_of):
-        factors = sorted({shape.factor_of(k) for k in letters})
+    for c, factors in members.items():
+        letters = tuple(
+            k for f in factors for k in range(ranges[f][0], ranges[f][1] + 1)
+        )
         components.append(
             ComponentSurface(
-                factors=tuple(factors),
-                letters=tuple(letters),
-                vertices=vertex_in[ci],
+                factors=tuple(f + 1 for f in factors),
+                letters=letters,
+                vertices=vertex_in[c],
                 edges=len(letters) // 2,
                 faces=len(factors),
-                orientable=cover.find(letters[0]) != cover.find(-letters[0]),
+                orientable=sheets.find(factors[0]) != sheets.find(factors[0] + r),
             )
         )
     return SurfaceReport(tuple(components), order_exponent)

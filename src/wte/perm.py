@@ -123,7 +123,10 @@ def cycles(s: SignedPermutation) -> tuple[tuple[int, ...], ...]:
 
     Each cycle is rotated so its element of smallest absolute value comes
     first (positive preferred if both k and -k lie in the cycle); cycles
-    are sorted by (|leading|, sign of leading).
+    are sorted by (|leading|, sign of leading).  The scan visits leads in
+    exactly that order, 1, -1, 2, -2, ..., so each new cycle is walked
+    from its least element and found after every cycle with a smaller
+    one.
 
     >>> cycles(SignedPermutation.identity(1))
     ((1,), (-1,))
@@ -145,14 +148,8 @@ def cycles(s: SignedPermutation) -> tuple[tuple[int, ...], ...]:
                 seen[j] = True
                 cyc.append(k)
                 k = s.images[j]
-            out.append(_canonical_rotation(tuple(cyc)))
-    out.sort(key=lambda c: (abs(c[0]), c[0] < 0))
+            out.append(tuple(cyc))
     return tuple(out)
-
-
-def _canonical_rotation(cyc: tuple[int, ...]) -> tuple[int, ...]:
-    best = min(range(len(cyc)), key=lambda i: (abs(cyc[i]), cyc[i] < 0))
-    return cyc[best:] + cyc[:best]
 
 
 def cycle_string(cyc_list: Iterable[Sequence[int]]) -> str:

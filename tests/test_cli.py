@@ -224,6 +224,22 @@ class TestExitCodes:
         code, _, _ = run(capsys, "moment", "--bind-identity")
         assert code == 2
 
+    def test_missing_expr_file_is_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "moment", "--expr-file", str(tmp_path / "nope.txt"), "--bind-identity"
+        )
+        assert code == 2 and "nope.txt" in err
+        assert "Traceback" not in err
+
+    def test_missing_matrix_in_bindings_is_2(self, capsys, tmp_path):
+        binds = tmp_path / "binds.txt"
+        binds.write_text(f"D1 = {tmp_path / 'nope.mat'}\nD2 = I 3\n")
+        code, _, err = run(
+            capsys, "moment", "--expr", QUAD, "--bind", str(binds), "-N", "4", "-M", "3"
+        )
+        assert code == 2 and "nope.mat" in err
+        assert "Traceback" not in err
+
     def test_closed_pipe_is_not_a_traceback(self):
         # The m=12 census table is far larger than a pipe buffer, so the
         # writer is still writing when the reader closes its end.

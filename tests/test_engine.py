@@ -16,7 +16,6 @@ from wte.engine import (
     moment,
     pairing_weight,
     subspec,
-    wigner_moment,
 )
 from wte.gluing import WordShape, slot_dimensions
 from wte.matrices import DimensionError, Matrix, MatrixSet
@@ -160,13 +159,6 @@ class TestMoment:
         approx = moment(spec).total
         assert math.isclose(approx, float(exact), rel_tol=1e-12, abs_tol=1e-14)
 
-    def test_threads_bit_identical(self):
-        spec = make_spec((4, 2), (-1, 1, -1, 1, -1, 1), 3, 2, seed=7)
-        one = moment(spec, threads=1)
-        four = moment(spec, threads=4)
-        assert one.total == four.total
-        assert [t.value for t in one.terms] == [t.value for t in four.terms]
-
     def test_order_bound_for_moments(self):
         spec = make_spec((4, 2), (-1, 1, 1, -1, 1, 1), 2, 2, seed=8)
         assert all(t.order_exponent <= 0 for t in moment(spec, exact=True).terms)
@@ -244,7 +236,7 @@ class TestWigner:
         spec = MomentSpec(
             shape, MatrixSet([Matrix.identity(n)] * 2), n, n, wigner=frozenset({"Z"})
         )
-        assert wigner_moment(spec, exact=True).total == Fraction(n + 1, 2 * n)
+        assert moment(spec, exact=True).total == Fraction(n + 1, 2 * n)
 
     def test_closed_form_random(self):
         rng = random.Random(20)
@@ -257,7 +249,7 @@ class TestWigner:
         spec = MomentSpec(shape, MatrixSet(mats), n, n, wigner=frozenset({"Z"}))
         a1, a2 = (m.as_array() for m in mats)
         closed = (np.trace(a1) * np.trace(a2) + np.trace(a1 @ a2.T)) / (2 * n * n)
-        assert math.isclose(float(wigner_moment(spec, exact=True).total), closed)
+        assert math.isclose(float(moment(spec, exact=True).total), closed)
 
     def test_odd_wigner_word_is_zero(self):
         n = 3
@@ -265,11 +257,7 @@ class TestWigner:
         spec = MomentSpec(
             shape, MatrixSet([Matrix.identity(n)] * 3), n, n, wigner=frozenset({"Z"})
         )
-        assert wigner_moment(spec, exact=True).total == 0
-
-    def test_requires_wigner_letters(self):
-        with pytest.raises(ValueError, match="no Wigner"):
-            wigner_moment(identity_spec((2,), 2))
+        assert moment(spec, exact=True).total == 0
 
     def test_term_shares_sum_to_total(self):
         n = 3
@@ -277,7 +265,7 @@ class TestWigner:
         spec = MomentSpec(
             shape, MatrixSet([Matrix.identity(n)] * 2), n, n, wigner=frozenset({"Z"})
         )
-        res = wigner_moment(spec, exact=True)
+        res = moment(spec, exact=True)
         # 1 pairing x 4 sign assignments
         assert len(res.terms) == 4
         assert {t.epsilon for t in res.terms} == {

@@ -23,6 +23,8 @@ from wte.perm import (
     cycles,
     enumerate_pairings,
     inverse,
+    orbits,
+    signed_domain,
 )
 
 WORKED_SHAPE = WordShape.alternating((6, 4))
@@ -55,10 +57,6 @@ class TestWordShape:
     def test_zero_factors_allowed(self):
         s = WordShape(())
         assert s.m == 0 and s.r == 0
-
-    def test_factor_of(self):
-        s = WordShape((2, 3))
-        assert [s.factor_of(k) for k in range(1, 6)] == [1, 1, 2, 2, 2]
 
 
 class TestRotations:
@@ -207,6 +205,10 @@ class TestParticularCycles:
     def test_mirror_violation_raises(self):
         with pytest.raises(MirrorPropertyError):
             particular_cycles(SignedPermutation.from_cycles(2, [(1, 2)]))
+        # Half the cycles start positive, but (-1,-2,-3) is not the mirror
+        # of (1,2,3): that would be (-1,-3,-2).
+        with pytest.raises(MirrorPropertyError):
+            particular_cycles(SignedPermutation.from_cycles(3, [(1, 2, 3), (-1, -2, -3)]))
 
 
 class TestSurfaceCensus:
@@ -270,6 +272,44 @@ class TestSurfaceCensus:
                     assert comp.chi % 2 == 0
             if rep.order_exponent == 0:
                 assert rep.all_spheres
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            (2,), (1, 1),
+            (4,), (2, 2), (1, 3), (1, 1, 2), (1, 1, 1, 1),
+            (6,), (4, 2), (2, 2, 2), (1, 2, 3), (3, 1, 1, 1), (1, 1, 1, 1, 1, 1),
+            (8,), (4, 4), (2, 6), (3, 1, 4), (2, 2, 2, 2), (1, 2, 1, 3, 1),
+            (1,) * 8,
+        ],
+    )
+    def test_matches_orbit_reference(self, lengths):
+        # Independent route: the components are the orbits of the factor
+        # rotation and the pairing on the letters, and one is orientable
+        # iff the cover orbit of each of its letters k avoids -k.
+        m = sum(lengths)
+        rng = random.Random(m * len(lengths))
+        for p in enumerate_pairings(m):
+            eps = tuple(rng.choice((1, -1)) for _ in range(m))
+            shape = WordShape(lengths, eps)
+            rep = surface_census(p, shape)
+            base = orbits([front_rotation(shape), p], tuple(range(1, m + 1)))
+            cover = orbits(
+                [
+                    front_rotation(shape),
+                    back_rotation(shape),
+                    lift_pairing(p, transpose_flip(shape)),
+                ],
+                signed_domain(m),
+            )
+            parts = particular_cycles(vertex_permutation(p, shape))
+            assert tuple(c.letters for c in rep.components) == base.blocks()
+            for comp in rep.components:
+                for k in comp.letters:
+                    assert comp.orientable == (cover.block_of(k) != cover.block_of(-k))
+                inside = [c for c in parts if {abs(k) for k in c} <= set(comp.letters)]
+                assert comp.vertices == len(inside)
+            assert rep.vertex_count == len(parts)
 
     def test_empty_word(self):
         rep = surface_census(Pairing(0, ()), WordShape(()))

@@ -140,6 +140,15 @@ class TestCycles:
             for i, k in enumerate(c):
                 assert s(k) == c[(i + 1) % len(c)]
 
+    @given(signed_perms())
+    def test_cycles_start_at_least_element_in_order(self, s):
+        def key(k):
+            return (abs(k), k < 0)
+
+        cs = cycles(s)
+        assert all(c[0] == min(c, key=key) for c in cs)
+        assert [key(c[0]) for c in cs] == sorted(key(c[0]) for c in cs)
+
 
 class TestPairings:
     def test_m2(self):
