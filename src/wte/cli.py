@@ -6,8 +6,8 @@ renderer sorts keys and omits wall-clock timing, so identical runs give
 byte-identical JSON.  ``--threads`` is accepted and has no effect.
 
 Exit codes: 0 success, 1 failure or verification mismatch, 2 parse
-errors (expression or input files) and input files that cannot be read,
-3 dimension/binding errors, 4 work budget exceeded.
+errors (expression or input files) and input files that cannot be read
+or are not UTF-8, 3 dimension/binding errors, 4 work budget exceeded.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def _cmd_census(args) -> int:
     if shape.m % 2:
         raise ValueError(f"odd letter count {shape.m}: no pairings to classify")
     groups: dict[tuple, int] = {}
-    detail = []
+    pairings = []
     for idx, p in enumerate(enumerate_pairings(shape.m)):
         report = surface_census(p, shape)
         cross = crossings(p)
@@ -350,7 +350,18 @@ def _cmd_census(args) -> int:
         key = (report.order_exponent, chis, orients, report.connected, cross)
         groups[key] = groups.get(key, 0) + 1
         if args.terms:
-            detail.append((idx, p, report, cross))
+            pairings.append(
+                {
+                    "index": idx,
+                    "blocks": [list(b) for b in p.blocks()],
+                    "order_exponent": report.order_exponent,
+                    "chi": list(report.chi_list),
+                    "orientable": [c.orientable for c in report.components],
+                    "classification": [c.classification for c in report.components],
+                    "transitive": report.connected,
+                    "crossings": cross,
+                }
+            )
     rows = sorted(groups.items(), key=lambda kv: (-kv[0][0], kv[0]))
     payload = {
         "schema": "wte.census.v1",
@@ -371,19 +382,7 @@ def _cmd_census(args) -> int:
         ],
     }
     if args.terms:
-        payload["pairings"] = [
-            {
-                "index": idx,
-                "blocks": [list(b) for b in p.blocks()],
-                "order_exponent": rep.order_exponent,
-                "chi": list(rep.chi_list),
-                "orientable": [c.orientable for c in rep.components],
-                "classification": [c.classification for c in rep.components],
-                "transitive": rep.connected,
-                "crossings": cross,
-            }
-            for idx, p, rep, cross in detail
-        ]
+        payload["pairings"] = pairings
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
@@ -494,7 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (ParseError, MatrixFormatError, OSError) as exc:
+    except (ParseError, MatrixFormatError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (DimensionError, UnboundSlotError) as exc:

@@ -1,11 +1,13 @@
 """Dense matrix storage, bindings, and traces along signed cycles.
 
 Matrices are immutable after construction and carry their entries as
-plain Python numbers, so the same object serves the float path (via a
-cached numpy view) and the exact path (integer / rational arithmetic for
-integer inputs).  A negative index into a :class:`MatrixSet` denotes the
-transpose of the corresponding slot; transposes are never materialized,
-evaluation just swaps the index order.
+plain Python numbers.  Each matrix keeps two cached numpy views of them:
+a float64 array for float evaluation and an object array holding the
+``int``/``Fraction`` entries themselves, whose products are exact and
+unbounded.  One cycle-trace routine multiplies either view.  A negative
+index into a :class:`MatrixSet` denotes the transpose of the
+corresponding slot; transposes are never materialized, evaluation
+multiplies the transposed view.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _parse_number(token: str) -> Number:
 class Matrix:
     """A rows x cols real matrix with row-major entries."""
 
-    __slots__ = ("rows", "cols", "entries", "_arr")
+    __slots__ = ("rows", "cols", "entries", "is_exact", "_float", "_exact")
 
     def __init__(self, entries: Sequence[Sequence[Number]]):
         rows = tuple(tuple(row) for row in entries)
@@ -65,21 +67,25 @@ class Matrix:
         self.rows = len(rows)
         self.cols = len(rows[0])
         self.entries = rows
-        self._arr = None
+        # True when every entry is an integer or rational (no floats).
+        self.is_exact = all(isinstance(x, (int, Fraction)) for row in rows for x in row)
+        self._float = None
+        self._exact = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @property
-    def is_exact(self) -> bool:
-        """True when every entry is an integer or rational (no floats)."""
-        return all(isinstance(x, (int, Fraction)) for row in self.entries for x in row)
-
-    def as_array(self) -> np.ndarray:
-        if self._arr is None:
-            self._arr = np.array(self.entries, dtype=float)
-        return self._arr
+    def as_array(self, exact: bool = False) -> np.ndarray:
+        """Cached float64 view, or with ``exact`` an object array of the
+        entries themselves."""
+        if exact:
+            if self._exact is None:
+                self._exact = np.array(self.entries, dtype=object)
+            return self._exact
+        if self._float is None:
+            self._float = np.array(self.entries, dtype=float)
+        return self._float
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)))
@@ -310,9 +316,9 @@ def trace_along(
     """Product over cycles of the trace of the slot matrices multiplied in
     cycle order, negative indices meaning transposes.
 
-    Each slot may appear at most once across all cycles.  The float path
-    accumulates each trace with error-free summation; the exact path
-    needs integer or rational entries throughout.
+    Each slot may appear at most once across all cycles.  Float mode sums
+    each trace's diagonal with error-free summation; exact mode multiplies
+    the object views, so it needs integer or rational entries throughout.
     """
     seen: set[int] = set()
     for cyc in cyc_list:
@@ -327,7 +333,7 @@ def trace_along(
     total: Number = 1 if exact else 1.0
     for cyc in cyc_list:
         _check_chain(cyc, ms)
-        total = total * (_cycle_trace_exact(cyc, ms) if exact else _cycle_trace_float(cyc, ms))
+        total = total * _cycle_trace(cyc, ms, exact)
     return total
 
 
@@ -342,39 +348,12 @@ def _check_chain(cyc: Sequence[int], ms: MatrixSet) -> None:
             )
 
 
-def _cycle_trace_float(cyc: Sequence[int], ms: MatrixSet) -> float:
-    views = []
+def _cycle_trace(cyc: Sequence[int], ms: MatrixSet, exact: bool) -> Number:
+    prod = None
     for k in cyc:
         mat, transposed = ms.matrix(k)
-        arr = mat.as_array()
-        views.append(arr.T if transposed else arr)
-    prod = views[0]
-    for v in views[1:]:
-        prod = prod @ v
-    return math.fsum(np.diagonal(prod).tolist())
-
-
-def _cycle_trace_exact(cyc: Sequence[int], ms: MatrixSet) -> Number:
-    def entry(k: int, i: int, j: int) -> Number:
-        mat, transposed = ms.matrix(k)
-        return mat.entries[j][i] if transposed else mat.entries[i][j]
-
-    def dims(k: int) -> tuple[int, int]:
-        return ms.dims(k)
-
-    first = cyc[0]
-    rows0, cols0 = dims(first)
-    prod = [[entry(first, i, j) for j in range(cols0)] for i in range(rows0)]
-    for k in cyc[1:]:
-        rk, ck = dims(k)
-        nxt = [[0] * ck for _ in range(len(prod))]
-        for i in range(len(prod)):
-            row = prod[i]
-            out = nxt[i]
-            for t in range(rk):
-                coeff = row[t]
-                if coeff:
-                    for j in range(ck):
-                        out[j] += coeff * entry(k, t, j)
-        prod = nxt
-    return sum(prod[i][i] for i in range(len(prod)))
+        arr = mat.as_array(exact)
+        view = arr.T if transposed else arr
+        prod = view if prod is None else prod @ view
+    diagonal = np.diagonal(prod).tolist()
+    return sum(diagonal) if exact else math.fsum(diagonal)

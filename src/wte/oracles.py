@@ -9,9 +9,11 @@ cycles, and its own crossing counter -- so agreement is meaningful.
 
 ``mc_oracle`` samples the Gaussian matrix families directly and averages
 the trace-word product.  Sampling is counter-based (Philox keyed by the
-seed) with a fixed chunk size and fixed draw order, and the reductions
-are exactly rounded, so a given (seed, samples) pair reproduces the same
-estimate bit for bit no matter how the evaluation is scheduled.
+seed) in a fixed draw order, and the reductions are exactly rounded, so
+a given (seed, samples) pair reproduces the same estimate bit for bit no
+matter how the evaluation is scheduled.  The draws are made in chunks
+sized by a byte budget; Philox draws do not depend on how they are
+chunked, so the chunk size bounds memory without changing any estimate.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ class McReport:
         return abs(self.estimate - exact_value) / self.stderr
 
 
-_MC_CHUNK = 16384  # fixed so the draw order never depends on scheduling
+_MC_CHUNK_BYTES = 8 << 20  # 8 MiB budget for the raw draw of one chunk
 
 
 def _gram_factor(spec: MomentSpec, families: Sequence[str]) -> np.ndarray:
@@ -251,9 +253,10 @@ def mc_oracle(
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     factor_vals = [np.empty(samples) for _ in range(r)]
+    chunk = max(1, _MC_CHUNK_BYTES // (8 * len(families) * m_dim * n_dim))
     done = 0
     while done < samples:
-        count = min(_MC_CHUNK, samples - done)
+        count = min(chunk, samples - done)
         raw = rng.standard_normal((count, len(families), m_dim, n_dim))
         correlated = np.einsum("gh,shmn->sgmn", chol, raw) / math.sqrt(n_dim)
         letter_mats = {}

@@ -362,33 +362,6 @@ def orbits(generators: Iterable[Generator], domain: Sequence[int]) -> SetPartiti
     return SetPartition(tuple(domain), tuple(idx))
 
 
-def induced_partition(
-    gamma: SignedPermutation, p: Pairing, lengths: Sequence[int]
-) -> SetPartition:
-    """Partition of the factor indices [1..r] induced by gluing.
-
-    Factors i and j share a block iff their letter ranges meet the same
-    orbit of the group generated by the factor rotation and the pairing.
-    """
-    m = sum(lengths)
-    if p.m != m:
-        raise ValueError(f"pairing is over {p.m} letters, factors supply {m}")
-    orb = orbits([gamma, p], tuple(range(1, m + 1)))
-    starts = []
-    acc = 1
-    for length in lengths:
-        starts.append(acc)
-        acc += length
-    factor_ids = tuple(range(1, len(lengths) + 1))
-    block_of_factor = [orb.block_of(s) for s in starts]
-    renumber: dict[int, int] = {}
-    idx = []
-    for b in block_of_factor:
-        renumber.setdefault(b, len(renumber))
-        idx.append(renumber[b])
-    return SetPartition(factor_ids, tuple(idx))
-
-
 def set_partitions(n: int) -> Iterator[SetPartition]:
     """All partitions of [1..n] via restricted-growth strings.
 

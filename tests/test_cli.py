@@ -240,6 +240,24 @@ class TestExitCodes:
         assert code == 2 and "nope.mat" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_expr_file_is_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe" + QUAD.encode("utf-16-le"))
+        code, _, err = run(capsys, "moment", "--expr-file", str(path), "--bind-identity")
+        assert code == 2 and "utf-8" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_matrix_in_bindings_is_2(self, capsys, tmp_path):
+        mat = tmp_path / "d1.mat"
+        mat.write_bytes(b"\xff\xfe" + "4 4\n".encode("utf-16-le"))
+        binds = tmp_path / "binds.txt"
+        binds.write_text(f"D1 = {mat}\nD2 = I 3\n")
+        code, _, err = run(
+            capsys, "moment", "--expr", QUAD, "--bind", str(binds), "-N", "4", "-M", "3"
+        )
+        assert code == 2 and "utf-8" in err
+        assert "Traceback" not in err
+
     def test_closed_pipe_is_not_a_traceback(self):
         # The m=12 census table is far larger than a pipe buffer, so the
         # writer is still writing when the reader closes its end.

@@ -242,6 +242,20 @@ class TestSurfaceCensus:
         assert len(rep.components) == 2
         assert rep.all_spheres and rep.order_exponent == 0
 
+    @pytest.mark.parametrize(
+        "lengths,blocks,factors",
+        [
+            ((2, 2), [(1, 3), (2, 4)], [(1, 2)]),
+            ((2, 2), [(1, 2), (3, 4)], [(1,), (2,)]),
+            ((6, 4), WORKED_PAIRING.blocks(), [(1, 2)]),
+        ],
+        ids=["connecting", "non_connecting", "worked_example_connects_both_factors"],
+    )
+    def test_components_partition_the_factors(self, lengths, blocks, factors):
+        m = sum(lengths)
+        rep = surface_census(Pairing.from_blocks(m, blocks), WordShape(lengths, (1,) * m))
+        assert [c.factors for c in rep.components] == factors
+
     def test_klein_bottle_from_double_twist(self):
         # single factor X X X X word, pairing (1,3)(2,4) with no transposes:
         # both gluings twisted and crossing

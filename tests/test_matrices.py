@@ -48,6 +48,13 @@ class TestMatrix:
         assert m.as_array() is m.as_array()
         assert np.array_equal(m.as_array(), [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_exact_view_holds_the_entries(self):
+        m = Matrix([[1, Fraction(1, 3)], [2**70, -4]])
+        view = m.as_array(exact=True)
+        assert view is m.as_array(exact=True) and view.dtype == object
+        assert view.tolist() == [[1, Fraction(1, 3)], [2**70, -4]]
+        assert type(view[0, 1]) is Fraction and type(view[1, 0]) is int
+
 
 class TestParseMatrix:
     def test_round_trip(self):

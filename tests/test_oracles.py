@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import wte.oracles
 from wte.engine import Gram, MomentSpec, cumulant, moment
 from wte.gluing import WordShape, slot_dimensions
 from wte.matrices import Matrix, MatrixSet
@@ -13,7 +15,7 @@ from wte.oracles import (
     mc_oracle,
     wick_oracle,
 )
-from wte.perm import crossings, enumerate_pairings
+from wte.perm import crossings, enumerate_pairings, pairing_count
 
 
 def int_matrices(rng, shape, n_dim, m_dim, lo=-4, hi=4):
@@ -113,6 +115,60 @@ class TestWickOracle:
         mats[1] = Matrix(bumped)
         corrupted = MomentSpec(spec.shape, MatrixSet(mats), 2, 2)
         assert wick_oracle(corrupted) != moment(spec, exact=True).total
+
+
+RATIONALS = st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def small_specs(draw):
+    """Words with m <= 6 letters in at most two factors over one or two
+    families, int and Fraction matrix entries, a rational Gram matrix, q in
+    {-1, 0, 1/2, 1} and at most one Wigner family (then N = M)."""
+    lengths = tuple(
+        draw(
+            st.lists(st.integers(1, 6), min_size=1, max_size=2).filter(
+                lambda ls: sum(ls) <= 6 and sum(ls) % 2 == 0
+            )
+        )
+    )
+    m = sum(lengths)
+    families = draw(st.sampled_from((("X",), ("X", "Y"))))
+    labels = tuple(draw(st.lists(st.sampled_from(families), min_size=m, max_size=m)))
+    eps = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)))
+    wigner = frozenset(draw(st.sets(st.sampled_from(sorted(set(labels))), max_size=1)))
+    n_dim = draw(st.integers(1, 2))
+    m_dim = n_dim if wigner else draw(st.integers(1, 2))
+    # The oracle visits (m-1)!! (NM)^(m/2) 2^w index assignments; keep each
+    # example to a few milliseconds.
+    w = sum(lab in wigner for lab in labels)
+    assume(pairing_count(m) * (n_dim * m_dim) ** (m // 2) * 2**w <= 10_000)
+    shape = WordShape(lengths, eps, labels)
+    entries = st.one_of(st.integers(-3, 3), RATIONALS)
+    mats = [
+        Matrix([[draw(entries) for _ in range(c)] for _ in range(r)])
+        for r, c in slot_dimensions(shape, n_dim, m_dim)
+    ]
+    diag = [draw(RATIONALS) for _ in families]
+    off = draw(RATIONALS)
+    gram = Gram(
+        families,
+        tuple(
+            tuple(diag[i] if i == j else off for j in range(len(families)))
+            for i in range(len(families))
+        ),
+    )
+    q = draw(st.sampled_from((-1, 0, Fraction(1, 2), 1)))
+    return MomentSpec(
+        shape, MatrixSet(mats), n_dim, m_dim, q=q, gram=gram, wigner=wigner
+    )
+
+
+class TestEngineMatchesWick:
+    @settings(max_examples=100, deadline=None)
+    @given(small_specs())
+    def test_exact_moment_equals_oracle(self, spec):
+        assert moment(spec, exact=True).total == wick_oracle(spec, exact=True)
 
 
 def _reversed_spec(spec):
@@ -218,6 +274,30 @@ class TestMcOracle:
         rep = mc_oracle(spec, 5000, seed=2)
         assert len(rep.factor_means) == 2
         assert all(abs(fm - 1.0) < 0.2 for fm in rep.factor_means)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("word", ["one_family", "gram", "wigner"])
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch, word, chunk):
+        gram = Gram(("G", "H"), ((1, Fraction(1, 2)), (Fraction(1, 2), 1)))
+        spec, statistic = {
+            "one_family": (make_spec((4,), (-1, 1, -1, 1), 3, 2, seed=14), "moment"),
+            "gram": (
+                make_spec((2, 2), (-1, 1, -1, 1), 3, 3, seed=15,
+                          labels=("G", "H", "H", "G"), gram=gram),
+                "cumulant",
+            ),
+            "wigner": (
+                make_spec((4,), (1, -1, 1, 1), 3, 3, seed=16,
+                          labels=("Z", "X", "X", "Z"), wigner=frozenset({"Z"})),
+                "moment",
+            ),
+        }[word]
+        whole = mc_oracle(spec, 400, seed=17, statistic=statistic)
+        families = len(set(spec.shape.labels))
+        monkeypatch.setattr(
+            wte.oracles, "_MC_CHUNK_BYTES", chunk * 8 * families * spec.n_dim * spec.m_dim
+        )
+        assert mc_oracle(spec, 400, seed=17, statistic=statistic) == whole
 
     def test_rejects_q_not_one(self):
         spec = make_spec((2,), (-1, 1), 2, 2, seed=12, q=0.5)

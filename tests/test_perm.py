@@ -13,7 +13,6 @@ from wte.perm import (
     cycle_string,
     cycles,
     enumerate_pairings,
-    induced_partition,
     inverse,
     orbits,
     pairing_count,
@@ -247,25 +246,6 @@ class TestOrbits:
             part = orbits([gamma, p], tuple(range(1, 7)))
             assert part.block_of(1) == part.block_of(2) == part.block_of(3)
             assert part.block_of(4) == part.block_of(5) == part.block_of(6)
-
-
-class TestInducedPartition:
-    def test_connecting(self):
-        gamma = SignedPermutation.from_cycles(4, [(1, 2), (3, 4)])
-        p = Pairing.from_blocks(4, [(1, 3), (2, 4)])
-        assert induced_partition(gamma, p, (2, 2)).blocks() == ((1, 2),)
-
-    def test_non_connecting(self):
-        gamma = SignedPermutation.from_cycles(4, [(1, 2), (3, 4)])
-        p = Pairing.from_blocks(4, [(1, 2), (3, 4)])
-        assert induced_partition(gamma, p, (2, 2)).blocks() == ((1,), (2,))
-
-    def test_worked_example_connects_both_factors(self):
-        gamma = SignedPermutation.from_cycles(
-            10, [(1, 2, 3, 4, 5, 6), (7, 8, 9, 10)]
-        )
-        p = Pairing.from_blocks(10, [(1, 9), (2, 7), (3, 4), (5, 10), (6, 8)])
-        assert induced_partition(gamma, p, (6, 4)).blocks() == ((1, 2),)
 
 
 class TestSetPartitions:
