@@ -9,13 +9,12 @@ sampler) back every number the engine produces.
 """
 
 from .engine import (
+    BudgetError,
     CltReport,
-    Gram,
     MomentResult,
     MomentSpec,
     TermReport,
     clt_report,
-    concat_specs,
     cumulant,
     is_transitive,
     leading_terms,
@@ -41,6 +40,7 @@ from .gluing import (
 )
 from .matrices import (
     DimensionError,
+    Gram,
     Matrix,
     MatrixFormatError,
     MatrixSet,
@@ -51,13 +51,11 @@ from .matrices import (
     parse_matrix,
     trace_along,
 )
-from .oracles import BudgetError, McReport, is_noncrossing, mc_oracle, wick_oracle
+from .oracles import McReport, is_noncrossing, mc_oracle, wick_oracle
 from .perm import (
     Pairing,
-    SetPartition,
     SignedPermutation,
     compose,
-    conjugate,
     crossings,
     cycle_string,
     cycles,
@@ -65,7 +63,6 @@ from .perm import (
     inverse,
     orbits,
     pairing_count,
-    set_partitions,
 )
 
 __version__ = "0.1.0"
@@ -85,7 +82,6 @@ __all__ = [
     "MomentSpec",
     "Pairing",
     "ParseError",
-    "SetPartition",
     "SignedPermutation",
     "SurfaceReport",
     "TermReport",
@@ -97,8 +93,6 @@ __all__ = [
     "build_shape",
     "clt_report",
     "compose",
-    "concat_specs",
-    "conjugate",
     "crossings",
     "cumulant",
     "cycle_string",
@@ -122,7 +116,6 @@ __all__ = [
     "parse_matrix",
     "particular_cycles",
     "pretty",
-    "set_partitions",
     "sign_flip",
     "slot_dimensions",
     "subspec",

@@ -14,7 +14,10 @@ single-matrix model is q = 1 with a rank-one unit Gram.  Wigner letters
 are averaged over both transpose signs with weight 1/2 per letter, which
 requires square X.
 
-Evaluation is one sequential pass over the pairings in canonical order.
+Evaluation is one sequential pass over the pairings in canonical order,
+refused up front with :class:`BudgetError` when its work, (m-1)!! * m *
+2^w for w Wigner letters, exceeds the budget it shares with the Wick
+oracle (``WTE_BUDGET``).
 Each pairing's particular cycles and surface census come from
 ``_combinatorics``; a cumulant keeps a pairing when that census has a
 single component.  Float evaluation reduces the term values with
@@ -28,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,57 +41,43 @@ from typing import Optional, Sequence, Union
 from .gluing import (
     SurfaceReport,
     WordShape,
+    front_rotation,
     particular_cycles,
     slot_dimensions,
     surface_census,
     vertex_permutation,
 )
-from .matrices import DimensionError, MatrixSet, trace_along
-from .perm import Pairing, crossings, enumerate_pairings, orbits
+from .matrices import DimensionError, Gram, MatrixSet, trace_along
+from .perm import Pairing, crossings, enumerate_pairings, orbits, pairing_count
 
 Number = Union[int, float, Fraction]
 
+DEFAULT_BUDGET = 100_000_000
+BUDGET_ENV_VAR = "WTE_BUDGET"
 
-@dataclass(frozen=True)
-class Gram:
-    """Symmetric matrix of inner products between matrix-family labels."""
 
-    labels: tuple[str, ...]
-    entries: tuple[tuple[Number, ...], ...]
+class BudgetError(RuntimeError):
+    """The requested evaluation exceeds the work budget."""
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("gram labels must be distinct")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ValueError("gram matrix must be square over the labels")
-        for i in range(n):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
 
-    @classmethod
-    def identity(cls, labels: Sequence[str]) -> "Gram":
-        n = len(labels)
-        return cls(
-            tuple(labels),
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
+def _budget_limit(budget: int | None) -> int:
+    if budget is not None:
+        return budget
+    env = os.environ.get(BUDGET_ENV_VAR)
+    return int(env) if env else DEFAULT_BUDGET
+
+
+def _check_budget(m: int, w: int = 0) -> None:
+    """Refuse a pairing sum over m letters with w Wigner letters whose
+    work, (m-1)!! pairings times m letters times 2^w sign assignments,
+    exceeds the budget: ``WTE_BUDGET`` or :data:`DEFAULT_BUDGET`."""
+    work = pairing_count(m) * max(m, 1) * 2**w
+    limit = _budget_limit(None)
+    if work > limit:
+        raise BudgetError(
+            f"pairing sum needs ~{work} operations, budget is {limit} "
+            f"(set {BUDGET_ENV_VAR} to raise it)"
         )
-
-    @classmethod
-    def ones(cls, labels: Sequence[str]) -> "Gram":
-        n = len(labels)
-        return cls(tuple(labels), tuple(tuple(1 for _ in range(n)) for _ in range(n)))
-
-    def value(self, a: str, b: str) -> Number:
-        try:
-            i, j = self.labels.index(a), self.labels.index(b)
-        except ValueError as exc:
-            raise KeyError(f"unknown matrix family {exc}") from None
-        return self.entries[i][j]
-
-    def covers(self, labels: Sequence[str]) -> bool:
-        return set(labels) <= set(self.labels)
 
 
 @dataclass(frozen=True)
@@ -233,12 +223,9 @@ def is_transitive(p: Pairing, shape: WordShape) -> bool:
 
     The engine reads this off ``surface_census``; tests use this function
     as the independent reference."""
-    from .gluing import front_rotation
-
     if shape.m == 0:
         return shape.r <= 1
-    orb = orbits([front_rotation(shape), p], tuple(range(1, shape.m + 1)))
-    return orb.block_count() == 1
+    return len(orbits([front_rotation(shape), p], tuple(range(1, shape.m + 1)))) == 1
 
 
 @lru_cache(maxsize=65536)
@@ -260,6 +247,7 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
         k for k, lab in enumerate(shape.labels, start=1) if lab in spec.wigner
     )
     w = len(wigner_pos)
+    _check_budget(m, w)
 
     metadata = {
         "statistic": statistic,
@@ -344,7 +332,8 @@ def subspec(spec: MomentSpec, factors: Sequence[int]) -> MomentSpec:
     """Restrict a spec to the given 1-based factors (repeats allowed).
 
     Letter, transpose, label and matrix data for each chosen factor are
-    copied in order; dimensions and model parameters carry over.
+    copied in order; dimensions, q and the Gram matrix carry over, and so
+    do the Wigner families that occur in the chosen factors.
     """
     ranges = spec.shape.factor_ranges()
     lengths, eps, labels, mats = [], [], [], []
@@ -363,37 +352,13 @@ def subspec(spec: MomentSpec, factors: Sequence[int]) -> MomentSpec:
         m_dim=spec.m_dim,
         q=spec.q,
         gram=spec.gram,
-        wigner=spec.wigner,
-    )
-
-
-def concat_specs(a: MomentSpec, b: MomentSpec) -> MomentSpec:
-    """Join two words over the same model into one multi-factor word."""
-    for attr in ("n_dim", "m_dim", "q", "wigner"):
-        if getattr(a, attr) != getattr(b, attr):
-            raise ValueError(f"cannot combine specs with different {attr}")
-    labels = tuple(dict.fromkeys(a.shape.labels + b.shape.labels))
-    gram = a.gram if a.gram.covers(labels) else b.gram
-    if not gram.covers(labels):
-        raise ValueError("neither gram matrix covers the combined families")
-    return MomentSpec(
-        shape=WordShape(
-            a.shape.lengths + b.shape.lengths,
-            a.shape.epsilon + b.shape.epsilon,
-            a.shape.labels + b.shape.labels,
-        ),
-        matrices=MatrixSet(a.matrices.matrices + b.matrices.matrices),
-        n_dim=a.n_dim,
-        m_dim=a.m_dim,
-        q=a.q,
-        gram=gram,
-        wigner=a.wigner,
+        wigner=spec.wigner & set(labels),
     )
 
 
 @dataclass(frozen=True)
 class CltReport:
-    """Finite-N fluctuation covariances for a list of trace factors.
+    """Finite-N fluctuation covariances between the factors of a word.
 
     ``full[i][j]`` is N^2 times the joint cumulant of factors i and j;
     ``leading[i][j]`` keeps only the terms at the cumulant order bound
@@ -405,17 +370,15 @@ class CltReport:
     leading: tuple[tuple[Number, ...], ...]
 
 
-def clt_report(specs: Sequence[MomentSpec], *, exact: bool = False) -> CltReport:
-    """Pairwise N^2 * k_2 table for single-factor specs."""
-    for s in specs:
-        if s.shape.r != 1:
-            raise ValueError("clt_report expects single-factor specs")
-    n = len(specs)
+def clt_report(spec: MomentSpec, *, exact: bool = False) -> CltReport:
+    """Pairwise N^2 * k_2 table over the factors of ``spec``; entry (i, j)
+    is the cumulant of the two-factor word ``subspec(spec, [i, j])``."""
+    n = spec.shape.r
     full = [[None] * n for _ in range(n)]
     lead = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            pair = concat_specs(specs[i], specs[j])
+            pair = subspec(spec, [i + 1, j + 1])
             res = cumulant(pair, exact=exact)
             scale = pair.n_dim**2
             full_ij = scale * res.total

@@ -22,9 +22,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .engine import Gram, MomentSpec
+from .engine import MomentSpec
 from .gluing import WordShape
-from .matrices import Matrix, bind_matrices
+from .matrices import Gram, Matrix, bind_matrices
 
 
 class ParseError(ValueError):

@@ -50,12 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .perm import (
-    Pairing,
-    SignedPermutation,
-    _UnionFind,
-    signed_domain,
-)
+from .perm import Pairing, SignedPermutation, _UnionFind, cycles, signed_domain
 
 
 class MirrorPropertyError(ValueError):
@@ -269,9 +264,7 @@ def particular_cycles(v: SignedPermutation) -> tuple[tuple[int, ...], ...]:
     v(-v(k)) = -k for every k; a cycle that is its own mirror is the only
     way to have more than half of the cycles chosen.
     """
-    from .perm import cycles as _cycles
-
-    all_cycles = _cycles(v)
+    all_cycles = cycles(v)
     chosen = tuple(c for c in all_cycles if c[0] > 0)
     if 2 * len(chosen) != len(all_cycles):
         raise MirrorPropertyError("cycle count is not twice the particular count")
@@ -286,7 +279,6 @@ class ComponentSurface:
     """One connected component of the glued surface."""
 
     factors: tuple[int, ...]
-    letters: tuple[int, ...]
     vertices: int
     edges: int
     faces: int
@@ -402,15 +394,11 @@ def surface_census(
 
     components = []
     for c, factors in members.items():
-        letters = tuple(
-            k for f in factors for k in range(ranges[f][0], ranges[f][1] + 1)
-        )
         components.append(
             ComponentSurface(
                 factors=tuple(f + 1 for f in factors),
-                letters=letters,
                 vertices=vertex_in[c],
-                edges=len(letters) // 2,
+                edges=sum(shape.lengths[f] for f in factors) // 2,
                 faces=len(factors),
                 orientable=sheets.find(factors[0]) != sheets.find(factors[0] + r),
             )

@@ -1,4 +1,5 @@
-"""Dense matrix storage, bindings, and traces along signed cycles.
+"""Dense matrix storage, family Gram matrices, bindings, and traces
+along signed cycles.
 
 Matrices are immutable after construction and carry their entries as
 plain Python numbers.  Each matrix keeps two cached numpy views of them:
@@ -13,15 +14,13 @@ multiplies the transposed view.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .gluing import WordShape, slot_dimensions
-
-if TYPE_CHECKING:
-    from .engine import Gram
 
 Number = Union[int, float, Fraction]
 
@@ -87,12 +86,6 @@ class Matrix:
             self._float = np.array(self.entries, dtype=float)
         return self._float
 
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries)))
-
-    def scale(self, c: Number) -> "Matrix":
-        return Matrix(tuple(tuple(c * x for x in row) for row in self.entries))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)
@@ -139,13 +132,48 @@ def parse_matrix(text: str) -> Matrix:
     return Matrix(data)
 
 
+@dataclass(frozen=True)
+class Gram:
+    """Symmetric matrix of inner products between matrix-family labels."""
+
+    labels: tuple[str, ...]
+    entries: tuple[tuple[Number, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.labels)
+        if len(set(self.labels)) != n:
+            raise ValueError("gram labels must be distinct")
+        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+            raise ValueError("gram matrix must be square over the labels")
+        for i in range(n):
+            for j in range(i):
+                if self.entries[i][j] != self.entries[j][i]:
+                    raise ValueError("gram matrix must be symmetric")
+
+    @classmethod
+    def identity(cls, labels: Sequence[str]) -> "Gram":
+        n = len(labels)
+        return cls(
+            tuple(labels),
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
+        )
+
+    def value(self, a: str, b: str) -> Number:
+        try:
+            i, j = self.labels.index(a), self.labels.index(b)
+        except ValueError as exc:
+            raise KeyError(f"unknown matrix family {exc}") from None
+        return self.entries[i][j]
+
+    def covers(self, labels: Sequence[str]) -> bool:
+        return set(labels) <= set(self.labels)
+
+
 def parse_gram(text: str) -> Gram:
     """Gram file: a line of family names, then the symmetric matrix rows.
 
     Entries are read like matrix entries, so decimals stay exact.
     """
-    from .engine import Gram
-
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -20,32 +20,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 
-from .engine import MomentSpec
+from .engine import BUDGET_ENV_VAR, BudgetError, MomentSpec, _budget_limit
 from .gluing import _rotation_arrays
 from .perm import enumerate_pairings, pairing_count
 
 Number = Union[int, float, Fraction]
-
-DEFAULT_BUDGET = 100_000_000
-BUDGET_ENV_VAR = "WTE_BUDGET"
-
-
-class BudgetError(RuntimeError):
-    """The requested brute-force evaluation exceeds the work budget."""
-
-
-def _budget_limit(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
 
 
 def _local_crossings(blocks: Sequence[tuple[int, int]]) -> int:

@@ -56,14 +56,6 @@ class SignedPermutation:
         return cls(m, signed_domain(m))
 
     @classmethod
-    def from_mapping(cls, m: int, mapping: dict[int, int]) -> "SignedPermutation":
-        """Build from a partial map; unlisted elements are fixed."""
-        images = list(signed_domain(m))
-        for k, v in mapping.items():
-            images[_slot(k, m)] = v
-        return cls(m, tuple(images))
-
-    @classmethod
     def from_cycles(cls, m: int, cycles: Iterable[Sequence[int]]) -> "SignedPermutation":
         """Build from disjoint cycles over the signed domain; others fixed.
 
@@ -72,13 +64,15 @@ class SignedPermutation:
         >>> SignedPermutation.from_cycles(2, [(1, 2)])(-1)
         -1
         """
-        mapping: dict[int, int] = {}
+        images = list(signed_domain(m))
+        moved: set[int] = set()
         for cyc in cycles:
             for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
-                if a in mapping:
+                if a in moved:
                     raise ValueError(f"element {a} appears in more than one cycle")
-                mapping[a] = b
-        return cls.from_mapping(m, mapping)
+                moved.add(a)
+                images[_slot(a, m)] = b
+        return cls(m, tuple(images))
 
     def __call__(self, k: int) -> int:
         return self.images[_slot(k, self.m)]
@@ -111,11 +105,6 @@ def inverse(s: SignedPermutation) -> SignedPermutation:
         k = i - m if i < m else i - m + 1
         images[_slot(v, m)] = k
     return SignedPermutation(m, tuple(images))
-
-
-def conjugate(s: SignedPermutation, t: SignedPermutation) -> SignedPermutation:
-    """t * s * t^-1: relabels s by t."""
-    return compose(t, compose(s, inverse(t)))
 
 
 def cycles(s: SignedPermutation) -> tuple[tuple[int, ...], ...]:
@@ -196,11 +185,6 @@ class Pairing:
             if k < self.partner[k - 1]
         )
 
-    def as_signed(self) -> SignedPermutation:
-        """Embed into the signed domain, fixing every negative element."""
-        neg = tuple(range(-self.m, 0))
-        return SignedPermutation(self.m, neg + self.partner)
-
 
 def pairing_count(m: int) -> int:
     """(m-1)!! for even m, the number of pairings; 0 for odd m, 1 for m=0."""
@@ -277,70 +261,20 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of an ordered ground set into non-empty disjoint blocks.
-
-    ``block_index[i]`` is the block of ``elements[i]``; blocks are numbered
-    0, 1, ... in order of first appearance, which makes equality structural.
-    """
-
-    elements: tuple[int, ...]
-    block_index: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.elements) != len(self.block_index):
-            raise ValueError("block assignment length mismatch")
-        seen: list[int] = []
-        for b in self.block_index:
-            if b == len(seen):
-                seen.append(b)
-            elif b > len(seen):
-                raise ValueError("blocks must be numbered by first appearance")
-
-    @classmethod
-    def from_blocks(
-        cls, elements: Sequence[int], blocks: Iterable[Iterable[int]]
-    ) -> "SetPartition":
-        where = {}
-        for bi, block in enumerate(blocks):
-            for e in block:
-                where[e] = bi
-        if set(where) != set(elements):
-            raise ValueError("blocks must cover the ground set exactly")
-        renumber: dict[int, int] = {}
-        idx = []
-        for e in elements:
-            b = where[e]
-            renumber.setdefault(b, len(renumber))
-            idx.append(renumber[b])
-        return cls(tuple(elements), tuple(idx))
-
-    @classmethod
-    def singletons(cls, elements: Sequence[int]) -> "SetPartition":
-        return cls(tuple(elements), tuple(range(len(elements))))
-
-    def block_count(self) -> int:
-        return max(self.block_index, default=-1) + 1
-
-    def block_of(self, e: int) -> int:
-        return self.block_index[self.elements.index(e)]
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.block_count())]
-        for e, b in zip(self.elements, self.block_index):
-            out[b].append(e)
-        return tuple(tuple(b) for b in out)
-
-
 Generator = Union[SignedPermutation, Pairing]
 
 
-def orbits(generators: Iterable[Generator], domain: Sequence[int]) -> SetPartition:
-    """Orbit partition of the group generated by ``generators`` on ``domain``.
+def orbits(
+    generators: Iterable[Generator], domain: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group generated by ``generators`` on ``domain``.
 
     Computed by union-find over generator images; pairings act on positive
-    elements only and fix everything else.
+    elements only and fix everything else.  Orbits are listed by their
+    first element in ``domain``, each in ``domain`` order.
+
+    >>> orbits([Pairing.from_blocks(2, [(1, 2)])], (1, 2, -1))
+    ((1, 2), (-1,))
     """
     uf = _UnionFind(domain)
     dom = set(domain)
@@ -353,33 +287,7 @@ def orbits(generators: Iterable[Generator], domain: Sequence[int]) -> SetPartiti
             if y not in dom:
                 raise ValueError(f"generator maps {x} outside the domain")
             uf.union(x, y)
-    roots = {}
-    idx = []
+    blocks: dict[int, list[int]] = {}
     for x in domain:
-        r = uf.find(x)
-        roots.setdefault(r, len(roots))
-        idx.append(roots[r])
-    return SetPartition(tuple(domain), tuple(idx))
-
-
-def set_partitions(n: int) -> Iterator[SetPartition]:
-    """All partitions of [1..n] via restricted-growth strings.
-
-    >>> sum(1 for _ in set_partitions(3))
-    5
-    """
-    elements = tuple(range(1, n + 1))
-    if n == 0:
-        yield SetPartition((), ())
-        return
-
-    def rec(prefix: list[int], used: int) -> Iterator[SetPartition]:
-        if len(prefix) == n:
-            yield SetPartition(elements, tuple(prefix))
-            return
-        for b in range(used + 1):
-            prefix.append(b)
-            yield from rec(prefix, max(used, b + 1))
-            prefix.pop()
-
-    yield from rec([], 0)
+        blocks.setdefault(uf.find(x), []).append(x)
+    return tuple(tuple(b) for b in blocks.values())

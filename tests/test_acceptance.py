@@ -28,9 +28,10 @@ from wte.perm import (
     cycle_string,
     cycles,
     enumerate_pairings,
-    set_partitions,
     signed_domain,
 )
+
+from partitions import set_partitions
 
 
 def report(n, name):
@@ -249,7 +250,7 @@ def test_08_moment_cumulant_inversion():
         for part in set_partitions(r):
             prod_exact = Fraction(1)
             prod_float = 1.0
-            for block in part.blocks():
+            for block in part:
                 sub = subspec(spec, block)
                 prod_exact *= Fraction(cumulant(sub, exact=True).total)
                 prod_float *= cumulant(sub).total
@@ -276,7 +277,7 @@ def test_09_q_model_checks():
         mats,
         3,
         3,
-        gram=Gram.ones(("G", "H")),
+        gram=Gram(("G", "H"), ((1, 1), (1, 1))),
     )
     assert moment(tied, exact=True).total == moment(single, exact=True).total
 
@@ -305,7 +306,7 @@ def test_10_fluctuation_scaling():
             factor = MomentSpec(
                 shape, MatrixSet([Matrix.identity(n)] * shape.m), n, n
             )
-            rep = clt_report([factor])
+            rep = clt_report(factor)
             out.append(abs(float(rep.full[0][0]) - float(rep.leading[0][0])))
         return out
 

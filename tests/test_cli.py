@@ -220,6 +220,14 @@ class TestExitCodes:
         )
         assert code == 4 and "budget" in err
 
+    @pytest.mark.parametrize("command", ["moment", "cumulant", "census"])
+    def test_pairing_sum_past_budget_is_4(self, capsys, monkeypatch, command):
+        # m = 18: 17!! * 18 = 620,270,650 exceeds the default budget.
+        monkeypatch.delenv("WTE_BUDGET", raising=False)
+        expr = "E[ tr(" + " ".join(f"X D{k}" for k in range(1, 19)) + ") ]"
+        code, out, err = run(capsys, command, "--expr", expr, "--bind-identity")
+        assert code == 4 and "budget" in err and out == ""
+
     def test_missing_expression_is_2(self, capsys):
         code, _, _ = run(capsys, "moment", "--bind-identity")
         assert code == 2
@@ -361,3 +369,15 @@ class TestCltCommand:
             "--gram", str(gram),
         )
         assert payload["full"][0][1] == 0.0
+
+    def test_wigner_family_in_some_factors(self, capsys):
+        payload = run_json(
+            capsys, "clt", "--expr", "E[ tr(X' D1 X D2) tr(Z D3 Z D4) ]",
+            "--wigner", "Z", "-N", "2", "-M", "2", "--bind-identity",
+        )
+        assert payload["full"] == [[2.0, 0.0], [0.0, 1.5]]
+        alone = run_json(
+            capsys, "clt", "--expr", "E[ tr(Z D1 Z D2) ]",
+            "--wigner", "Z", "-N", "2", "-M", "2", "--bind-identity",
+        )
+        assert alone["full"] == [[1.5]]

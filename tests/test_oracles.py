@@ -122,9 +122,10 @@ RATIONALS = st.fractions(-2, 2, max_denominator=3)
 
 @st.composite
 def small_specs(draw):
-    """Words with m <= 6 letters in at most two factors over one or two
-    families, int and Fraction matrix entries, a rational Gram matrix, q in
-    {-1, 0, 1/2, 1} and at most one Wigner family (then N = M)."""
+    """Words with m <= 6 letters in at most two factors over one, two or
+    three families, int and Fraction matrix entries, a symmetric rational
+    Gram matrix, q in {-1, 0, 1/2, 1} and at most one Wigner family (then
+    N = M)."""
     lengths = tuple(
         draw(
             st.lists(st.integers(1, 6), min_size=1, max_size=2).filter(
@@ -133,7 +134,7 @@ def small_specs(draw):
         )
     )
     m = sum(lengths)
-    families = draw(st.sampled_from((("X",), ("X", "Y"))))
+    families = draw(st.sampled_from((("X",), ("X", "Y"), ("X", "Y", "Z"))))
     labels = tuple(draw(st.lists(st.sampled_from(families), min_size=m, max_size=m)))
     eps = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)))
     wigner = frozenset(draw(st.sets(st.sampled_from(sorted(set(labels))), max_size=1)))
@@ -149,13 +150,14 @@ def small_specs(draw):
         Matrix([[draw(entries) for _ in range(c)] for _ in range(r)])
         for r, c in slot_dimensions(shape, n_dim, m_dim)
     ]
+    n = len(families)
     diag = [draw(RATIONALS) for _ in families]
-    off = draw(RATIONALS)
+    off = {(i, j): draw(RATIONALS) for i in range(n) for j in range(i + 1, n)}
     gram = Gram(
         families,
         tuple(
-            tuple(diag[i] if i == j else off for j in range(len(families)))
-            for i in range(len(families))
+            tuple(diag[i] if i == j else off[min(i, j), max(i, j)] for j in range(n))
+            for i in range(n)
         ),
     )
     q = draw(st.sampled_from((-1, 0, Fraction(1, 2), 1)))
@@ -182,7 +184,9 @@ def _reversed_spec(spec):
         new_eps.extend(-eps[s - 1 - i] for i in range(s))
         # slot i of the reversed factor holds the transpose of slot s-2-i,
         # with the factor's last slot staying last
-        new_mats.extend(mats[(s - 2 - i) % s].transpose() for i in range(s))
+        new_mats.extend(
+            Matrix(tuple(zip(*mats[(s - 2 - i) % s].entries))) for i in range(s)
+        )
     new_shape = WordShape(shape.lengths, tuple(new_eps), shape.labels)
     return MomentSpec(new_shape, MatrixSet(new_mats), spec.n_dim, spec.m_dim,
                       q=spec.q, gram=spec.gram)
@@ -317,7 +321,7 @@ class TestMcOracle:
             mc_oracle(spec, 100)
 
     def test_singular_psd_gram_allowed(self):
-        gram = Gram.ones(("G", "H"))  # rank one, PSD
+        gram = Gram(("G", "H"), ((1, 1), (1, 1)))  # rank one, PSD
         shape = WordShape.alternating((2,), ("G", "H"))
         spec = MomentSpec(shape, MatrixSet([Matrix.identity(5)] * 2), 5, 5, gram=gram)
         exact = float(moment(spec, exact=True).total)
