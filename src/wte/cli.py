@@ -5,11 +5,13 @@ rounded, term order is the canonical pairing order, and the JSON
 renderer sorts keys and omits wall-clock timing, so identical runs give
 byte-identical JSON.  ``--threads`` is accepted and has no effect.
 
-Exit codes: 0 success, 1 failure or verification mismatch, 2 parse
-errors (expression or input files) and input files that cannot be read
-or are not UTF-8, 3 dimension/binding errors, 4 work budget exceeded
-(the pairing sum of ``moment``, ``cumulant`` and ``census``, or the
-Wick expansion of ``verify``).
+Exit codes: 0 success, 1 failure or verification mismatch, 2 usage
+errors (among them ``census --wigner``: the census classifies the
+transpose signs as written), parse errors (expression or input files)
+and input files that cannot be read or are not UTF-8, 3
+dimension/binding errors, 4 work budget exceeded (the pairing sum of
+``moment``, ``cumulant`` and ``census``, or the Wick expansion of
+``verify``, which is checked before the engine runs).
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from .engine import (
     MomentResult,
     MomentSpec,
     TermReport,
-    _check_budget,
+    census_rows,
     clt_report,
     cumulant,
     moment,
 )
 from .expr import ParseError, TraceWordAst, build_shape, elaborate, parse, pretty
-from .gluing import surface_census
 from .matrices import (
     DimensionError,
     Matrix,
@@ -45,7 +46,7 @@ from .matrices import (
     slot_identity_fill,
 )
 from .oracles import mc_oracle, wick_oracle
-from .perm import crossings, cycle_string, enumerate_pairings, pairing_count
+from .perm import cycle_string, pairing_count
 
 FLOAT_TOL = 1e-10
 MC_SIGMA = 5.0
@@ -288,8 +289,10 @@ def _cmd_verify(args) -> int:
     effective_cumulant = ast.kind == "cumulant"
     if effective_cumulant:
         raise ValueError("verify compares moments; use an E[...] expression")
-    result = moment(spec, exact=args.exact)
+    # The oracle checks its budget before any work, so a refused verify
+    # does not pay for the engine's pairing sum first.
     oracle = wick_oracle(spec, exact=args.exact)
+    result = moment(spec, exact=args.exact)
     checks = []
     if args.exact:
         ok = Fraction(result.total) == Fraction(oracle)
@@ -343,12 +346,9 @@ def _cmd_census(args) -> int:
     shape, _ = build_shape(ast)
     if shape.m % 2:
         raise ValueError(f"odd letter count {shape.m}: no pairings to classify")
-    _check_budget(shape.m)
     groups: dict[tuple, int] = {}
     pairings = []
-    for idx, p in enumerate(enumerate_pairings(shape.m)):
-        report = surface_census(p, shape)
-        cross = crossings(p)
+    for idx, blocks, report, cross in census_rows(shape):
         chis = tuple(sorted(report.chi_list))
         orients = tuple(sorted(c.orientable for c in report.components))
         key = (report.order_exponent, chis, orients, report.connected, cross)
@@ -357,7 +357,7 @@ def _cmd_census(args) -> int:
             pairings.append(
                 {
                     "index": idx,
-                    "blocks": [list(b) for b in p.blocks()],
+                    "blocks": [list(b) for b in blocks],
                     "order_exponent": report.order_exponent,
                     "chi": list(report.chi_list),
                     "orientable": [c.orientable for c in report.components],
@@ -483,7 +483,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "census" and args.wigner:
+        parser.error(
+            "census classifies the transpose signs as written; "
+            "--wigner applies to moment, cumulant, verify and clt"
+        )
     try:
         code = _COMMANDS[args.command](args)
         # Flush here so that a closed pipe raises inside this try, not

@@ -14,16 +14,27 @@ single-matrix model is q = 1 with a rank-one unit Gram.  Wigner letters
 are averaged over both transpose signs with weight 1/2 per letter, which
 requires square X.
 
-Evaluation is one sequential pass over the pairings in canonical order,
-refused up front with :class:`BudgetError` when its work, (m-1)!! * m *
-2^w for w Wigner letters, exceeds the budget it shares with the Wick
-oracle (``WTE_BUDGET``).
-Each pairing's particular cycles and surface census come from
-``_combinatorics``; a cumulant keeps a pairing when that census has a
-single component.  Float evaluation reduces the term values with
-error-free summation in canonical pairing order, so the same
-configuration gives the same bits on every run; exact mode keeps
-everything in integers and rationals.
+Evaluation is one pass of a numpy kernel over contiguous chunks of the
+canonical pairing table, refused up front, before any table is built,
+with :class:`BudgetError` when its work, (m-1)!! * m * 2^w for w Wigner
+letters, exceeds the budget it shares with the Wick oracle
+(``WTE_BUDGET``).  Each word shape compiles once into a plan
+(``_combinatorics``): the constant index arrays of the factor rotation
+and its inverse, the transpose signs, the sheet face of every signed
+letter and the cycle order key.  Per chunk, the kernel decodes each
+pairing index into its partner row, gathers the vertex permutation in
+the closed form of ``gluing._vertex_image``, labels its cycles by
+pointer doubling (the smallest position on each cycle is its canonical
+lead), joins sheet faces into components and counts crossings.  The
+per-pairing functions of ``gluing.py`` are the specification the kernel
+is tested against.  Python then walks each term's particular cycles from
+their leads, reads its weight from a dict keyed by the crossing count
+and the blocks' family pairs, and reads each cycle's trace from a memo
+that traces every distinct cycle once per evaluation.  A cumulant keeps
+a pairing when its surface has a single component.  Float evaluation
+reduces the term values with error-free summation in canonical pairing
+order, so the same configuration gives the same bits on every run; exact
+mode keeps everything in integers and rationals.
 """
 
 from __future__ import annotations
@@ -36,19 +47,26 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .gluing import (
+    ComponentSurface,
+    MirrorPropertyError,
     SurfaceReport,
     WordShape,
+    _rotation_arrays,
     front_rotation,
-    particular_cycles,
     slot_dimensions,
-    surface_census,
-    vertex_permutation,
 )
 from .matrices import DimensionError, Gram, MatrixSet, trace_along
-from .perm import Pairing, crossings, enumerate_pairings, orbits, pairing_count
+from .perm import Pairing, crossings, orbits, pairing_count
+
+# The per-pairing specification the kernel is tested against; bound here
+# too, so that a tracer finds every layer in this namespace.
+from .gluing import particular_cycles, surface_census, vertex_permutation  # noqa: F401
+from .perm import enumerate_pairings  # noqa: F401
 
 Number = Union[int, float, Fraction]
 
@@ -184,11 +202,19 @@ def pairing_weight(p: Pairing, spec: MomentSpec, exact: bool = False) -> Number:
     The convention q**0 = 1 applies for every q including 0, so q = 0
     keeps exactly the noncrossing pairings.
     """
-    q = _as_number(spec.q, exact)
-    weight = q ** crossings(p)
     labels = spec.shape.labels
-    for a, b in p.blocks():
-        weight *= _as_number(spec.gram.value(labels[a - 1], labels[b - 1]), exact)
+    pairs = [(labels[a - 1], labels[b - 1]) for a, b in p.blocks()]
+    return _block_weight(crossings(p), pairs, spec, exact)
+
+
+def _block_weight(
+    cross: int, pairs: Sequence[tuple[str, str]], spec: MomentSpec, exact: bool
+) -> Number:
+    """q^cross times the Gram entries of the blocks' family pairs, in
+    block order."""
+    weight = _as_number(spec.q, exact) ** cross
+    for a, b in pairs:
+        weight *= _as_number(spec.gram.value(a, b), exact)
     return weight
 
 
@@ -221,19 +247,226 @@ def is_transitive(p: Pairing, shape: WordShape) -> bool:
     """True when the pairing connects all factors: the factor rotation and
     the pairing together have a single orbit on the letters.
 
-    The engine reads this off ``surface_census``; tests use this function
-    as the independent reference."""
+    The engine reads this off the kernel's components; tests use this
+    function as the independent reference."""
     if shape.m == 0:
         return shape.r <= 1
     return len(orbits([front_rotation(shape), p], tuple(range(1, shape.m + 1)))) == 1
 
 
-@lru_cache(maxsize=65536)
-def _combinatorics(p: Pairing, shape: WordShape):
-    """Particular cycles and census for one pairing; independent of the
-    matrices and dimensions, so worth caching across evaluations."""
-    parts = particular_cycles(vertex_permutation(p, shape))
-    return parts, surface_census(p, shape, particular=parts)
+# Terms per kernel chunk (pairing rows times sign assignments), so that
+# the kernel's arrays stay small however many pairings there are.
+_CHUNK_TERMS = 4096
+
+
+def _pairing_table(m: int, start: int, stop: int) -> np.ndarray:
+    """Partner rows, 1-based, of the pairings with canonical indices
+    start..stop-1.
+
+    An index's mixed-radix digits, with radices m-1, m-3, ..., 1 from the
+    most significant, say which of the remaining letters the smallest
+    unpaired letter takes: the order of ``enumerate_pairings``.
+    """
+    idx = np.arange(start, stop, dtype=np.int64)
+    rows = np.arange(len(idx))
+    partner = np.zeros((len(idx), m), dtype=np.int64)
+    avail = np.tile(np.arange(1, m + 1), (len(idx), 1))
+    for width in range(m, 0, -2):
+        digit, idx = np.divmod(idx, pairing_count(width - 2))
+        a, b = avail[:, 0], avail[rows, digit + 1]
+        partner[rows, a - 1] = b
+        partner[rows, b - 1] = a
+        keep = np.ones(avail.shape, dtype=bool)
+        keep[:, 0] = False
+        keep[rows, digit + 1] = False
+        avail = avail[keep].reshape(len(idx), width - 2)
+    return partner
+
+
+def _blocks(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the first and second letters of the blocks in block order
+    (the order of ``Pairing.blocks``)."""
+    rows, m = partner.shape
+    letters = np.broadcast_to(np.arange(1, m + 1), partner.shape)
+    opens = partner > letters
+    return letters[opens].reshape(rows, m // 2), partner[opens].reshape(rows, m // 2)
+
+
+def _block_rows(opens: np.ndarray, closes: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """Per row, ``Pairing.blocks``; rows share their (a, b) tuples."""
+    m = 2 * opens.shape[1]
+    pairs = [(a, b) for a in range(m + 1) for b in range(m + 1)]
+    codes = (opens * (m + 1) + closes).tolist()
+    return [tuple(map(pairs.__getitem__, row)) for row in codes]
+
+
+def _crossings(partner: np.ndarray) -> np.ndarray:
+    """Per row, ``crossings`` of the pairing: each crossing has a letter
+    strictly inside either of its two blocks whose partner lies outside."""
+    m = partner.shape[1]
+    k = np.arange(1, m + 1)
+    inside = (k > k[:, None]) & (k < partner[:, :, None])
+    outside = (partner[:, None, :] > partner[:, :, None]) | (partner[:, None, :] < k[:, None])
+    return (inside & outside).sum(axis=(1, 2)) // 2
+
+
+class _Plan:
+    """One WordShape's constant index arrays, for the kernel.
+
+    The signed letters sit at positions in cycle-key order: +k at
+    2(k-1) and -k at 2(k-1)+1, so x ^ 1 is the mirror letter and a
+    cycle's canonical lead is its smallest position.
+    """
+
+    def __init__(self, shape: WordShape):
+        m, r = shape.m, shape.r
+        gamma, gamma_inv = _rotation_arrays(shape.lengths)
+        eps = (0,) + shape.epsilon
+        self.shape = shape
+        self.signed = [(x // 2 + 1) * (-1 if x % 2 else 1) for x in range(2 * m)]
+        # ``_vertex_image``: with a = gamma(k) for k > 0 and a = k otherwise,
+        # and l = p(|a|), v(k) is +l if -sign(a) eps(|a|) eps(l) > 0, else
+        # -gamma_inv(l).  ``plain`` and ``flipped`` are those two positions.
+        a = [gamma[k] if k > 0 else k for k in self.signed]
+        self.letter = np.array([abs(x) - 1 for x in a], dtype=np.intp)
+        self.sign = np.array([-eps[abs(x)] if x > 0 else eps[abs(x)] for x in a])
+        self.eps = np.array(eps)
+        self.plain = 2 * np.arange(-1, m)
+        self.flipped = 2 * np.array(gamma_inv) - 1
+        # Sheet face of each position: factor f on the front, f + r on the back.
+        self.factor = np.repeat(np.arange(r), shape.lengths)
+        self.face = self.factor.repeat(2) + r * (np.arange(2 * m) % 2)
+        self.doublings = max(2 * m - 1, 0).bit_length()
+        self.closures = max(2 * r - 2, 0).bit_length()
+        self.surfaces: dict[tuple, SurfaceReport] = {}
+
+    def glue(self, partner: np.ndarray) -> "_Gluing":
+        """Vertex cycles and surface census of every pairing in ``partner``."""
+        shape = self.shape
+        m, r = shape.m, shape.r
+        rows = np.arange(len(partner))[:, None]
+        pos = np.arange(2 * m)
+        l = partner[:, self.letter]
+        img = np.where(self.sign * self.eps[l] > 0, self.plain[l], self.flipped[l])
+        base = 2 * m * rows  # flat index of each row's position 0
+
+        # Pointer doubling: after j steps, lead[x] is the smallest position
+        # among x, v(x), ..., v^(2^j - 1)(x); 2^j >= 2m covers every cycle.
+        lead, hop = np.tile(pos, len(partner)), (img + base).ravel()
+        for _ in range(self.doublings):
+            lead = np.minimum(lead, lead[hop])
+            hop = hop[hop]
+        is_lead = lead.reshape(img.shape) == pos
+        particular = is_lead[:, 0::2]  # leads that are positive letters
+        if (is_lead.sum(axis=1) != 2 * particular.sum(axis=1)).any():
+            raise MirrorPropertyError("cycle count is not twice the particular count")
+        unmirrored = img.ravel()[(img ^ 1) + base] != pos ^ 1
+        if unmirrored.any():
+            k = self.signed[np.nonzero(unmirrored)[1][0]]
+            raise MirrorPropertyError(f"the cycle through {k} has no mirror partner")
+
+        # Join the sheet faces of x and v(x) for every signed x, then close
+        # the joins transitively; class[n] is the smallest face joined to n.
+        joined = np.zeros((len(partner), 2 * r, 2 * r), dtype=bool)
+        joined[rows, self.face, self.face[img]] = True
+        joined |= joined.transpose(0, 2, 1) | np.eye(2 * r, dtype=bool)
+        for _ in range(self.closures):
+            hops = joined.astype(np.float32)
+            joined = hops @ hops > 0
+        classes = joined.argmax(axis=2) if r else np.zeros((len(partner), 0), np.intp)
+        # A component is named by its smallest factor; it is orientable iff
+        # its front and back faces stay in different classes.
+        component = np.minimum(classes[:, :r], classes[:, r:])
+        orientable = classes[:, :r] != classes[:, r:]
+        owner = rows * r + component[:, self.factor]
+        vertices = np.bincount(owner[particular], minlength=len(partner) * r)
+        key = np.concatenate(
+            [component, orientable, vertices.reshape(len(partner), r)], axis=1
+        )
+        kinds, kind = np.unique(key, axis=0, return_inverse=True)
+        reports = [self._surface(tuple(k)) for k in kinds.tolist()]
+        firsts = (2 * np.nonzero(particular)[1]).tolist()
+        ends = np.cumsum(particular.sum(axis=1)).tolist()
+        leads = [firsts[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        return _Gluing(
+            self.signed,
+            img.tolist(),
+            leads,
+            [reports[i] for i in kind.reshape(-1).tolist()],
+            (component == 0).all(axis=1).tolist(),
+        )
+
+    def _surface(self, key: tuple[int, ...]) -> SurfaceReport:
+        """The census of one (component, orientable, vertices) row, built
+        once per plan: as ``surface_census`` lists it."""
+        report = self.surfaces.get(key)
+        if report is None:
+            shape = self.shape
+            r = shape.r
+            members: dict[int, list[int]] = {}
+            for f, c in enumerate(key[:r]):
+                members.setdefault(c, []).append(f)
+            report = self.surfaces[key] = SurfaceReport(
+                tuple(
+                    ComponentSurface(
+                        factors=tuple(f + 1 for f in factors),
+                        vertices=key[2 * r + c],
+                        edges=sum(shape.lengths[f] for f in factors) // 2,
+                        faces=len(factors),
+                        orientable=bool(key[r + c]),
+                    )
+                    for c, factors in members.items()
+                ),
+                sum(key[2 * r :]) - shape.m // 2 - r,
+            )
+        return report
+
+
+@dataclass(frozen=True)
+class _Gluing:
+    """The kernel's output for one chunk and one sign assignment."""
+
+    signed: list[int]
+    img: list[list[int]]
+    leads: list[list[int]]
+    census: list[SurfaceReport]
+    connected: list[bool]
+
+    def cycles(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """Row i's particular cycles, walked from their leads in order:
+        ``particular_cycles(vertex_permutation(p, shape))``."""
+        img, signed = self.img[i], self.signed
+        out = []
+        for lead in self.leads[i]:
+            cyc = [signed[lead]]
+            x = img[lead]
+            while x != lead:
+                cyc.append(signed[x])
+                x = img[x]
+            out.append(tuple(cyc))
+        return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _combinatorics(shape: WordShape) -> _Plan:
+    """The kernel's plan for one word shape: independent of the pairing,
+    the matrices and the dimensions."""
+    return _Plan(shape)
+
+
+def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, int]]:
+    """Every pairing's (index, blocks, surface census, crossings), in
+    canonical order, for the transpose signs as written."""
+    m = shape.m
+    _check_budget(m)
+    plan = _combinatorics(shape)
+    count = pairing_count(m)
+    for first in range(0, count, _CHUNK_TERMS):
+        partner = _pairing_table(m, first, min(count, first + _CHUNK_TERMS))
+        census = plan.glue(partner).census
+        blocks = _block_rows(*_blocks(partner))
+        for i, cross in enumerate(_crossings(partner).tolist()):
+            yield first + i, blocks[i], census[i], cross
 
 
 def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentResult:
@@ -271,34 +504,80 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
             eps[pos - 1] = sign
         return WordShape(shape.lengths, tuple(eps), shape.labels)
 
-    shapes = [shape_with(a) for a in assignments]
+    plans = [_combinatorics(shape_with(a)) for a in assignments]
+    families = tuple(dict.fromkeys(shape.labels))
+    family = np.array([families.index(lab) for lab in shape.labels], dtype=np.int64)
+    # Per evaluation: weights by (crossings, block family pairs), and each
+    # distinct cycle's trace, with the cycle tuple the terms share.
+    weights: dict[tuple[int, ...], Number] = {}
+    traces: dict[tuple[int, ...], tuple[tuple[int, ...], Number]] = {}
+
+    def weight_of(key: tuple[int, ...]) -> Number:
+        if key not in weights:
+            labels = [
+                (families[c // len(families)], families[c % len(families)])
+                for c in key[1:]
+            ]
+            weights[key] = _block_weight(key[0], labels, spec, exact) * share
+        return weights[key]
+
+    rows = max(1, _CHUNK_TERMS >> w)
+    count = pairing_count(m)
     # Odd m has no pairings: the sum is empty and the total is 0.
     terms = []
-    for idx, p in enumerate(enumerate_pairings(m)):
-        gluings = [_combinatorics(p, shape_a) for shape_a in shapes]
+    for first in range(0, count, rows):
+        partner = _pairing_table(m, first, min(count, first + rows))
+        gluings = [plan.glue(partner) for plan in plans]
+        opens, closes = _blocks(partner)
+        key = np.column_stack(
+            [_crossings(partner), family[opens - 1] * len(families) + family[closes - 1]]
+        )
+        kinds, kind = np.unique(key, axis=0, return_inverse=True)
+        kind_weights = [weight_of(tuple(k)) for k in kinds.tolist()]
+        blocks = _block_rows(opens, closes)
         # The components of the letters do not depend on the transpose
         # signs, so any sign assignment's census decides transitivity; the
         # empty word has no components and counts as connected.
-        if transitive_only and m and not gluings[0][1].connected:
-            continue
-        weight = pairing_weight(p, spec, exact) * share
-        for shape_a, (parts, census) in zip(shapes, gluings):
-            if weight == 0:
-                value: Number = weight
-            else:
-                value = weight * trace_along(parts, spec.matrices, exact)
-            terms.append(
-                TermReport(
-                    index=idx,
-                    blocks=p.blocks(),
-                    weight=weight,
-                    cycles=parts,
-                    surface=census,
-                    order_exponent=census.order_exponent,
-                    value=value,
-                    epsilon=shape_a.epsilon if w else None,
+        connected = gluings[0].connected
+        for i, k in enumerate(kind.reshape(-1).tolist()):
+            if transitive_only and not connected[i]:
+                continue
+            weight = kind_weights[k]
+            for plan, gluing in zip(plans, gluings):
+                parts = gluing.cycles(i)
+                if weight == 0:
+                    value: Number = weight
+                else:
+                    # trace_along(parts) multiplies its cycles' traces in
+                    # order; each distinct cycle is traced and chain-checked
+                    # once.  The mirror checks in glue already rule out a
+                    # slot repeated across a term's cycles.
+                    product: Number = 1 if exact else 1.0
+                    shared = []
+                    for cyc in parts:
+                        hit = traces.get(cyc)
+                        if hit is None:
+                            hit = traces[cyc] = (
+                                cyc,
+                                trace_along((cyc,), spec.matrices, exact),
+                            )
+                        shared.append(hit[0])
+                        product = product * hit[1]
+                    parts = tuple(shared)
+                    value = weight * product
+                census = gluing.census[i]
+                terms.append(
+                    TermReport(
+                        index=first + i,
+                        blocks=blocks[i],
+                        weight=weight,
+                        cycles=parts,
+                        surface=census,
+                        order_exponent=census.order_exponent,
+                        value=value,
+                        epsilon=plan.shape.epsilon if w else None,
+                    )
                 )
-            )
 
     if exact:
         prefactor: Number = Fraction(1, spec.n_dim ** (m // 2 + r))

@@ -43,6 +43,11 @@ cycle are joined by a lifted gluing, so their sheet faces lie in one
 connected piece of the cover.  A component of the surface is the union
 of a factor's front and back pieces, and it is orientable iff those two
 pieces differ, i.e. the two sheets stay apart over it.
+
+These functions work on one pairing at a time.  They are the readable
+specification that the engine's chunked numpy kernel
+(``engine._combinatorics``) is tested against, pairing by pairing; the
+engine itself does not call them.
 """
 
 from __future__ import annotations

@@ -220,6 +220,19 @@ class TestExitCodes:
         )
         assert code == 4 and "budget" in err
 
+    def test_refused_verify_skips_the_engine(self, capsys, monkeypatch):
+        # Engine work (1)!! * 2 = 2 is within the budget of 5, the Wick
+        # expansion's (1)!! * (2*2)^1 * 2 = 8 is not: exit 4 at once.
+        def never(*args, **kwargs):
+            raise AssertionError("ran the engine before the oracle's budget check")
+
+        monkeypatch.setenv("WTE_BUDGET", "5")
+        monkeypatch.setattr(wte.cli, "moment", never)
+        code, _, err = run(
+            capsys, "verify", "--expr", QUAD, "--bind-identity", "-N", "2", "-M", "2"
+        )
+        assert code == 4 and "wick expansion" in err
+
     @pytest.mark.parametrize("command", ["moment", "cumulant", "census"])
     def test_pairing_sum_past_budget_is_4(self, capsys, monkeypatch, command):
         # m = 18: 17!! * 18 = 620,270,650 exceeds the default budget.
@@ -348,6 +361,28 @@ class TestCensusCommand:
     def test_odd_word_rejected(self, capsys):
         code, _, err = run(capsys, "census", "--expr", "E[ tr(X D1 X D2 X D3) ]")
         assert code == 1 and "odd" in err
+
+    def test_wigner_flag_rejected(self, capsys):
+        # The census classifies the transpose signs as written; it does not
+        # average over Wigner sign assignments as moment does.
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--expr", "E[ tr(Z D1 Z D2 Z D3 Z D4) ]", "--wigner", "Z"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "transpose signs as written" in err and "Traceback" not in err
+
+    def test_counts_match_the_specification(self, capsys):
+        # Every pairing's record equals surface_census and crossings.
+        expr = "E[ tr(X' D1 X D2 X D3) tr(X' D4 X D5 X' D6) ]"
+        payload = run_json(capsys, "census", "--expr", expr, "--terms")
+        shape, _ = wte.build_shape(wte.parse(expr))
+        for rec, p in zip(payload["pairings"], wte.enumerate_pairings(6), strict=True):
+            census = wte.surface_census(p, shape)
+            assert rec["blocks"] == [list(b) for b in p.blocks()]
+            assert rec["chi"] == list(census.chi_list)
+            assert rec["orientable"] == [c.orientable for c in census.components]
+            assert rec["transitive"] == census.connected
+            assert rec["crossings"] == wte.crossings(p)
 
 
 class TestCltCommand:

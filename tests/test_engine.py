@@ -398,6 +398,8 @@ class TestBudget:
 
         monkeypatch.delenv("WTE_BUDGET", raising=False)
         monkeypatch.setattr(wte.engine, "enumerate_pairings", never)
+        # The kernel builds its pairing table here; the check must come first.
+        monkeypatch.setattr(wte.engine, "_pairing_table", lambda m, start, stop: never(m))
         spec = identity_spec((18,), 1)
         for fn in (moment, cumulant):
             with pytest.raises(BudgetError, match="budget"):
