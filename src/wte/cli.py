@@ -195,8 +195,12 @@ def _result_payload(args, ast, spec, result: MomentResult, statistic: str) -> di
     return payload
 
 
+def _json_text(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _emit_result_text(payload: dict, result: MomentResult) -> None:
@@ -346,26 +350,15 @@ def _cmd_census(args) -> int:
     shape, _ = build_shape(ast)
     if shape.m % 2:
         raise ValueError(f"odd letter count {shape.m}: no pairings to classify")
+    # Every format writes the groups before the per-pairing records, so one
+    # pass over the pairings counts the groups and, with --terms, a second
+    # pass writes each record as it is made rather than holding them all.
     groups: dict[tuple, int] = {}
-    pairings = []
-    for idx, blocks, report, cross in census_rows(shape):
+    for _, _, report, cross in census_rows(shape):
         chis = tuple(sorted(report.chi_list))
         orients = tuple(sorted(c.orientable for c in report.components))
         key = (report.order_exponent, chis, orients, report.connected, cross)
         groups[key] = groups.get(key, 0) + 1
-        if args.terms:
-            pairings.append(
-                {
-                    "index": idx,
-                    "blocks": [list(b) for b in blocks],
-                    "order_exponent": report.order_exponent,
-                    "chi": list(report.chi_list),
-                    "orientable": [c.orientable for c in report.components],
-                    "classification": [c.classification for c in report.components],
-                    "transitive": report.connected,
-                    "crossings": cross,
-                }
-            )
     rows = sorted(groups.items(), key=lambda kv: (-kv[0][0], kv[0]))
     payload = {
         "schema": "wte.census.v1",
@@ -385,9 +378,29 @@ def _cmd_census(args) -> int:
             for k, count in rows
         ],
     }
-    if args.terms:
-        payload["pairings"] = pairings
-    if args.format == "json":
+    records = (
+        {
+            "index": idx,
+            "blocks": [list(b) for b in blocks],
+            "order_exponent": report.order_exponent,
+            "chi": list(report.chi_list),
+            "orientable": [c.orientable for c in report.components],
+            "classification": [c.classification for c in report.components],
+            "transitive": report.connected,
+            "crossings": cross,
+        }
+        for idx, blocks, report, cross in (census_rows(shape) if args.terms else ())
+    )
+    if args.format == "json" and args.terms:
+        # json.dumps of the full payload, one record at a time: the text of
+        # the payload with an empty list, the records written into it.
+        payload["pairings"] = []
+        head, _, tail = _json_text(payload).partition('"pairings":[]')
+        sys.stdout.write(head + '"pairings":[')
+        for i, rec in enumerate(records):
+            sys.stdout.write(("," if i else "") + _json_text(rec))
+        sys.stdout.write("]" + tail + "\n")
+    elif args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -422,15 +435,14 @@ def _cmd_census(args) -> int:
                 f"{'yes' if g['transitive'] else 'no':<10} "
                 f"{g['crossings']:>9} {g['count']:>7}\n"
             )
-        if args.terms:
-            for rec in payload["pairings"]:
-                sys.stdout.write(
-                    f"  #{rec['index']}: blocks={_blocks_str(rec['blocks'])}"
-                    + f" exp={rec['order_exponent']}"
-                    + f" chi={rec['chi']} class={rec['classification']}"
-                    + f" transitive={'yes' if rec['transitive'] else 'no'}"
-                    + f" crossings={rec['crossings']}\n"
-                )
+        for rec in records:
+            sys.stdout.write(
+                f"  #{rec['index']}: blocks={_blocks_str(rec['blocks'])}"
+                + f" exp={rec['order_exponent']}"
+                + f" chi={rec['chi']} class={rec['classification']}"
+                + f" transitive={'yes' if rec['transitive'] else 'no'}"
+                + f" crossings={rec['crossings']}\n"
+            )
     return 0
 
 

@@ -78,24 +78,23 @@ class BudgetError(RuntimeError):
     """The requested evaluation exceeds the work budget."""
 
 
-def _budget_limit(budget: int | None) -> int:
-    if budget is not None:
-        return budget
+def _enforce_budget(work: int, what: str) -> None:
+    """Refuse ``work`` operations of ``what`` past the budget:
+    ``WTE_BUDGET`` or :data:`DEFAULT_BUDGET`."""
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    limit = int(env) if env else DEFAULT_BUDGET
+    if work > limit:
+        raise BudgetError(
+            f"{what} needs ~{work} operations, budget is {limit} "
+            f"(set {BUDGET_ENV_VAR} to raise it)"
+        )
 
 
 def _check_budget(m: int, w: int = 0) -> None:
     """Refuse a pairing sum over m letters with w Wigner letters whose
     work, (m-1)!! pairings times m letters times 2^w sign assignments,
-    exceeds the budget: ``WTE_BUDGET`` or :data:`DEFAULT_BUDGET`."""
-    work = pairing_count(m) * max(m, 1) * 2**w
-    limit = _budget_limit(None)
-    if work > limit:
-        raise BudgetError(
-            f"pairing sum needs ~{work} operations, budget is {limit} "
-            f"(set {BUDGET_ENV_VAR} to raise it)"
-        )
+    exceeds the budget."""
+    _enforce_budget(pairing_count(m) * max(m, 1) * 2**w, "pairing sum")
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,14 @@ class MomentSpec:
             raise ValueError(f"wigner families not in the word: {sorted(unknown)}")
         if self.wigner and self.n_dim != self.m_dim:
             raise DimensionError("Wigner letters need square X, so N must equal M")
-        if self.matrices.count != self.shape.m:
-            raise ValueError(
-                f"word has {self.shape.m} slots, matrix set has {self.matrices.count}"
-            )
+        mats = self.matrices.matrices
+        if len(mats) != self.shape.m:
+            raise ValueError(f"word has {self.shape.m} slots, matrix set has {len(mats)}")
         profile = slot_dimensions(self.shape, self.n_dim, self.m_dim)
-        for k, want in enumerate(profile, start=1):
-            got = self.matrices.dims(k)
-            if got != want:
+        for k, (mat, want) in enumerate(zip(mats, profile), start=1):
+            if (mat.rows, mat.cols) != want:
                 raise DimensionError(
-                    f"slot {k} expected {want[0]}x{want[1]}, got {got[0]}x{got[1]}"
+                    f"slot {k} expected {want[0]}x{want[1]}, got {mat.rows}x{mat.cols}"
                 )
 
     def fingerprint(self) -> str:
@@ -594,16 +591,12 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     )
 
 
-def leading_terms(result: MomentResult, mode: str) -> tuple[TermReport, ...]:
-    """Terms achieving the order bound: exponent 0 for moments (all-sphere
-    surfaces), 2 - 2r for cumulants (a connected sphere)."""
-    r = result.metadata["r"]
-    if mode == "moment":
-        target = 0
-    elif mode == "cumulant":
-        target = 2 - 2 * r
-    else:
-        raise ValueError(f"mode must be 'moment' or 'cumulant', got {mode!r}")
+def leading_terms(result: MomentResult) -> tuple[TermReport, ...]:
+    """Terms achieving the order bound of the result's statistic: exponent
+    0 for moments (all-sphere surfaces), 2 - 2r for cumulants (a connected
+    sphere)."""
+    meta = result.metadata
+    target = 2 - 2 * meta["r"] if meta["statistic"] == "cumulant" else 0
     return tuple(t for t in result.terms if t.order_exponent == target)
 
 
@@ -661,7 +654,7 @@ def clt_report(spec: MomentSpec, *, exact: bool = False) -> CltReport:
             res = cumulant(pair, exact=exact)
             scale = pair.n_dim**2
             full_ij = scale * res.total
-            chosen = leading_terms(res, "cumulant")
+            chosen = leading_terms(res)
             if exact:
                 prefac: Number = Fraction(1, pair.n_dim ** (-res.prefactor_exponent))
                 lead_ij = scale * prefac * sum((t.value for t in chosen), start=Fraction(0))

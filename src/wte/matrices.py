@@ -5,10 +5,10 @@ Matrices are immutable after construction and carry their entries as
 plain Python numbers.  Each matrix keeps two cached numpy views of them:
 a float64 array for float evaluation and an object array holding the
 ``int``/``Fraction`` entries themselves, whose products are exact and
-unbounded.  One cycle-trace routine multiplies either view.  A negative
-index into a :class:`MatrixSet` denotes the transpose of the
-corresponding slot; transposes are never materialized, evaluation
-multiplies the transposed view.
+unbounded.  A :class:`MatrixSet` holds the matrices of slots 1..m in
+order.  :func:`trace_along` is the one reader of signed slots: slot k
+is the matrix of slot k and -k its transpose, which is never
+materialized; evaluation multiplies the transposed view.
 """
 
 from __future__ import annotations
@@ -198,26 +198,12 @@ def load_matrix(path: str) -> Matrix:
 
 
 class MatrixSet:
-    """Constant matrices for slots 1..m with signed (transpose) lookup."""
+    """Constant matrices for slots 1..m, in slot order."""
 
     __slots__ = ("matrices",)
 
     def __init__(self, matrices: Sequence[Matrix]):
         self.matrices = tuple(matrices)
-
-    @property
-    def count(self) -> int:
-        return len(self.matrices)
-
-    def matrix(self, k: int) -> tuple[Matrix, bool]:
-        """Slot lookup: negative k selects the transpose of slot |k|."""
-        if k == 0 or abs(k) > self.count:
-            raise IndexError(f"slot {k} outside 1..{self.count}")
-        return self.matrices[abs(k) - 1], k < 0
-
-    def dims(self, k: int) -> tuple[int, int]:
-        mat, transposed = self.matrix(k)
-        return (mat.cols, mat.rows) if transposed else (mat.rows, mat.cols)
 
     @property
     def is_exact(self) -> bool:
@@ -342,46 +328,41 @@ def trace_along(
     cyc_list: Iterable[Sequence[int]], ms: MatrixSet, exact: bool = False
 ) -> Number:
     """Product over cycles of the trace of the slot matrices multiplied in
-    cycle order, negative indices meaning transposes.
+    cycle order, slot -k meaning the transpose of slot k.
 
-    Each slot may appear at most once across all cycles.  Float mode sums
-    each trace's diagonal with error-free summation; exact mode multiplies
-    the object views, so it needs integer or rational entries throughout.
+    Each slot lies in 1..m and may appear at most once across all cycles,
+    and each cycle's matrices must chain.  Float mode sums each trace's
+    diagonal with error-free summation; exact mode multiplies the object
+    views, so every slot it reads needs integer or rational entries.
     """
+    mats = ms.matrices
     seen: set[int] = set()
-    for cyc in cyc_list:
-        for k in cyc:
-            if abs(k) in seen:
-                raise ValueError(f"slot {abs(k)} appears in more than one cycle position")
-            seen.add(abs(k))
-
-    if exact and not ms.is_exact:
-        raise ValueError("exact mode requires integer or rational matrix entries")
-
     total: Number = 1 if exact else 1.0
     for cyc in cyc_list:
-        _check_chain(cyc, ms)
-        total = total * _cycle_trace(cyc, ms, exact)
+        views = []
+        for k in cyc:
+            slot = -k if k < 0 else k
+            if not 0 < slot <= len(mats):
+                raise IndexError(f"slot {k} outside 1..{len(mats)}")
+            if slot in seen:
+                raise ValueError(f"slot {slot} appears in more than one cycle position")
+            seen.add(slot)
+            mat = mats[slot - 1]
+            if exact and not mat.is_exact:
+                raise ValueError("exact mode requires integer or rational matrix entries")
+            view = mat.as_array(exact)
+            views.append(view.T if k < 0 else view)
+        for i, view in enumerate(views):
+            j = (i + 1) % len(views)
+            rows, cols = view.shape
+            if cols != views[j].shape[0]:
+                raise DimensionError(
+                    f"cycle {tuple(cyc)}: slot {cyc[i]} has {rows}x{cols} "
+                    f"but slot {cyc[j]} expects {cols} rows, has {views[j].shape[0]}"
+                )
+        prod = views[0]
+        for view in views[1:]:
+            prod = prod @ view
+        diagonal = prod.diagonal().tolist()
+        total = total * (sum(diagonal) if exact else math.fsum(diagonal))
     return total
-
-
-def _check_chain(cyc: Sequence[int], ms: MatrixSet) -> None:
-    dims = [ms.dims(k) for k in cyc]
-    for i in range(len(cyc)):
-        j = (i + 1) % len(cyc)
-        if dims[i][1] != dims[j][0]:
-            raise DimensionError(
-                f"cycle {tuple(cyc)}: slot {cyc[i]} has {dims[i][0]}x{dims[i][1]} "
-                f"but slot {cyc[j]} expects {dims[i][1]} rows, has {dims[j][0]}"
-            )
-
-
-def _cycle_trace(cyc: Sequence[int], ms: MatrixSet, exact: bool) -> Number:
-    prod = None
-    for k in cyc:
-        mat, transposed = ms.matrix(k)
-        arr = mat.as_array(exact)
-        view = arr.T if transposed else arr
-        prod = view if prod is None else prod @ view
-    diagonal = np.diagonal(prod).tolist()
-    return sum(diagonal) if exact else math.fsum(diagonal)

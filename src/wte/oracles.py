@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .engine import BUDGET_ENV_VAR, BudgetError, MomentSpec, _budget_limit
+from .engine import MomentSpec, _enforce_budget
 from .gluing import _rotation_arrays
 from .perm import enumerate_pairings, pairing_count
 
@@ -69,9 +69,7 @@ def is_noncrossing(blocks: Sequence[tuple[int, int]]) -> bool:
     return not stack
 
 
-def wick_oracle(
-    spec: MomentSpec, *, exact: bool = True, budget: int | None = None
-) -> Number:
+def wick_oracle(spec: MomentSpec, *, exact: bool = True) -> Number:
     """Moment of the word by direct Wick expansion over matrix entries.
 
     For each pairing, row indices (in [m_dim]) and column indices (in
@@ -91,12 +89,7 @@ def wick_oracle(
     )
     w = len(wigner_pos)
     work = pairing_count(m) * (spec.n_dim * spec.m_dim) ** (m // 2) * max(m, 1) * 2**w
-    limit = _budget_limit(budget)
-    if work > limit:
-        raise BudgetError(
-            f"wick expansion needs ~{work} operations, budget is {limit} "
-            f"(set {BUDGET_ENV_VAR} to raise it)"
-        )
+    _enforce_budget(work, "wick expansion")
 
     if exact and not spec.matrices.is_exact:
         raise ValueError("exact mode requires integer or rational matrix entries")

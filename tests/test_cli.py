@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import jsonschema
 import pytest
 
 import wte
+import wte.cli
 from wte.cli import main
 
 RESULT_SCHEMA = {
@@ -357,6 +359,28 @@ class TestCensusCommand:
     def test_detail_rows(self, capsys):
         payload = run_json(capsys, "census", "--expr", QUAD, "--terms")
         assert payload["pairings"][0]["blocks"] == [[1, 2]]
+
+    @pytest.mark.parametrize(
+        "fmt, first", [("json", '"index":0,'), ("text", "  #0: ")], ids=["json", "text"]
+    )
+    def test_records_written_as_they_are_made(self, monkeypatch, fmt, first):
+        # --terms must not hold every record before writing: record 0 is
+        # on stdout before the last pass over the pairings reaches row 2.
+        out, seen = io.StringIO(), []
+        real = wte.cli.census_rows
+
+        def census_rows(shape):
+            for row in real(shape):
+                if row[0] == 2:
+                    seen.append(out.getvalue())
+                yield row
+
+        monkeypatch.setattr(wte.cli, "census_rows", census_rows)
+        monkeypatch.setattr(sys, "stdout", out)
+        expr = "E[ tr(X' D1 X D2 X' D3 X D4) ]"
+        assert main(["census", "--expr", expr, "--terms", "--format", fmt]) == 0
+        assert first in seen[-1]
+        assert out.getvalue().count(first) == 1
 
     def test_odd_word_rejected(self, capsys):
         code, _, err = run(capsys, "census", "--expr", "E[ tr(X D1 X D2 X D3) ]")

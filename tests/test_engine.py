@@ -70,6 +70,9 @@ class TestSpecValidation:
         shape = WordShape.alternating((2,))
         with pytest.raises(DimensionError, match="slot 1"):
             MomentSpec(shape, MatrixSet([Matrix.identity(3)] * 2), 3, 2)
+        three = MatrixSet([Matrix.identity(2), Matrix.identity(3), Matrix.identity(2)])
+        with pytest.raises(ValueError, match="word has 2 slots, matrix set has 3"):
+            MomentSpec(shape, three, 3, 2)
 
     def test_gram_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -155,6 +158,14 @@ class TestMoment:
         scaled = MomentSpec(spec.shape, MatrixSet(mats), 2, 2)
         assert moment(scaled, exact=True).total == 7 * moment(spec, exact=True).total
         assert cumulant(scaled, exact=True).total == 7 * cumulant(spec, exact=True).total
+
+    @pytest.mark.parametrize("statistic", [moment, cumulant])
+    def test_exact_requires_exact_entries(self, statistic):
+        mats = MatrixSet([Matrix([[1.5, 0], [0, 1]]), Matrix.identity(3)])
+        spec = MomentSpec(WordShape.alternating((2,)), mats, 3, 2)
+        with pytest.raises(ValueError, match="exact mode requires integer or rational"):
+            statistic(spec, exact=True)
+        assert math.isclose(statistic(spec).total, 2.5 / 3)
 
     def test_exact_float_agreement(self):
         spec = make_spec((4, 2), (-1, 1, -1, 1, -1, 1), 3, 2, seed=6)
@@ -314,25 +325,27 @@ class TestModels:
 class TestLeadingTerms:
     def test_single_pair_word(self):
         res = moment(identity_spec((2,), 3), exact=True)
-        lead = leading_terms(res, "moment")
+        lead = leading_terms(res)
         assert len(lead) == 1 and lead[0].surface.all_spheres
 
     def test_moment_leading_are_all_spheres(self):
         res = moment(identity_spec((4, 2), 2), exact=True)
-        for t in leading_terms(res, "moment"):
+        for t in leading_terms(res):
             assert t.order_exponent == 0 and t.surface.all_spheres
 
     def test_cumulant_leading_are_connected_spheres(self):
         res = cumulant(identity_spec((2, 2), 2), exact=True)
-        lead = leading_terms(res, "cumulant")
+        lead = leading_terms(res)
         assert lead
         for t in lead:
             assert t.surface.connected and t.surface.components[0].chi == 2
 
-    def test_bad_mode(self):
-        res = moment(identity_spec((2,), 2), exact=True)
-        with pytest.raises(ValueError, match="mode"):
-            leading_terms(res, "other")
+    def test_bound_follows_the_statistic(self):
+        # The same word: its moment's leading terms are the all-sphere
+        # pairings, its cumulant's the connected spheres.
+        spec = identity_spec((2, 2), 2)
+        assert len(leading_terms(moment(spec, exact=True))) == 1
+        assert len(leading_terms(cumulant(spec, exact=True))) == 2
 
 
 class TestSubspecAndConcat:

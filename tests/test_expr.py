@@ -128,7 +128,8 @@ class TestElaborate:
         ast = parse("E[ tr(X D1 X D2) ]")
         d = Matrix([[1, 2], [3, 4], [5, 6]])  # 3x2
         spec = elaborate(ast, {"D1": d, "D2": d}, 3, 2)
-        assert spec.matrices.dims(1) == (3, 2)
+        slot = spec.matrices.matrices[0]
+        assert (slot.rows, slot.cols) == (3, 2)
 
     def test_kind_passes_through(self):
         assert parse("k[ tr(X D1 X D2) ]").kind == "cumulant"

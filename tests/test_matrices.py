@@ -99,24 +99,6 @@ class TestParseMatrix:
             parse_matrix("1 2\n1 2 3\n")
 
 
-class TestMatrixSet:
-    def test_signed_lookup_is_transpose(self):
-        m = Matrix([[1, 2], [3, 4]])
-        ms = MatrixSet([m])
-        mat, transposed = ms.matrix(-1)
-        assert mat is m and transposed
-        assert ms.dims(-1) == (2, 2)
-
-    def test_rectangular_dims(self):
-        ms = MatrixSet([Matrix([[1, 2, 3], [4, 5, 6]])])
-        assert ms.dims(1) == (2, 3)
-        assert ms.dims(-1) == (3, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            MatrixSet([Matrix.identity(1)]).matrix(2)
-
-
 class TestTraceAlong:
     def setup_method(self):
         self.rng = random.Random(11)
@@ -174,6 +156,24 @@ class TestTraceAlong:
         ms = MatrixSet([Matrix([[1, 2]]), Matrix.identity(3)])
         with pytest.raises(DimensionError, match=r"cycle \(1, 2\).*slot"):
             trace_along([(1, 2)], ms, exact=True)
+
+    def test_transposed_rectangular_slot_in_chain(self):
+        # Slot -1 is the 3x2 transpose of the 2x3 slot 1, so it chains after
+        # the 2x3 slot 2 where slot 1 itself does not.
+        a = Matrix([[1, 2, 3], [4, 5, 6]])
+        c = Matrix([[0, 1, 2], [3, -1, 1]])
+        ms = MatrixSet([a, c])
+        expected = int(np.trace(c.as_array() @ a.as_array().T))
+        assert trace_along([(2, -1)], ms, exact=True) == expected
+        broken = r"slot 2 has 2x3 but slot 1 expects 3 rows, has 2"
+        with pytest.raises(DimensionError, match=broken):
+            trace_along([(2, 1)], ms, exact=True)
+
+    @pytest.mark.parametrize("slot", [0, 3, -3])
+    def test_slot_out_of_range(self, slot):
+        ms = MatrixSet([Matrix.identity(1), Matrix.identity(1)])
+        with pytest.raises(IndexError, match=rf"slot {slot} outside 1\.\.2"):
+            trace_along([(1, slot)], ms, exact=True)
 
     def test_exact_requires_exact_entries(self):
         ms = MatrixSet([Matrix([[1.5]])])

@@ -6,15 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wte.oracles
-from wte.engine import Gram, MomentSpec, cumulant, moment
+from wte.engine import BudgetError, Gram, MomentSpec, cumulant, moment
 from wte.gluing import WordShape, slot_dimensions
 from wte.matrices import Matrix, MatrixSet
-from wte.oracles import (
-    BudgetError,
-    is_noncrossing,
-    mc_oracle,
-    wick_oracle,
-)
+from wte.oracles import is_noncrossing, mc_oracle, wick_oracle
 from wte.perm import crossings, enumerate_pairings, pairing_count
 
 
@@ -81,10 +76,11 @@ class TestWickOracle:
             spec = make_spec((4, 2), (1, -1, 1, 1, -1, 1), 2, 3, seed=30 + seed)
             assert wick_oracle(spec) == wick_oracle(_reversed_spec(spec))
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         spec = make_spec((10,), (-1, 1) * 5, 4, 4, seed=5)
+        monkeypatch.setenv("WTE_BUDGET", "1000")
         with pytest.raises(BudgetError, match="budget"):
-            wick_oracle(spec, budget=1000)
+            wick_oracle(spec)
 
     def test_budget_env_override(self, monkeypatch):
         spec = make_spec((2,), (-1, 1), 2, 2, seed=6)
