@@ -99,6 +99,33 @@ class TestParseMatrix:
             parse_matrix("1 2\n1 2 3\n")
 
 
+class TestMatrixSet:
+    # Signed slots are read only by trace_along, so these check the lookup
+    # (-k is the transpose of slot k, with the transposed dimensions) there.
+    def test_signed_lookup_is_transpose(self):
+        m = Matrix([[1, 2], [3, 4]])
+        n = Matrix([[0, 1], [2, 3]])
+        ms = MatrixSet([m, n])
+        assert ms.matrices[0] is m
+        a, b = m.as_array(), n.as_array()
+        assert trace_along([(-1, 2)], ms, exact=True) == int(np.trace(a.T @ b))
+        assert trace_along([(1, 2)], ms, exact=True) == int(np.trace(a @ b))
+        assert np.trace(a.T @ b) != np.trace(a @ b)
+
+    def test_rectangular_dims(self):
+        # Slot 1 reads as 2x3 and slot -1 as 3x2: each chains with the 2x3
+        # slot 2 only where those dimensions fit.
+        a = Matrix([[1, 2, 3], [4, 5, 6]])
+        c = Matrix([[0, 1, 2], [3, -1, 1]])
+        ms = MatrixSet([a, c])
+        aa, cc = a.as_array(), c.as_array()
+        assert trace_along([(2, -1)], ms, exact=True) == int(np.trace(cc @ aa.T))
+        assert trace_along([(1, -2)], ms, exact=True) == int(np.trace(aa @ cc.T))
+        broken = r"slot 2 has 2x3 but slot 1 expects 3 rows, has 2"
+        with pytest.raises(DimensionError, match=broken):
+            trace_along([(2, 1)], ms, exact=True)
+
+
 class TestTraceAlong:
     def setup_method(self):
         self.rng = random.Random(11)
@@ -156,18 +183,6 @@ class TestTraceAlong:
         ms = MatrixSet([Matrix([[1, 2]]), Matrix.identity(3)])
         with pytest.raises(DimensionError, match=r"cycle \(1, 2\).*slot"):
             trace_along([(1, 2)], ms, exact=True)
-
-    def test_transposed_rectangular_slot_in_chain(self):
-        # Slot -1 is the 3x2 transpose of the 2x3 slot 1, so it chains after
-        # the 2x3 slot 2 where slot 1 itself does not.
-        a = Matrix([[1, 2, 3], [4, 5, 6]])
-        c = Matrix([[0, 1, 2], [3, -1, 1]])
-        ms = MatrixSet([a, c])
-        expected = int(np.trace(c.as_array() @ a.as_array().T))
-        assert trace_along([(2, -1)], ms, exact=True) == expected
-        broken = r"slot 2 has 2x3 but slot 1 expects 3 rows, has 2"
-        with pytest.raises(DimensionError, match=broken):
-            trace_along([(2, 1)], ms, exact=True)
 
     @pytest.mark.parametrize("slot", [0, 3, -3])
     def test_slot_out_of_range(self, slot):
