@@ -43,7 +43,6 @@ from .matrices import (
     Gram,
     Matrix,
     MatrixFormatError,
-    MatrixSet,
     UnboundSlotError,
     bind_matrices,
     load_matrix,
@@ -75,7 +74,6 @@ __all__ = [
     "Gram",
     "Matrix",
     "MatrixFormatError",
-    "MatrixSet",
     "McReport",
     "MirrorPropertyError",
     "MomentResult",

@@ -3,15 +3,22 @@
 Output is reproducible by construction: float reductions are exactly
 rounded, term order is the canonical pairing order, and the JSON
 renderer sorts keys and omits wall-clock timing, so identical runs give
-byte-identical JSON.  ``--threads`` is accepted and has no effect.
+byte-identical JSON.
+
+Each subcommand takes ``--expr``, ``--expr-file`` and ``--format`` and
+only the other options its handler reads; the table is in
+:func:`_build_parser`.  ``--threads`` exists on ``moment`` and
+``cumulant`` only, and has no effect.
 
 Exit codes: 0 success, 1 failure or verification mismatch, 2 usage
-errors (among them ``census --wigner``: the census classifies the
-transpose signs as written), parse errors (expression or input files)
-and input files that cannot be read or are not UTF-8, 3
-dimension/binding errors, 4 work budget exceeded (the pairing sum of
-``moment``, ``cumulant`` and ``census``, or the Wick expansion of
-``verify``, which is checked before the engine runs).
+errors (among them an option the subcommand does not take, such as
+``census --wigner``: the census classifies the transpose signs as
+written; and ``census --terms --format csv``: csv writes the group
+table), parse errors (expression or input files) and input files that
+cannot be read or are not UTF-8, 3 dimension/binding errors, 4 work
+budget exceeded (the pairing sum of ``moment``, ``cumulant`` and
+``census``, or the Wick expansion of ``verify``, which is checked
+before the engine runs).
 """
 
 from __future__ import annotations
@@ -52,46 +59,42 @@ FLOAT_TOL = 1e-10
 MC_SIGMA = 5.0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expr", help="expression text, e.g. \"E[ tr(X' D1 X D2) ]\"")
-    p.add_argument("--expr-file", help="file containing the expression")
-    p.add_argument("--bind", metavar="FILE", help="matrix bindings file")
-    p.add_argument(
-        "--bind-identity",
-        action="store_true",
-        help="bind any unbound slot to the identity of its required size",
-    )
-    p.add_argument("-N", dest="n_dim", type=int, default=1, help="columns of X (trace scale)")
-    p.add_argument("-M", dest="m_dim", type=int, default=1, help="rows of X")
-    p.add_argument("--q", default="1", help="deformation parameter in [-1, 1]")
-    p.add_argument("--gram", metavar="FILE", help="family inner-product matrix file")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
-    p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument(
-        "--threads", type=int, default=0,
-        help="accepted for compatibility; has no effect (pairings are summed in one pass)",
-    )
-    p.add_argument("--terms", action="store_true", help="emit the per-term table")
-    p.add_argument("--wigner", default="", help="comma-separated Wigner families")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    common, model, terms, threads, monte_carlo = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    common.add_argument("--expr", help="expression text, e.g. \"E[ tr(X' D1 X D2) ]\"")
+    common.add_argument("--expr-file", help="file containing the expression")
+    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    model.add_argument("--bind", metavar="FILE", help="matrix bindings file")
+    model.add_argument("--bind-identity", action="store_true",
+                       help="bind any unbound slot to the identity of its required size")
+    model.add_argument("-N", dest="n_dim", type=int, default=1, help="columns of X (trace scale)")
+    model.add_argument("-M", dest="m_dim", type=int, default=1, help="rows of X")
+    model.add_argument("--q", default="1", help="deformation parameter in [-1, 1]")
+    model.add_argument("--gram", metavar="FILE", help="family inner-product matrix file")
+    model.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+    model.add_argument("--wigner", default="", help="comma-separated Wigner families")
+    terms.add_argument("--terms", action="store_true", help="emit the per-term table")
+    threads.add_argument("--threads", type=int, default=0, help="accepted for "
+                         "compatibility; has no effect (pairings are summed in one pass)")
+    monte_carlo.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    monte_carlo.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
+
     parser = argparse.ArgumentParser(
         prog="wte",
         description="Moments and cumulants of Wishart/Wigner trace words.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("moment", "expected value of the trace-word product"),
-        ("cumulant", "joint cumulant of the trace factors"),
-        ("verify", "cross-check the engine against the oracles"),
-        ("census", "classify the glued surface of every pairing"),
-        ("clt", "pairwise N^2 k_2 fluctuation table for the factors"),
+    for name, descr, groups in (
+        ("moment", "expected value of the trace-word product", (model, terms, threads)),
+        ("cumulant", "joint cumulant of the trace factors", (model, terms, threads)),
+        ("verify", "cross-check the engine against the oracles", (model, monte_carlo)),
+        ("census", "classify the glued surface of every pairing, "
+                   "with the transpose signs as written", (terms,)),
+        ("clt", "pairwise N^2 k_2 fluctuation table for the factors", (model,)),
     ):
-        p = sub.add_parser(name, help=descr)
-        _add_common(p)
+        sub.add_parser(name, help=descr, description=descr, parents=(common, *groups))
     return parser
 
 
@@ -497,10 +500,10 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "census" and args.wigner:
+    if args.command == "census" and args.terms and args.format == "csv":
         parser.error(
-            "census classifies the transpose signs as written; "
-            "--wigner applies to moment, cumulant, verify and clt"
+            "census --format csv writes the group table; "
+            "--terms applies to json and text"
         )
     try:
         code = _COMMANDS[args.command](args)

@@ -60,7 +60,7 @@ from .gluing import (
     front_rotation,
     slot_dimensions,
 )
-from .matrices import DimensionError, Gram, MatrixSet, trace_along
+from .matrices import DimensionError, Gram, Matrix, trace_along
 from .perm import Pairing, crossings, orbits, pairing_count
 
 # The per-pairing specification the kernel is tested against; bound here
@@ -101,15 +101,16 @@ def _check_budget(m: int, w: int = 0) -> None:
 class MomentSpec:
     """A fully bound trace-word problem ready for evaluation.
 
-    X-type letters are m_dim x n_dim; traces are always normalized by
-    n_dim.  ``wigner`` names the families averaged over both transpose
-    signs (square case only).  The default Gram makes distinct families
-    independent with unit norm, which for a single family is the plain
-    single-matrix model.
+    ``matrices`` holds the slot matrices in slot order (any sequence is
+    stored as a tuple).  X-type letters are m_dim x n_dim; traces are
+    always normalized by n_dim.  ``wigner`` names the families averaged
+    over both transpose signs (square case only).  The default Gram
+    makes distinct families independent with unit norm, which for a
+    single family is the plain single-matrix model.
     """
 
     shape: WordShape
-    matrices: MatrixSet
+    matrices: tuple[Matrix, ...]
     n_dim: int
     m_dim: int
     q: Number = 1
@@ -121,6 +122,7 @@ class MomentSpec:
             raise ValueError("matrix dimensions must be positive")
         if not -1 <= float(self.q) <= 1:
             raise ValueError(f"q must lie in [-1, 1], got {self.q}")
+        object.__setattr__(self, "matrices", tuple(self.matrices))
         object.__setattr__(self, "wigner", frozenset(self.wigner))
         if self.gram is None:
             object.__setattr__(
@@ -134,7 +136,7 @@ class MomentSpec:
             raise ValueError(f"wigner families not in the word: {sorted(unknown)}")
         if self.wigner and self.n_dim != self.m_dim:
             raise DimensionError("Wigner letters need square X, so N must equal M")
-        mats = self.matrices.matrices
+        mats = self.matrices
         if len(mats) != self.shape.m:
             raise ValueError(f"word has {self.shape.m} slots, matrix set has {len(mats)}")
         profile = slot_dimensions(self.shape, self.n_dim, self.m_dim)
@@ -157,7 +159,7 @@ class MomentSpec:
             repr(tuple(tuple(str(x) for x in row) for row in self.gram.entries)),
             repr(sorted(self.wigner)),
         ]
-        for mat in self.matrices.matrices:
+        for mat in self.matrices:
             parts.append(repr(tuple(tuple(str(x) for x in row) for row in mat.entries)))
         h.update("|".join(parts).encode())
         return h.hexdigest()
@@ -616,10 +618,10 @@ def subspec(spec: MomentSpec, factors: Sequence[int]) -> MomentSpec:
         lengths.append(b - a + 1)
         eps.extend(spec.shape.epsilon[a - 1 : b])
         labels.extend(spec.shape.labels[a - 1 : b])
-        mats.extend(spec.matrices.matrices[a - 1 : b])
+        mats.extend(spec.matrices[a - 1 : b])
     return MomentSpec(
         shape=WordShape(tuple(lengths), tuple(eps), tuple(labels)),
-        matrices=MatrixSet(mats),
+        matrices=mats,
         n_dim=spec.n_dim,
         m_dim=spec.m_dim,
         q=spec.q,

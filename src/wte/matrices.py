@@ -5,10 +5,11 @@ Matrices are immutable after construction and carry their entries as
 plain Python numbers.  Each matrix keeps two cached numpy views of them:
 a float64 array for float evaluation and an object array holding the
 ``int``/``Fraction`` entries themselves, whose products are exact and
-unbounded.  A :class:`MatrixSet` holds the matrices of slots 1..m in
-order.  :func:`trace_along` is the one reader of signed slots: slot k
-is the matrix of slot k and -k its transpose, which is never
-materialized; evaluation multiplies the transposed view.
+unbounded.  The matrices of a word's slots 1..m are a plain tuple in
+slot order, as :func:`bind_matrices` returns it.  :func:`trace_along`
+is the one reader of signed slots: slot k is the matrix of slot k and
+-k its transpose, which is never materialized; evaluation multiplies
+the transposed view.
 """
 
 from __future__ import annotations
@@ -184,11 +185,14 @@ def parse_gram(text: str) -> Gram:
             f"gram file: expected {len(labels)} rows after the label line"
         )
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], start=1):
         tokens = ln.split()
         if len(tokens) != len(labels):
             raise MatrixFormatError("gram file: row width does not match labels")
-        rows.append(tuple(_parse_number(t) for t in tokens))
+        try:
+            rows.append(tuple(_parse_number(t) for t in tokens))
+        except ValueError:
+            raise MatrixFormatError(f"gram file row {i}: unparseable entry in {ln!r}")
     return Gram(labels, tuple(rows))
 
 
@@ -197,33 +201,14 @@ def load_matrix(path: str) -> Matrix:
         return parse_matrix(fh.read())
 
 
-class MatrixSet:
-    """Constant matrices for slots 1..m, in slot order."""
-
-    __slots__ = ("matrices",)
-
-    def __init__(self, matrices: Sequence[Matrix]):
-        self.matrices = tuple(matrices)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(mat.is_exact for mat in self.matrices)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MatrixSet) and self.matrices == other.matrices
-
-    def __hash__(self) -> int:
-        return hash(self.matrices)
-
-
 def bind_matrices(
     bindings: Mapping[str, Matrix],
     slot_names: Sequence[str],
     shape: WordShape,
     n_dim: int,
     m_dim: int,
-) -> MatrixSet:
-    """Assemble and validate the matrix set for a word.
+) -> tuple[Matrix, ...]:
+    """Assemble and validate the slot matrices of a word, in slot order.
 
     ``slot_names[k-1]`` names slot k; the same name may label several
     slots (aliasing).  Every slot must resolve to a matrix of the
@@ -242,7 +227,7 @@ def bind_matrices(
                 f"got {mat.rows}x{mat.cols}"
             )
         matrices.append(mat)
-    return MatrixSet(matrices)
+    return tuple(matrices)
 
 
 def slot_identity_fill(
@@ -325,17 +310,16 @@ def parse_bindings(text: str, loader=load_matrix) -> dict[str, Matrix]:
 
 
 def trace_along(
-    cyc_list: Iterable[Sequence[int]], ms: MatrixSet, exact: bool = False
+    cyc_list: Iterable[Sequence[int]], mats: Sequence[Matrix], exact: bool = False
 ) -> Number:
-    """Product over cycles of the trace of the slot matrices multiplied in
-    cycle order, slot -k meaning the transpose of slot k.
+    """Product over cycles of the trace of the slot matrices ``mats``
+    multiplied in cycle order, slot -k meaning the transpose of slot k.
 
     Each slot lies in 1..m and may appear at most once across all cycles,
     and each cycle's matrices must chain.  Float mode sums each trace's
     diagonal with error-free summation; exact mode multiplies the object
     views, so every slot it reads needs integer or rational entries.
     """
-    mats = ms.matrices
     seen: set[int] = set()
     total: Number = 1 if exact else 1.0
     for cyc in cyc_list:

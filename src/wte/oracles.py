@@ -91,11 +91,11 @@ def wick_oracle(spec: MomentSpec, *, exact: bool = True) -> Number:
     work = pairing_count(m) * (spec.n_dim * spec.m_dim) ** (m // 2) * max(m, 1) * 2**w
     _enforce_budget(work, "wick expansion")
 
-    if exact and not spec.matrices.is_exact:
+    if exact and not all(mat.is_exact for mat in spec.matrices):
         raise ValueError("exact mode requires integer or rational matrix entries")
 
     entries = []
-    for mat in spec.matrices.matrices:
+    for mat in spec.matrices:
         if exact:
             entries.append(mat.entries)
         else:
@@ -224,7 +224,7 @@ def mc_oracle(
     families = tuple(dict.fromkeys(shape.labels))
     chol = _gram_factor(spec, families)
     n_dim, m_dim = spec.n_dim, spec.m_dim
-    const = [mat.as_array() for mat in spec.matrices.matrices]
+    const = [mat.as_array() for mat in spec.matrices]
     eps = shape.epsilon
     ranges = shape.factor_ranges()
     fam_index = {f: i for i, f in enumerate(families)}

@@ -21,7 +21,7 @@ from wte.gluing import (
     transpose_flip,
     vertex_permutation,
 )
-from wte.matrices import Matrix, MatrixSet, trace_along
+from wte.matrices import Matrix, trace_along
 from wte.oracles import is_noncrossing, mc_oracle, wick_oracle
 from wte.perm import (
     Pairing,
@@ -39,11 +39,9 @@ def report(n, name):
 
 
 def int_matrices(rng, shape, n_dim, m_dim, lo=-3, hi=3):
-    return MatrixSet(
-        [
-            Matrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
-            for r, c in slot_dimensions(shape, n_dim, m_dim)
-        ]
+    return tuple(
+        Matrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
+        for r, c in slot_dimensions(shape, n_dim, m_dim)
     )
 
 
@@ -75,7 +73,7 @@ def test_02_particular_cycle_trace_crosscheck():
         Matrix([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
         for _ in range(10)
     ]
-    ms = MatrixSet(mats)
+    ms = tuple(mats)
     got = trace_along([(1, 7, -5, -9)], ms, exact=True)
     arrs = [np.array(m.entries, dtype=object) for m in mats]
     direct = np.trace(arrs[0] @ arrs[6] @ arrs[4].T @ arrs[8].T)
@@ -120,14 +118,14 @@ def test_04_closed_forms():
     d2 = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
     a1, a2 = d1.as_array(), d2.as_array()
 
-    plain = MomentSpec(WordShape((2,), (1, 1)), MatrixSet([d1, d2]), n, n)
+    plain = MomentSpec(WordShape((2,), (1, 1)), (d1, d2), n, n)
     got = float(moment(plain).total)
     want = np.trace(a1 @ a2.T) / n**2
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
     wigner = MomentSpec(
         WordShape((2,), (1, 1), ("Z", "Z")),
-        MatrixSet([d1, d2]),
+        (d1, d2),
         n,
         n,
         wigner=frozenset({"Z"}),
@@ -147,8 +145,8 @@ def test_05_monte_carlo_agreement():
     d1 = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
     d2 = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
     words = [
-        MomentSpec(WordShape.alternating((2,)), MatrixSet([d1, d2]), n, n),
-        MomentSpec(WordShape.alternating((4,)), MatrixSet([d1, d2, d1, d2]), n, n),
+        MomentSpec(WordShape.alternating((2,)), (d1, d2), n, n),
+        MomentSpec(WordShape.alternating((4,)), (d1, d2, d1, d2), n, n),
     ]
     for spec in words:
         exact = float(moment(spec, exact=True).total)
@@ -304,7 +302,7 @@ def test_10_fluctuation_scaling():
         for n in (8, 16, 32):
             shape = WordShape.alternating(lengths)
             factor = MomentSpec(
-                shape, MatrixSet([Matrix.identity(n)] * shape.m), n, n
+                shape, (Matrix.identity(n),) * shape.m, n, n
             )
             rep = clt_report(factor)
             out.append(abs(float(rep.full[0][0]) - float(rep.leading[0][0])))

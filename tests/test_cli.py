@@ -124,10 +124,15 @@ class TestMomentCommand:
         ids=["moment", "cumulant", "census"],
     )
     def test_json_identical_across_threads(self, capsys, command, expr):
-        args = (command, "--expr", expr,
-                "--bind-identity", "-N", "3", "-M", "2", "--terms")
-        code1, out1, _ = run(capsys, *args, "--threads", "1", "--format", "json")
-        code4, out4, _ = run(capsys, *args, "--threads", "4", "--format", "json")
+        # census takes neither --threads nor the model options, so its case
+        # compares two identical runs.
+        args = (command, "--expr", expr, "--terms", "--format", "json")
+        first = second = ()
+        if command != "census":
+            args += ("--bind-identity", "-N", "3", "-M", "2")
+            first, second = ("--threads", "1"), ("--threads", "4")
+        code1, out1, _ = run(capsys, *args, *first)
+        code4, out4, _ = run(capsys, *args, *second)
         assert code1 == code4 == 0
         assert out1 == out4
 
@@ -240,8 +245,19 @@ class TestExitCodes:
         # m = 18: 17!! * 18 = 620,270,650 exceeds the default budget.
         monkeypatch.delenv("WTE_BUDGET", raising=False)
         expr = "E[ tr(" + " ".join(f"X D{k}" for k in range(1, 19)) + ") ]"
-        code, out, err = run(capsys, command, "--expr", expr, "--bind-identity")
+        model = () if command == "census" else ("--bind-identity",)
+        code, out, err = run(capsys, command, "--expr", expr, *model)
         assert code == 4 and "budget" in err and out == ""
+
+    def test_unparseable_gram_is_2(self, capsys, tmp_path):
+        gram = tmp_path / "gram.txt"
+        gram.write_text("G H\n1 0.5\n0.5 abc\n")
+        code, _, err = run(
+            capsys, "moment", "--expr", "E[ tr(G' D1 G D2) tr(H' D3 H D4) ]",
+            "--bind-identity", "-N", "2", "-M", "2", "--gram", str(gram),
+        )
+        assert code == 2 and "row 2: unparseable entry" in err
+        assert "Traceback" not in err
 
     def test_missing_expression_is_2(self, capsys):
         code, _, _ = run(capsys, "moment", "--bind-identity")
@@ -393,7 +409,17 @@ class TestCensusCommand:
             main(["census", "--expr", "E[ tr(Z D1 Z D2 Z D3 Z D4) ]", "--wigner", "Z"])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert "transpose signs as written" in err and "Traceback" not in err
+        assert "unrecognized arguments: --wigner" in err and "Traceback" not in err
+
+    def test_terms_with_csv_rejected(self, capsys):
+        # csv writes the group table only; refusing --terms there beats
+        # dropping it silently.
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--expr", QUAD, "--terms", "--format", "csv"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "csv writes the group table" in err
+        assert "--terms applies to json and text" in err
 
     def test_counts_match_the_specification(self, capsys):
         # Every pairing's record equals surface_census and crossings.
@@ -407,6 +433,41 @@ class TestCensusCommand:
             assert rec["orientable"] == [c.orientable for c in census.components]
             assert rec["transitive"] == census.connected
             assert rec["crossings"] == wte.crossings(p)
+
+
+MODEL_OPTIONS = ("--bind", "--bind-identity", "-N", "-M", "--q", "--gram", "--exact", "--wigner")
+# The options each subcommand takes besides --expr, --expr-file and --format.
+OPTIONS = {
+    "moment": (*MODEL_OPTIONS, "--terms", "--threads"),
+    "cumulant": (*MODEL_OPTIONS, "--terms", "--threads"),
+    "verify": (*MODEL_OPTIONS, "--seed", "--samples"),
+    "census": ("--terms",),
+    "clt": MODEL_OPTIONS,
+}
+OPTION_VALUES = {
+    "--expr": (QUAD,), "--expr-file": ("word.txt",), "--format": ("json",),
+    "--bind": ("binds.txt",), "--bind-identity": (), "-N": ("3",), "-M": ("2",),
+    "--q": ("1/2",), "--gram": ("gram.txt",), "--exact": (), "--wigner": ("Z",),
+    "--terms": (), "--threads": ("1",), "--seed": ("5",), "--samples": ("10",),
+}
+
+
+class TestOptions:
+    # Among the refusals: census --exact, census --bind-identity, moment
+    # --samples 10, verify --terms and clt --threads 1.
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_each_subcommand_takes_exactly_its_options(self, capsys, command):
+        parser = wte.cli._build_parser()
+        takes = {"--expr", "--expr-file", "--format", *OPTIONS[command]}
+        for option, value in OPTION_VALUES.items():
+            argv = [command, option, *value]
+            if option in takes:
+                parser.parse_args(argv)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestCltCommand:

@@ -19,7 +19,7 @@ from wte.engine import (
     subspec,
 )
 from wte.gluing import WordShape, slot_dimensions
-from wte.matrices import DimensionError, Matrix, MatrixSet
+from wte.matrices import DimensionError, Matrix
 from wte.perm import Pairing, enumerate_pairings
 from wte.oracles import is_noncrossing, wick_oracle
 
@@ -27,11 +27,9 @@ from partitions import set_partitions
 
 
 def int_matrices(rng, shape, n_dim, m_dim, lo=-4, hi=4):
-    return MatrixSet(
-        [
-            Matrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
-            for r, c in slot_dimensions(shape, n_dim, m_dim)
-        ]
+    return tuple(
+        Matrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
+        for r, c in slot_dimensions(shape, n_dim, m_dim)
     )
 
 
@@ -43,7 +41,7 @@ def make_spec(lengths, eps, n_dim, m_dim, seed=0, labels=(), **kw):
 
 def identity_spec(lengths, n_dim, labels=(), **kw):
     shape = WordShape.alternating(lengths, labels)
-    mats = MatrixSet([Matrix.identity(n_dim)] * shape.m)
+    mats = (Matrix.identity(n_dim),) * shape.m
     return MomentSpec(shape, mats, n_dim, n_dim, **kw)
 
 
@@ -62,17 +60,25 @@ class TestSpecValidation:
 
     def test_wigner_needs_square(self):
         shape = WordShape((2,), (1, 1), ("Z", "Z"))
-        mats = MatrixSet([Matrix([[1, 0], [0, 1], [0, 0]])] * 2)
+        mats = (Matrix([[1, 0], [0, 1], [0, 0]]),) * 2
         with pytest.raises(DimensionError, match="square"):
             MomentSpec(shape, mats, 3, 2, wigner=frozenset({"Z"}))
 
     def test_profile_checked(self):
         shape = WordShape.alternating((2,))
         with pytest.raises(DimensionError, match="slot 1"):
-            MomentSpec(shape, MatrixSet([Matrix.identity(3)] * 2), 3, 2)
-        three = MatrixSet([Matrix.identity(2), Matrix.identity(3), Matrix.identity(2)])
+            MomentSpec(shape, (Matrix.identity(3),) * 2, 3, 2)
+        three = (Matrix.identity(2), Matrix.identity(3), Matrix.identity(2))
         with pytest.raises(ValueError, match="word has 2 slots, matrix set has 3"):
             MomentSpec(shape, three, 3, 2)
+
+    def test_matrices_list_is_a_tuple(self):
+        shape = WordShape.alternating((2,))
+        mats = [Matrix.identity(3), Matrix([[1, 2], [3, 4]])]
+        listed = MomentSpec(shape, mats, 2, 3)
+        given = MomentSpec(shape, tuple(mats), 2, 3)
+        assert listed.matrices == given.matrices and type(listed.matrices) is tuple
+        assert listed == given and hash(listed) == hash(given)
 
     def test_gram_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -109,7 +115,7 @@ class TestPairingWeight:
 class TestMoment:
     def test_first_wishart_moment_closed_form(self):
         spec = make_spec((2,), (-1, 1), 3, 2, seed=1)
-        d1, d2 = spec.matrices.matrices
+        d1, d2 = spec.matrices
         tr1 = sum(d1.entries[i][i] for i in range(2))
         tr2 = sum(d2.entries[i][i] for i in range(3))
         assert moment(spec, exact=True).total == Fraction(tr1 * tr2, 9)
@@ -117,12 +123,12 @@ class TestMoment:
     def test_plain_word_closed_form(self):
         # no transposes: N^-2 Tr(D1 D2^T), slots rectangular when N != M
         spec = make_spec((2,), (1, 1), 3, 2, seed=2)
-        d1, d2 = (m.as_array() for m in spec.matrices.matrices)
+        d1, d2 = (m.as_array() for m in spec.matrices)
         expected = np.trace(d1 @ d2.T) / 9
         assert math.isclose(float(moment(spec, exact=True).total), expected)
 
     def test_empty_word(self):
-        spec = MomentSpec(WordShape(()), MatrixSet([]), 4, 3)
+        spec = MomentSpec(WordShape(()), (), 4, 3)
         res = moment(spec, exact=True)
         assert res.total == 1 and len(res.terms) == 1
 
@@ -153,15 +159,15 @@ class TestMoment:
 
     def test_scaling_single_matrix_is_linear(self):
         spec = make_spec((4, 2), (-1, 1, -1, 1, -1, 1), 2, 2, seed=4)
-        mats = list(spec.matrices.matrices)
+        mats = list(spec.matrices)
         mats[2] = Matrix([[7 * x for x in row] for row in mats[2].entries])
-        scaled = MomentSpec(spec.shape, MatrixSet(mats), 2, 2)
+        scaled = MomentSpec(spec.shape, tuple(mats), 2, 2)
         assert moment(scaled, exact=True).total == 7 * moment(spec, exact=True).total
         assert cumulant(scaled, exact=True).total == 7 * cumulant(spec, exact=True).total
 
     @pytest.mark.parametrize("statistic", [moment, cumulant])
     def test_exact_requires_exact_entries(self, statistic):
-        mats = MatrixSet([Matrix([[1.5, 0], [0, 1]]), Matrix.identity(3)])
+        mats = (Matrix([[1.5, 0], [0, 1]]), Matrix.identity(3))
         spec = MomentSpec(WordShape.alternating((2,)), mats, 3, 2)
         with pytest.raises(ValueError, match="exact mode requires integer or rational"):
             statistic(spec, exact=True)
@@ -238,7 +244,7 @@ class TestCumulant:
         assert [t.index for t in cumulant(spec, exact=True).terms] == transitive
 
     def test_empty_word_keeps_its_term(self):
-        spec = MomentSpec(WordShape(()), MatrixSet([]), 4, 3)
+        spec = MomentSpec(WordShape(()), (), 4, 3)
         res = cumulant(spec, exact=True)
         assert res.total == 1 and len(res.terms) == 1
 
@@ -248,7 +254,7 @@ class TestWigner:
         n = 5
         shape = WordShape((2,), (1, 1), ("Z", "Z"))
         spec = MomentSpec(
-            shape, MatrixSet([Matrix.identity(n)] * 2), n, n, wigner=frozenset({"Z"})
+            shape, (Matrix.identity(n),) * 2, n, n, wigner=frozenset({"Z"})
         )
         assert moment(spec, exact=True).total == Fraction(n + 1, 2 * n)
 
@@ -260,7 +266,7 @@ class TestWigner:
             for _ in range(2)
         ]
         shape = WordShape((2,), (1, 1), ("Z", "Z"))
-        spec = MomentSpec(shape, MatrixSet(mats), n, n, wigner=frozenset({"Z"}))
+        spec = MomentSpec(shape, tuple(mats), n, n, wigner=frozenset({"Z"}))
         a1, a2 = (m.as_array() for m in mats)
         closed = (np.trace(a1) * np.trace(a2) + np.trace(a1 @ a2.T)) / (2 * n * n)
         assert math.isclose(float(moment(spec, exact=True).total), closed)
@@ -269,7 +275,7 @@ class TestWigner:
         n = 3
         shape = WordShape((3,), (1, 1, 1), ("Z",) * 3)
         spec = MomentSpec(
-            shape, MatrixSet([Matrix.identity(n)] * 3), n, n, wigner=frozenset({"Z"})
+            shape, (Matrix.identity(n),) * 3, n, n, wigner=frozenset({"Z"})
         )
         assert moment(spec, exact=True).total == 0
 
@@ -277,7 +283,7 @@ class TestWigner:
         n = 3
         shape = WordShape((2,), (1, 1), ("Z", "Z"))
         spec = MomentSpec(
-            shape, MatrixSet([Matrix.identity(n)] * 2), n, n, wigner=frozenset({"Z"})
+            shape, (Matrix.identity(n),) * 2, n, n, wigner=frozenset({"Z"})
         )
         res = moment(spec, exact=True)
         # 1 pairing x 4 sign assignments
@@ -304,7 +310,7 @@ class TestModels:
     def test_independent_families_kill_odd_cross_counts(self):
         # pairing a G with an H always carries gram weight 0
         shape = WordShape.alternating((2,), ("G", "H"))
-        spec = MomentSpec(shape, MatrixSet([Matrix.identity(2)] * 2), 2, 2)
+        spec = MomentSpec(shape, (Matrix.identity(2),) * 2, 2, 2)
         assert moment(spec, exact=True).total == 0
 
     def test_q_zero_equals_noncrossing_sum(self):
@@ -353,18 +359,18 @@ class TestSubspecAndConcat:
         spec = make_spec((2, 4), (-1, 1, -1, 1, -1, 1), 2, 2, seed=16)
         sub = subspec(spec, [2])
         assert sub.shape.lengths == (4,)
-        assert sub.matrices.matrices == spec.matrices.matrices[2:]
+        assert sub.matrices == spec.matrices[2:]
 
     def test_subspec_repeats_for_diagonal(self):
         spec = make_spec((2,), (-1, 1), 2, 2, seed=17)
         dup = subspec(spec, [1, 1])
         assert dup.shape.lengths == (2, 2)
-        assert dup.matrices.matrices[0] is dup.matrices.matrices[2]
+        assert dup.matrices[0] is dup.matrices[2]
 
     def test_subspec_keeps_only_wigner_families_of_chosen_factors(self):
         shape = WordShape((2, 2), (-1, 1, 1, 1), ("X", "X", "Z", "Z"))
         spec = MomentSpec(
-            shape, MatrixSet([Matrix.identity(2)] * 4), 2, 2, wigner={"Z"}
+            shape, (Matrix.identity(2),) * 4, 2, 2, wigner={"Z"}
         )
         assert subspec(spec, [1]).wigner == frozenset()
         assert subspec(spec, [2]).wigner == {"Z"}
@@ -388,7 +394,7 @@ class TestClt:
         n = 4
         shape = WordShape.alternating((2, 2), ("G", "G", "H", "H"))
         gram = Gram.identity(("G", "H"))
-        spec = MomentSpec(shape, MatrixSet([Matrix.identity(n)] * 4), n, n, gram=gram)
+        spec = MomentSpec(shape, (Matrix.identity(n),) * 4, n, n, gram=gram)
         rep = clt_report(spec, exact=True)
         assert rep.full[0][1] == 0 and rep.full[0][0] == 2
 

@@ -128,7 +128,7 @@ class TestElaborate:
         ast = parse("E[ tr(X D1 X D2) ]")
         d = Matrix([[1, 2], [3, 4], [5, 6]])  # 3x2
         spec = elaborate(ast, {"D1": d, "D2": d}, 3, 2)
-        slot = spec.matrices.matrices[0]
+        slot = spec.matrices[0]
         assert (slot.rows, slot.cols) == (3, 2)
 
     def test_kind_passes_through(self):
@@ -141,4 +141,4 @@ class TestElaborate:
             elaborate(ast, {"D1": Matrix.identity(2)}, 3, 2)
         # with square dims the alias is fine
         spec = elaborate(ast, {"D1": Matrix.identity(2)}, 2, 2)
-        assert spec.matrices.matrices[0] is spec.matrices.matrices[1]
+        assert spec.matrices[0] is spec.matrices[1]

@@ -29,7 +29,7 @@ from wte.gluing import (
     surface_census,
     vertex_permutation,
 )
-from wte.matrices import Gram, Matrix, MatrixSet, trace_along
+from wte.matrices import Gram, Matrix, trace_along
 from wte.perm import crossings, enumerate_pairings, pairing_count
 
 
@@ -50,11 +50,9 @@ SHAPES = [
 
 def fraction_matrices(rng, shape, n_dim, m_dim):
     """Slot matrices with entries k/7, whose float views round."""
-    return MatrixSet(
-        [
-            Matrix([[Fraction(rng.randint(-9, 9), 7) for _ in range(c)] for _ in range(r)])
-            for r, c in slot_dimensions(shape, n_dim, m_dim)
-        ]
+    return tuple(
+        Matrix([[Fraction(rng.randint(-9, 9), 7) for _ in range(c)] for _ in range(r)])
+        for r, c in slot_dimensions(shape, n_dim, m_dim)
     )
 
 

@@ -10,7 +10,6 @@ from wte.matrices import (
     DimensionError,
     Matrix,
     MatrixFormatError,
-    MatrixSet,
     UnboundSlotError,
     bind_matrices,
     parse_bindings,
@@ -82,6 +81,10 @@ class TestParseMatrix:
         assert gram.value("G", "H") == Fraction(1, 2)
         assert isinstance(gram.value("G", "H"), Fraction)
 
+    def test_gram_unparseable_entry_names_the_row(self):
+        with pytest.raises(MatrixFormatError, match=r"row 2: unparseable entry in '0\.5 abc'"):
+            parse_gram("G H\n1 0.5\n0.5 abc\n")
+
     def test_comments_and_blanks_skipped(self):
         m = parse_matrix("# demo\n\n1 1\n7\n")
         assert m.entries == ((7,),)
@@ -100,13 +103,13 @@ class TestParseMatrix:
 
 
 class TestMatrixSet:
-    # Signed slots are read only by trace_along, so these check the lookup
-    # (-k is the transpose of slot k, with the transposed dimensions) there.
+    # A word's slot matrices are a plain tuple.  Signed slots are read only
+    # by trace_along, so these check the lookup (-k is the transpose of slot
+    # k, with the transposed dimensions) there.
     def test_signed_lookup_is_transpose(self):
         m = Matrix([[1, 2], [3, 4]])
         n = Matrix([[0, 1], [2, 3]])
-        ms = MatrixSet([m, n])
-        assert ms.matrices[0] is m
+        ms = (m, n)
         a, b = m.as_array(), n.as_array()
         assert trace_along([(-1, 2)], ms, exact=True) == int(np.trace(a.T @ b))
         assert trace_along([(1, 2)], ms, exact=True) == int(np.trace(a @ b))
@@ -117,7 +120,7 @@ class TestMatrixSet:
         # slot 2 only where those dimensions fit.
         a = Matrix([[1, 2, 3], [4, 5, 6]])
         c = Matrix([[0, 1, 2], [3, -1, 1]])
-        ms = MatrixSet([a, c])
+        ms = (a, c)
         aa, cc = a.as_array(), c.as_array()
         assert trace_along([(2, -1)], ms, exact=True) == int(np.trace(cc @ aa.T))
         assert trace_along([(1, -2)], ms, exact=True) == int(np.trace(aa @ cc.T))
@@ -133,26 +136,26 @@ class TestTraceAlong:
     def test_fixed_points_give_plain_traces(self):
         d1 = Matrix([[1, 2], [3, 4]])
         d2 = Matrix([[5, 1], [1, 5]])
-        ms = MatrixSet([d1, d2])
+        ms = (d1, d2)
         assert trace_along([(1,), (2,)], ms, exact=True) == 5 * 10
 
     def test_negative_index_is_transpose(self):
         d1 = Matrix([[1, 2], [3, 4]])
         d2 = Matrix([[0, 1], [2, 3]])
-        ms = MatrixSet([d1, d2])
+        ms = (d1, d2)
         expected = int(np.trace(d1.as_array() @ d2.as_array().T))
         assert trace_along([(1, -2)], ms, exact=True) == expected
 
     def test_four_matrix_cycle(self):
         mats = [random_int_matrix(self.rng, 3, 3) for _ in range(10)]
-        ms = MatrixSet(mats)
+        ms = tuple(mats)
         arrs = [m.as_array() for m in mats]
         direct = np.trace(arrs[0] @ arrs[6] @ arrs[4].T @ arrs[8].T)
         assert trace_along([(1, 7, -5, -9)], ms, exact=True) == round(direct)
 
     def test_rotation_invariance(self):
         mats = [random_int_matrix(self.rng, 2, 2) for _ in range(4)]
-        ms = MatrixSet(mats)
+        ms = tuple(mats)
         cyc = (1, -3, 4, 2)
         vals = {
             trace_along([cyc[i:] + cyc[:i]], ms, exact=True) for i in range(4)
@@ -161,37 +164,37 @@ class TestTraceAlong:
 
     def test_reverse_negate_invariance(self):
         mats = [random_int_matrix(self.rng, 2, 2) for _ in range(4)]
-        ms = MatrixSet(mats)
+        ms = tuple(mats)
         cyc = (1, -3, 4, 2)
         rev = tuple(-k for k in reversed(cyc))
         assert trace_along([cyc], ms, exact=True) == trace_along([rev], ms, exact=True)
 
     def test_all_identity_counts_chain_dimension(self):
-        ms = MatrixSet([Matrix.identity(3), Matrix.identity(3), Matrix.identity(5)])
+        ms = (Matrix.identity(3), Matrix.identity(3), Matrix.identity(5))
         assert trace_along([(1, 2), (3,)], ms, exact=True) == 3 * 5
 
     def test_empty_cycle_list_is_one(self):
-        assert trace_along([], MatrixSet([]), exact=True) == 1
-        assert trace_along([], MatrixSet([])) == 1.0
+        assert trace_along([], (), exact=True) == 1
+        assert trace_along([], ()) == 1.0
 
     def test_duplicate_slot_rejected(self):
-        ms = MatrixSet([Matrix.identity(2), Matrix.identity(2)])
+        ms = (Matrix.identity(2), Matrix.identity(2))
         with pytest.raises(ValueError, match="more than one cycle"):
             trace_along([(1, 2), (-1,)], ms, exact=True)
 
     def test_dimension_mismatch_names_cycle_and_slot(self):
-        ms = MatrixSet([Matrix([[1, 2]]), Matrix.identity(3)])
+        ms = (Matrix([[1, 2]]), Matrix.identity(3))
         with pytest.raises(DimensionError, match=r"cycle \(1, 2\).*slot"):
             trace_along([(1, 2)], ms, exact=True)
 
     @pytest.mark.parametrize("slot", [0, 3, -3])
     def test_slot_out_of_range(self, slot):
-        ms = MatrixSet([Matrix.identity(1), Matrix.identity(1)])
+        ms = (Matrix.identity(1), Matrix.identity(1))
         with pytest.raises(IndexError, match=rf"slot {slot} outside 1\.\.2"):
             trace_along([(1, slot)], ms, exact=True)
 
     def test_exact_requires_exact_entries(self):
-        ms = MatrixSet([Matrix([[1.5]])])
+        ms = (Matrix([[1.5]]),)
         with pytest.raises(ValueError, match="exact"):
             trace_along([(1,)], ms, exact=True)
 
@@ -199,7 +202,7 @@ class TestTraceAlong:
     def test_exact_and_float_agree(self, m):
         rng = random.Random(m)
         mats = [random_int_matrix(rng, 3, 3) for _ in range(m)]
-        ms = MatrixSet(mats)
+        ms = tuple(mats)
         cyc = tuple(rng.choice((k, -k)) for k in range(1, m + 1))
         exact = trace_along([cyc], ms, exact=True)
         approx = trace_along([cyc], ms)
@@ -208,7 +211,7 @@ class TestTraceAlong:
     def test_rectangular_chain(self):
         a = Matrix([[1, 2, 3], [4, 5, 6]])   # 2x3
         b = Matrix([[1, 0], [0, 1], [1, 1]])  # 3x2
-        ms = MatrixSet([a, b])
+        ms = (a, b)
         expected = int(np.trace(a.as_array() @ b.as_array()))
         assert trace_along([(1, 2)], ms, exact=True) == expected
 
@@ -234,7 +237,7 @@ class TestBindMatrices:
         shape = WordShape((2,), (1, 1))
         m = Matrix([[1, 2], [3, 4]])
         ms = bind_matrices({"D1": m}, ("D1", "D1"), shape, 2, 2)
-        assert ms.matrices[0] is ms.matrices[1] is m
+        assert ms[0] is ms[1] is m
 
 
 class TestBindingsFile:

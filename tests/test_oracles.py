@@ -8,17 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 import wte.oracles
 from wte.engine import BudgetError, Gram, MomentSpec, cumulant, moment
 from wte.gluing import WordShape, slot_dimensions
-from wte.matrices import Matrix, MatrixSet
+from wte.matrices import Matrix
 from wte.oracles import is_noncrossing, mc_oracle, wick_oracle
 from wte.perm import crossings, enumerate_pairings, pairing_count
 
 
 def int_matrices(rng, shape, n_dim, m_dim, lo=-4, hi=4):
-    return MatrixSet(
-        [
-            Matrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
-            for r, c in slot_dimensions(shape, n_dim, m_dim)
-        ]
+    return tuple(
+        Matrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
+        for r, c in slot_dimensions(shape, n_dim, m_dim)
     )
 
 
@@ -35,7 +33,7 @@ class TestWickOracle:
             shape = WordShape.alternating((2,))
             spec = MomentSpec(
                 shape,
-                MatrixSet([Matrix.identity(m_dim), Matrix.identity(n_dim)]),
+                (Matrix.identity(m_dim), Matrix.identity(n_dim)),
                 n_dim,
                 m_dim,
             )
@@ -92,7 +90,7 @@ class TestWickOracle:
 
     def test_exact_requires_integer_entries(self):
         shape = WordShape.alternating((2,))
-        mats = MatrixSet([Matrix([[1.5, 0], [0, 1]]), Matrix.identity(3)])
+        mats = (Matrix([[1.5, 0], [0, 1]]), Matrix.identity(3))
         spec = MomentSpec(shape, mats, 3, 2)
         with pytest.raises(ValueError, match="exact"):
             wick_oracle(spec, exact=True)
@@ -105,11 +103,11 @@ class TestWickOracle:
     def test_corrupted_matrix_detected(self):
         # negative control: a perturbed copy must break oracle agreement
         spec = make_spec((4,), (-1, 1, -1, 1), 2, 2, seed=8)
-        mats = list(spec.matrices.matrices)
+        mats = list(spec.matrices)
         bumped = [list(row) for row in mats[1].entries]
         bumped[0][0] += 1
         mats[1] = Matrix(bumped)
-        corrupted = MomentSpec(spec.shape, MatrixSet(mats), 2, 2)
+        corrupted = MomentSpec(spec.shape, tuple(mats), 2, 2)
         assert wick_oracle(corrupted) != moment(spec, exact=True).total
 
 
@@ -158,7 +156,7 @@ def small_specs(draw):
     )
     q = draw(st.sampled_from((-1, 0, Fraction(1, 2), 1)))
     return MomentSpec(
-        shape, MatrixSet(mats), n_dim, m_dim, q=q, gram=gram, wigner=wigner
+        shape, tuple(mats), n_dim, m_dim, q=q, gram=gram, wigner=wigner
     )
 
 
@@ -175,7 +173,7 @@ def _reversed_spec(spec):
     new_eps, new_mats = [], []
     for a, b in shape.factor_ranges():
         eps = shape.epsilon[a - 1 : b]
-        mats = spec.matrices.matrices[a - 1 : b]
+        mats = spec.matrices[a - 1 : b]
         s = len(eps)
         new_eps.extend(-eps[s - 1 - i] for i in range(s))
         # slot i of the reversed factor holds the transpose of slot s-2-i,
@@ -184,7 +182,7 @@ def _reversed_spec(spec):
             Matrix(tuple(zip(*mats[(s - 2 - i) % s].entries))) for i in range(s)
         )
     new_shape = WordShape(shape.lengths, tuple(new_eps), shape.labels)
-    return MomentSpec(new_shape, MatrixSet(new_mats), spec.n_dim, spec.m_dim,
+    return MomentSpec(new_shape, tuple(new_mats), spec.n_dim, spec.m_dim,
                       q=spec.q, gram=spec.gram)
 
 
@@ -216,7 +214,7 @@ class TestMcOracle:
     def test_quadratic_word_within_five_sigma(self):
         shape = WordShape.alternating((2,))
         spec = MomentSpec(
-            shape, MatrixSet([Matrix.identity(8), Matrix.identity(8)]), 8, 8
+            shape, (Matrix.identity(8), Matrix.identity(8)), 8, 8
         )
         rep = mc_oracle(spec, 100_000, seed=7)
         assert rep.zscore(1.0) <= 5
@@ -230,7 +228,7 @@ class TestMcOracle:
     def test_independent_families_cross_word(self):
         # odd per-family counts with independent families: moment is 0
         shape = WordShape((2,), (1, -1), ("G", "H"))
-        mats = MatrixSet([Matrix.identity(4)] * 2)
+        mats = (Matrix.identity(4),) * 2
         spec = MomentSpec(shape, mats, 4, 4)
         rep = mc_oracle(spec, 20_000, seed=3)
         assert abs(rep.estimate) <= 5 * rep.stderr
@@ -238,7 +236,7 @@ class TestMcOracle:
     def test_wigner_sampling(self):
         shape = WordShape((2,), (1, 1), ("Z", "Z"))
         spec = MomentSpec(
-            shape, MatrixSet([Matrix.identity(6)] * 2), 6, 6, wigner=frozenset({"Z"})
+            shape, (Matrix.identity(6),) * 2, 6, 6, wigner=frozenset({"Z"})
         )
         exact = float(moment(spec, exact=True).total)
         rep = mc_oracle(spec, 40_000, seed=5)
@@ -247,7 +245,7 @@ class TestMcOracle:
     def test_correlated_families(self):
         gram = Gram(("G", "H"), ((1, Fraction(1, 2)), (Fraction(1, 2), 1)))
         shape = WordShape((2,), (-1, 1), ("G", "H"))
-        spec = MomentSpec(shape, MatrixSet([Matrix.identity(5)] * 2), 5, 5, gram=gram)
+        spec = MomentSpec(shape, (Matrix.identity(5),) * 2, 5, 5, gram=gram)
         exact = float(moment(spec, exact=True).total)
         rep = mc_oracle(spec, 40_000, seed=9)
         assert rep.zscore(exact) <= 5
@@ -255,7 +253,7 @@ class TestMcOracle:
     def test_plugin_cumulant(self):
         spec = MomentSpec(
             WordShape.alternating((2, 2)),
-            MatrixSet([Matrix.identity(6)] * 4),
+            (Matrix.identity(6),) * 4,
             6,
             6,
         )
@@ -267,7 +265,7 @@ class TestMcOracle:
     def test_factor_means_diagnostics(self):
         spec = MomentSpec(
             WordShape.alternating((2, 2)),
-            MatrixSet([Matrix.identity(4)] * 4),
+            (Matrix.identity(4),) * 4,
             4,
             4,
         )
@@ -312,14 +310,14 @@ class TestMcOracle:
     def test_rejects_indefinite_gram(self):
         gram = Gram(("G", "H"), ((1, 2), (2, 1)))  # eigenvalues 3, -1
         shape = WordShape.alternating((2,), ("G", "H"))
-        spec = MomentSpec(shape, MatrixSet([Matrix.identity(2)] * 2), 2, 2, gram=gram)
+        spec = MomentSpec(shape, (Matrix.identity(2),) * 2, 2, 2, gram=gram)
         with pytest.raises(ValueError, match="semi-definite"):
             mc_oracle(spec, 100)
 
     def test_singular_psd_gram_allowed(self):
         gram = Gram(("G", "H"), ((1, 1), (1, 1)))  # rank one, PSD
         shape = WordShape.alternating((2,), ("G", "H"))
-        spec = MomentSpec(shape, MatrixSet([Matrix.identity(5)] * 2), 5, 5, gram=gram)
+        spec = MomentSpec(shape, (Matrix.identity(5),) * 2, 5, 5, gram=gram)
         exact = float(moment(spec, exact=True).total)
         rep = mc_oracle(spec, 30_000, seed=21)
         assert rep.zscore(exact) <= 5
@@ -327,7 +325,7 @@ class TestMcOracle:
     def test_rejects_high_order_cumulant(self):
         spec = MomentSpec(
             WordShape.alternating((2, 2, 2)),
-            MatrixSet([Matrix.identity(3)] * 6),
+            (Matrix.identity(3),) * 6,
             3,
             3,
         )
