@@ -13,12 +13,13 @@ only the other options its handler reads; the table is in
 Exit codes: 0 success, 1 failure or verification mismatch, 2 usage
 errors (among them an option the subcommand does not take, such as
 ``census --wigner``: the census classifies the transpose signs as
-written; and ``census --terms --format csv``: csv writes the group
-table), parse errors (expression or input files) and input files that
-cannot be read or are not UTF-8, 3 dimension/binding errors, 4 work
-budget exceeded (the pairing sum of ``moment``, ``cumulant`` and
-``census``, or the Wick expansion of ``verify``, which is checked
-before the engine runs).
+written; ``census --terms --format csv``: csv writes the group table;
+and a value an option does not take, such as ``-N 0``, ``--samples 1``
+or ``--q abc``), parse errors (expression or input files) and input
+files that cannot be read or are not UTF-8, 3 dimension/binding errors,
+4 work budget exceeded (the pairing sum of ``moment``, ``cumulant`` and
+``census``, or the Wick expansion of ``verify``, which is checked before
+the engine runs).
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ FLOAT_TOL = 1e-10
 MC_SIGMA = 5.0
 
 
+def _count(least: int, zero: bool = False):
+    """An argparse type: an integer of at least ``least``, or 0 if ``zero``."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < least and not (zero and n == 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'0 or ' if zero else ''}at least {least}, got {n}")
+        return n
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common, model, terms, threads, monte_carlo = (
         argparse.ArgumentParser(add_help=False) for _ in range(5)
@@ -69,9 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     model.add_argument("--bind", metavar="FILE", help="matrix bindings file")
     model.add_argument("--bind-identity", action="store_true",
                        help="bind any unbound slot to the identity of its required size")
-    model.add_argument("-N", dest="n_dim", type=int, default=1, help="columns of X (trace scale)")
-    model.add_argument("-M", dest="m_dim", type=int, default=1, help="rows of X")
-    model.add_argument("--q", default="1", help="deformation parameter in [-1, 1]")
+    model.add_argument("-N", dest="n_dim", type=_count(1), default=1,
+                       help="columns of X (trace scale)")
+    model.add_argument("-M", dest="m_dim", type=_count(1), default=1, help="rows of X")
+    model.add_argument("--q", type=_parse_number, default=1,
+                       help="deformation parameter in [-1, 1]")
     model.add_argument("--gram", metavar="FILE", help="family inner-product matrix file")
     model.add_argument("--exact", action="store_true", help="exact rational arithmetic")
     model.add_argument("--wigner", default="", help="comma-separated Wigner families")
@@ -79,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     threads.add_argument("--threads", type=int, default=0, help="accepted for "
                          "compatibility; has no effect (pairings are summed in one pass)")
     monte_carlo.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    monte_carlo.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
+    monte_carlo.add_argument("--samples", type=_count(2, zero=True), default=0,
+                             help="Monte Carlo sample count: 0 (no check) or at least 2")
 
     parser = argparse.ArgumentParser(
         prog="wte",
@@ -125,7 +140,7 @@ def _make_spec(args, ast: TraceWordAst) -> MomentSpec:
         bindings,
         args.n_dim,
         args.m_dim,
-        q=_parse_number(args.q),
+        q=args.q,
         gram=gram,
         wigner=wigner,
     )
@@ -249,27 +264,32 @@ def _emit_result_text(payload: dict, result: MomentResult) -> None:
             )
 
 
-def _emit_result_csv(payload: dict) -> None:
+def _emit_csv(header: Sequence[str], rows) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        ["index", "blocks", "weight", "order_exponent", "chi", "orientable",
-         "classification", "cycles", "value"]
-    )
-    for t in payload.get("terms", []):
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _emit_result_csv(payload: dict) -> None:
+    def row(t: dict) -> list:
         comps = t["surface"]["components"]
-        writer.writerow(
-            [
-                t["index"],
-                _blocks_str(t["blocks"]),
-                t["weight"],
-                t["order_exponent"],
-                "|".join(str(c["chi"]) for c in comps),
-                "|".join(str(c["orientable"]).lower() for c in comps),
-                "|".join(c["classification"] for c in comps),
-                t["cycles"],
-                t["value"],
-            ]
-        )
+        return [
+            t["index"],
+            _blocks_str(t["blocks"]),
+            t["weight"],
+            t["order_exponent"],
+            "|".join(str(c["chi"]) for c in comps),
+            "|".join(str(c["orientable"]).lower() for c in comps),
+            "|".join(c["classification"] for c in comps),
+            t["cycles"],
+            t["value"],
+        ]
+
+    _emit_csv(
+        ["index", "blocks", "weight", "order_exponent", "chi", "orientable",
+         "classification", "cycles", "value"],
+        map(row, payload.get("terms", [])),
+    )
 
 
 def _cmd_moment(args) -> int:
@@ -293,56 +313,49 @@ def _cmd_moment(args) -> int:
 def _cmd_verify(args) -> int:
     ast = parse(_expression_text(args))
     spec = _make_spec(args, ast)
-    effective_cumulant = ast.kind == "cumulant"
-    if effective_cumulant:
+    if ast.kind == "cumulant":
         raise ValueError("verify compares moments; use an E[...] expression")
     # The oracle checks its budget before any work, so a refused verify
     # does not pay for the engine's pairing sum first.
     oracle = wick_oracle(spec, exact=args.exact)
     result = moment(spec, exact=args.exact)
-    checks = []
+    # Each check is a record whose keys are in csv column order.
+    def check(name, engine, oracle, metric, tolerance, ok) -> dict:
+        return {"name": name, "engine": engine, "oracle": oracle, "metric": metric,
+                "tolerance": tolerance, "pass": ok}
+
     if args.exact:
         ok = Fraction(result.total) == Fraction(oracle)
-        checks.append(("wick(exact)", str(result.total), str(oracle), "equal", "0", ok))
+        checks = [check("wick(exact)", str(result.total), str(oracle), "equal", "0", ok)]
     else:
         scale = max(abs(float(oracle)), abs(float(result.total)), 1.0)
         rel = abs(float(result.total) - float(oracle)) / scale
-        checks.append(
-            ("wick(float)", repr(float(result.total)), repr(float(oracle)),
-             f"rel={rel:.3e}", f"{FLOAT_TOL:g}", rel <= FLOAT_TOL)
-        )
-    if args.samples > 0:
+        checks = [
+            check("wick(float)", repr(float(result.total)), repr(float(oracle)),
+                  f"rel={rel:.3e}", f"{FLOAT_TOL:g}", rel <= FLOAT_TOL)
+        ]
+    if args.samples:
         report = mc_oracle(spec, args.samples, seed=args.seed)
         z = report.zscore(float(result.total))
         checks.append(
-            ("monte-carlo", repr(float(result.total)),
-             f"{report.estimate!r} +/- {report.stderr:.3e}",
-             f"z={z:.2f}", f"{MC_SIGMA:g} sigma", z <= MC_SIGMA)
+            check("monte-carlo", repr(float(result.total)),
+                  f"{report.estimate!r} +/- {report.stderr:.3e}",
+                  f"z={z:.2f}", f"{MC_SIGMA:g} sigma", z <= MC_SIGMA)
         )
-    passed = all(c[-1] for c in checks)
+    passed = all(c["pass"] for c in checks)
     if args.format == "json":
         _emit_json(
-            {
-                "schema": "wte.verify.v1",
-                "expression": pretty(ast),
-                "checks": [
-                    {"name": n, "engine": a, "oracle": b, "metric": m,
-                     "tolerance": t, "pass": ok}
-                    for n, a, b, m, t, ok in checks
-                ],
-                "pass": passed,
-            }
+            {"schema": "wte.verify.v1", "expression": pretty(ast), "checks": checks,
+             "pass": passed}
         )
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["check", "engine", "oracle", "metric", "tolerance", "pass"])
-        for row in checks:
-            writer.writerow([row[0], row[1], row[2], row[3], row[4], row[5]])
+        _emit_csv(["check", "engine", "oracle", "metric", "tolerance", "pass"],
+                  (list(c.values()) for c in checks))
     else:
-        for n, a, b, m, t, ok in checks:
+        for c in checks:
             sys.stdout.write(
-                f"{n}: engine={a} oracle={b} {m} (tol {t}): "
-                f"{'OK' if ok else 'MISMATCH'}\n"
+                f"{c['name']}: engine={c['engine']} oracle={c['oracle']} {c['metric']} "
+                f"(tol {c['tolerance']}): {'OK' if c['pass'] else 'MISMATCH'}\n"
             )
         sys.stdout.write(f"VERIFY: {'PASS' if passed else 'FAIL'}\n")
     return 0 if passed else 1
@@ -406,12 +419,9 @@ def _cmd_census(args) -> int:
     elif args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            ["order_exponent", "chi", "orientable", "transitive", "crossings", "count"]
-        )
-        for g in payload["groups"]:
-            writer.writerow(
+        _emit_csv(
+            ["order_exponent", "chi", "orientable", "transitive", "crossings", "count"],
+            (
                 [
                     g["order_exponent"],
                     "|".join(str(c) for c in g["chi"]),
@@ -420,7 +430,9 @@ def _cmd_census(args) -> int:
                     g["crossings"],
                     g["count"],
                 ]
-            )
+                for g in payload["groups"]
+            ),
+        )
     else:
         sys.stdout.write(
             f"census: {payload['expression']}  m={shape.m} r={shape.r} "
@@ -470,14 +482,9 @@ def _cmd_clt(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["i", "j", "full", "leading", "gap"])
-        for i in range(n):
-            for j in range(n):
-                writer.writerow(
-                    [i + 1, j + 1, payload["full"][i][j],
-                     payload["leading"][i][j], gap[i][j]]
-                )
+        rows = ([i + 1, j + 1, payload["full"][i][j], payload["leading"][i][j], gap[i][j]]
+                for i in range(n) for j in range(n))
+        _emit_csv(["i", "j", "full", "leading", "gap"], rows)
     else:
         sys.stdout.write(f"clt covariances (N^2 k2), N={spec.n_dim} M={spec.m_dim}\n")
         for name, table in (("full", payload["full"]), ("leading", payload["leading"]),

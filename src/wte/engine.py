@@ -15,8 +15,9 @@ are averaged over both transpose signs with weight 1/2 per letter, which
 requires square X.
 
 Evaluation is one pass of a numpy kernel over contiguous chunks of the
-canonical pairing table, refused up front, before any table is built,
-with :class:`BudgetError` when its work, (m-1)!! * m * 2^w for w Wigner
+canonical pairing table (``_walk``, which the moment, the cumulant and
+the census share), refused up front, before any table is built, with
+:class:`BudgetError` when its work, (m-1)!! * m * 2^w for w Wigner
 letters, exceeds the budget it shares with the Wick oracle
 (``WTE_BUDGET``).  Each word shape compiles once into a plan
 (``_combinatorics``): the constant index arrays of the factor rotation
@@ -28,10 +29,11 @@ pointer doubling (the smallest position on each cycle is its canonical
 lead), joins sheet faces into components and counts crossings.  The
 per-pairing functions of ``gluing.py`` are the specification the kernel
 is tested against.  Python then walks each term's particular cycles from
-their leads, reads its weight from a dict keyed by the crossing count
-and the blocks' family pairs, and reads each cycle's trace from a memo
-that traces every distinct cycle once per evaluation.  A cumulant keeps
-a pairing when its surface has a single component.  Float evaluation
+their leads, takes its weight from the chunk's one weight per distinct
+crossing count and block family pairs, and reads each cycle's trace
+from a memo that traces every distinct cycle once per evaluation.  A
+cumulant keeps a pairing when its surface has a single component (the
+empty word counts as connected).  Float evaluation
 reduces the term values with error-free summation in canonical pairing
 order, so the same configuration gives the same bits on every run; exact
 mode keeps everything in integers and rationals.
@@ -52,10 +54,10 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .gluing import (
-    ComponentSurface,
     MirrorPropertyError,
     SurfaceReport,
     WordShape,
+    _assemble_surface,
     _rotation_arrays,
     front_rotation,
     slot_dimensions,
@@ -337,7 +339,6 @@ class _Plan:
         self.face = self.factor.repeat(2) + r * (np.arange(2 * m) % 2)
         self.doublings = max(2 * m - 1, 0).bit_length()
         self.closures = max(2 * r - 2, 0).bit_length()
-        self.surfaces: dict[tuple, SurfaceReport] = {}
 
     def glue(self, partner: np.ndarray) -> "_Gluing":
         """Vertex cycles and surface census of every pairing in ``partner``."""
@@ -382,43 +383,17 @@ class _Plan:
         key = np.concatenate(
             [component, orientable, vertices.reshape(len(partner), r)], axis=1
         )
+        # One census per distinct key row, which the chunk's rows share.
         kinds, kind = np.unique(key, axis=0, return_inverse=True)
-        reports = [self._surface(tuple(k)) for k in kinds.tolist()]
+        reports = [
+            _assemble_surface(shape, k[:r], k[r : 2 * r], k[2 * r :]) for k in kinds.tolist()
+        ]
         firsts = (2 * np.nonzero(particular)[1]).tolist()
         ends = np.cumsum(particular.sum(axis=1)).tolist()
         leads = [firsts[a:b] for a, b in zip([0] + ends[:-1], ends)]
         return _Gluing(
-            self.signed,
-            img.tolist(),
-            leads,
-            [reports[i] for i in kind.reshape(-1).tolist()],
-            (component == 0).all(axis=1).tolist(),
+            self.signed, img.tolist(), leads, [reports[i] for i in kind.reshape(-1).tolist()]
         )
-
-    def _surface(self, key: tuple[int, ...]) -> SurfaceReport:
-        """The census of one (component, orientable, vertices) row, built
-        once per plan: as ``surface_census`` lists it."""
-        report = self.surfaces.get(key)
-        if report is None:
-            shape = self.shape
-            r = shape.r
-            members: dict[int, list[int]] = {}
-            for f, c in enumerate(key[:r]):
-                members.setdefault(c, []).append(f)
-            report = self.surfaces[key] = SurfaceReport(
-                tuple(
-                    ComponentSurface(
-                        factors=tuple(f + 1 for f in factors),
-                        vertices=key[2 * r + c],
-                        edges=sum(shape.lengths[f] for f in factors) // 2,
-                        faces=len(factors),
-                        orientable=bool(key[r + c]),
-                    )
-                    for c, factors in members.items()
-                ),
-                sum(key[2 * r :]) - shape.m // 2 - r,
-            )
-        return report
 
 
 @dataclass(frozen=True)
@@ -429,7 +404,6 @@ class _Gluing:
     img: list[list[int]]
     leads: list[list[int]]
     census: list[SurfaceReport]
-    connected: list[bool]
 
     def cycles(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Row i's particular cycles, walked from their leads in order:
@@ -453,19 +427,25 @@ def _combinatorics(shape: WordShape) -> _Plan:
     return _Plan(shape)
 
 
+def _walk(plans: Sequence[_Plan], m: int, rows: int) -> Iterator[tuple]:
+    """The pairing sum's one pass over the canonical pairings of m
+    letters, in chunks of ``rows``: per chunk, its first index, its
+    ``_blocks``, its crossings and each plan's gluing of it."""
+    count = pairing_count(m)
+    for first in range(0, count, rows):
+        partner = _pairing_table(m, first, min(count, first + rows))
+        yield first, _blocks(partner), _crossings(partner), [p.glue(partner) for p in plans]
+
+
 def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, int]]:
     """Every pairing's (index, blocks, surface census, crossings), in
     canonical order, for the transpose signs as written."""
-    m = shape.m
-    _check_budget(m)
+    _check_budget(shape.m)
     plan = _combinatorics(shape)
-    count = pairing_count(m)
-    for first in range(0, count, _CHUNK_TERMS):
-        partner = _pairing_table(m, first, min(count, first + _CHUNK_TERMS))
-        census = plan.glue(partner).census
-        blocks = _block_rows(*_blocks(partner))
-        for i, cross in enumerate(_crossings(partner).tolist()):
-            yield first + i, blocks[i], census[i], cross
+    for first, blocks, cross, (gluing,) in _walk([plan], shape.m, _CHUNK_TERMS):
+        rows = zip(_block_rows(*blocks), gluing.census, cross.tolist())
+        for i, row in enumerate(rows):
+            yield (first + i, *row)
 
 
 def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentResult:
@@ -496,8 +476,6 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     share: Number = Fraction(1, 2**w) if exact else 0.5**w
 
     def shape_with(assign: tuple[int, ...]) -> WordShape:
-        if not w:
-            return shape
         eps = list(shape.epsilon)
         for pos, sign in zip(wigner_pos, assign):
             eps[pos - 1] = sign
@@ -506,40 +484,27 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     plans = [_combinatorics(shape_with(a)) for a in assignments]
     families = tuple(dict.fromkeys(shape.labels))
     family = np.array([families.index(lab) for lab in shape.labels], dtype=np.int64)
-    # Per evaluation: weights by (crossings, block family pairs), and each
-    # distinct cycle's trace, with the cycle tuple the terms share.
-    weights: dict[tuple[int, ...], Number] = {}
+    pairs = [(a, b) for a in families for b in families]  # pairs[code of (a, b)]
+    # Per evaluation: each distinct cycle's trace, with the cycle tuple the
+    # terms share.
     traces: dict[tuple[int, ...], tuple[tuple[int, ...], Number]] = {}
 
-    def weight_of(key: tuple[int, ...]) -> Number:
-        if key not in weights:
-            labels = [
-                (families[c // len(families)], families[c % len(families)])
-                for c in key[1:]
-            ]
-            weights[key] = _block_weight(key[0], labels, spec, exact) * share
-        return weights[key]
-
-    rows = max(1, _CHUNK_TERMS >> w)
-    count = pairing_count(m)
     # Odd m has no pairings: the sum is empty and the total is 0.
     terms = []
-    for first in range(0, count, rows):
-        partner = _pairing_table(m, first, min(count, first + rows))
-        gluings = [plan.glue(partner) for plan in plans]
-        opens, closes = _blocks(partner)
-        key = np.column_stack(
-            [_crossings(partner), family[opens - 1] * len(families) + family[closes - 1]]
-        )
+    for first, (opens, closes), cross, gluings in _walk(plans, m, max(1, _CHUNK_TERMS >> w)):
+        key = np.column_stack([cross, family[opens - 1] * len(families) + family[closes - 1]])
+        # One weight per distinct (crossings, block family pairs) row.
         kinds, kind = np.unique(key, axis=0, return_inverse=True)
-        kind_weights = [weight_of(tuple(k)) for k in kinds.tolist()]
+        kind_weights = [
+            _block_weight(k[0], [pairs[c] for c in k[1:]], spec, exact) * share
+            for k in kinds.tolist()
+        ]
         blocks = _block_rows(opens, closes)
         # The components of the letters do not depend on the transpose
         # signs, so any sign assignment's census decides transitivity; the
         # empty word has no components and counts as connected.
-        connected = gluings[0].connected
         for i, k in enumerate(kind.reshape(-1).tolist()):
-            if transitive_only and not connected[i]:
+            if transitive_only and r and not gluings[0].census[i].connected:
                 continue
             weight = kind_weights[k]
             for plan, gluing in zip(plans, gluings):

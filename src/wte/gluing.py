@@ -367,10 +367,6 @@ def surface_census(
     m, r = shape.m, shape.r
     if particular is None:
         particular = particular_cycles(vertex_permutation(p, shape))
-    order_exponent = len(particular) - m // 2 - r
-    if m == 0:
-        return SurfaceReport((), order_exponent)
-
     ranges = shape.factor_ranges()
     # Sheet face of the corner k, indexed by slot k + m (slots 0..2m).
     face = [0] * (2 * m + 1)
@@ -390,25 +386,34 @@ def surface_census(
     # The classes come in mirror pairs, so two factors' {front, back}
     # class pairs are equal or disjoint, and the smaller root names one.
     component_of = [min(sheets.find(f), sheets.find(f + r)) for f in range(r)]
+    orientable = {c: sheets.find(f) != sheets.find(f + r) for f, c in enumerate(component_of)}
+    vertex_in = dict.fromkeys(component_of, 0)
+    for cyc in particular:
+        vertex_in[component_of[face[m + abs(cyc[0])]]] += 1
+    return _assemble_surface(shape, component_of, orientable, vertex_in)
+
+
+def _assemble_surface(shape: WordShape, component_of, orientable, vertices) -> SurfaceReport:
+    """The census from the component label c of each (0-based) factor f,
+    ``component_of[f]``, and each component's ``orientable[c]`` and
+    particular vertex count ``vertices[c]``; the engine's kernel builds
+    its census here too.  Components are listed by their smallest factor."""
     members: dict[int, list[int]] = {}
     for f, c in enumerate(component_of):
         members.setdefault(c, []).append(f)
-    vertex_in = dict.fromkeys(members, 0)
-    for cyc in particular:
-        vertex_in[component_of[face[m + abs(cyc[0])]]] += 1
-
-    components = []
-    for c, factors in members.items():
-        components.append(
-            ComponentSurface(
-                factors=tuple(f + 1 for f in factors),
-                vertices=vertex_in[c],
-                edges=sum(shape.lengths[f] for f in factors) // 2,
-                faces=len(factors),
-                orientable=sheets.find(factors[0]) != sheets.find(factors[0] + r),
-            )
+    components = tuple(
+        ComponentSurface(
+            factors=tuple(f + 1 for f in factors),
+            vertices=vertices[c],
+            edges=sum(shape.lengths[f] for f in factors) // 2,
+            faces=len(factors),
+            orientable=bool(orientable[c]),
         )
-    return SurfaceReport(tuple(components), order_exponent)
+        for c, factors in members.items()
+    )
+    return SurfaceReport(
+        components, sum(c.vertices for c in components) - shape.m // 2 - shape.r
+    )
 
 
 def slot_dimensions(shape: WordShape, n_dim: int, m_dim: int) -> tuple[tuple[int, int], ...]:

@@ -187,6 +187,18 @@ class TestMomentCommand:
         assert payload["statistic"] == "cumulant"
         assert payload["term_count"] == 2
 
+    @pytest.mark.parametrize("head", ["E[", "k["])
+    @pytest.mark.parametrize("command", ["moment", "cumulant"])
+    def test_head_or_subcommand_asks_for_a_cumulant(self, capsys, command, head):
+        # Either k[ or the cumulant subcommand computes the cumulant.
+        payload = run_json(
+            capsys, command, "--expr", f"{head} tr(X' D1 X D2) tr(X' D3 X D4) ]",
+            "--bind-identity", "-N", "4", "-M", "3", "--exact",
+        )
+        cumulant = "cumulant" in (command, {"E[": "moment", "k[": "cumulant"}[head])
+        assert payload["statistic"] == ("cumulant" if cumulant else "moment")
+        assert payload["normalized_total_exact"] == ("3/32" if cumulant else "21/32")
+
 
 class TestCumulantCommand:
     def test_single_factor_equals_moment(self, capsys):
@@ -258,6 +270,35 @@ class TestExitCodes:
         )
         assert code == 2 and "row 2: unparseable entry" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("verify", "--samples", "-4"),
+            ("verify", "--samples", "1"),
+            ("moment", "-N", "0"),
+            ("moment", "-M", "0"),
+            ("clt", "-N", "-2"),
+            ("moment", "--q", "abc"),
+        ],
+    )
+    def test_bad_option_value_is_2(self, capsys, command, option, value):
+        # Refused while parsing, naming the option: before --bind-identity
+        # builds any identity, and before verify runs any check.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--expr", QUAD, "--bind-identity", option, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {option}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("samples, checks", [("0", 1), ("2", 2)])
+    def test_samples_zero_or_at_least_two(self, capsys, samples, checks):
+        # 0 runs no Monte Carlo check; 2 is the fewest that have a spread.
+        code, out, _ = run(
+            capsys, "verify", "--expr", QUAD, "--bind-identity", "-N", "3", "-M", "2",
+            "--samples", samples, "--format", "json",
+        )
+        assert code in (0, 1) and len(json.loads(out)["checks"]) == checks
 
     def test_missing_expression_is_2(self, capsys):
         code, _, _ = run(capsys, "moment", "--bind-identity")

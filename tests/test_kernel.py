@@ -106,7 +106,7 @@ class TestKernelMatchesSpecification:
             # (so chi); and the order exponent.
             assert gluing.census[i] == census
             assert gluing.census[i].vertex_count == len(parts)
-            assert gluing.connected[i] == is_transitive(p, shape)
+            assert gluing.census[i].connected == is_transitive(p, shape)
             assert cross[i] == crossings(p)
 
     @pytest.mark.parametrize("shape", SHAPES[::3], ids=lambda s: f"{s.lengths}{s.epsilon}")
@@ -153,6 +153,13 @@ class TestKernelMatchesSpecification:
         chunked = moment(spec)
         assert repr(chunked.total) == repr(whole.total)
         assert as_rows(chunked) == as_rows(whole)
+
+    def test_census_across_chunk_seams(self, monkeypatch):
+        # 105 pairings in chunks of 7: every seam falls inside the census.
+        shape = random_shape(random.Random(5), 8)
+        whole = list(census_rows(shape))
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 7)
+        assert list(census_rows(shape)) == whole
 
     @pytest.mark.parametrize(
         "row, message",
