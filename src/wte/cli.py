@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 failure or verification mismatch, 2 usage
 errors (among them an option the subcommand does not take, such as
 ``census --wigner``: the census classifies the transpose signs as
 written; ``census --terms --format csv``: csv writes the group table;
-and a value an option does not take, such as ``-N 0``, ``--samples 1``
-or ``--q abc``), parse errors (expression or input files) and input
-files that cannot be read or are not UTF-8, 3 dimension/binding errors,
+and a value an option does not take, such as ``-N 0``, ``--samples 1``,
+``--q abc`` or ``--q 2``), parse errors (expression or input files) and
+input files that cannot be read or are not UTF-8, 3 dimension/binding errors,
 4 work budget exceeded (the pairing sum of ``moment``, ``cumulant`` and
 ``census``, or the Wick expansion of ``verify``, which is checked before
 the engine runs).
@@ -63,12 +63,27 @@ MC_SIGMA = 5.0
 def _count(least: int, zero: bool = False):
     """An argparse type: an integer of at least ``least``, or 0 if ``zero``."""
     def count(text: str) -> int:
-        n = int(text)
-        if n < least and not (zero and n == 0):
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or (n < least and not (zero and n == 0)):
             raise argparse.ArgumentTypeError(
-                f"must be {'0 or ' if zero else ''}at least {least}, got {n}")
+                f"must be {'0 or ' if zero else ''}an integer of at least {least}, got {text!r}")
         return n
     return count
+
+
+def _q(text: str):
+    """The argparse type of ``--q``: a number in [-1, 1], read exactly."""
+    try:
+        q = _parse_number(text)
+    except ValueError:
+        q = None
+    if q is None or not -1 <= q <= 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in [-1, 1], such as 1/2 or 0.25, got {text!r}")
+    return q
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     model.add_argument("-N", dest="n_dim", type=_count(1), default=1,
                        help="columns of X (trace scale)")
     model.add_argument("-M", dest="m_dim", type=_count(1), default=1, help="rows of X")
-    model.add_argument("--q", type=_parse_number, default=1,
+    model.add_argument("--q", type=_q, default=1,
                        help="deformation parameter in [-1, 1]")
     model.add_argument("--gram", metavar="FILE", help="family inner-product matrix file")
     model.add_argument("--exact", action="store_true", help="exact rational arithmetic")

@@ -28,15 +28,20 @@ the closed form of ``gluing._vertex_image``, labels its cycles by
 pointer doubling (the smallest position on each cycle is its canonical
 lead), joins sheet faces into components and counts crossings.  The
 per-pairing functions of ``gluing.py`` are the specification the kernel
-is tested against.  Python then walks each term's particular cycles from
-their leads, takes its weight from the chunk's one weight per distinct
-crossing count and block family pairs, and reads each cycle's trace
-from a memo that traces every distinct cycle once per evaluation.  A
-cumulant keeps a pairing when its surface has a single component (the
-empty word counts as connected).  Float evaluation
-reduces the term values with error-free summation in canonical pairing
-order, so the same configuration gives the same bits on every run; exact
-mode keeps everything in integers and rationals.
+is tested against.  The chunk's terms are then assembled in numpy too:
+one weight per distinct crossing count and block family pairs, a
+lockstep walk of every particular cycle from its lead, one lookup per
+distinct cycle of the chunk in a memo that keeps every distinct cycle of
+the evaluation once (the tuple all terms share, and its trace), and
+:func:`~wte.matrices.trace_cycles` for the new ones, which has the bits
+of ``trace_along`` cycle by cycle.  A term's value is its weight times
+its cycles' traces, multiplied in cycle order; a term of weight 0 has
+value 0 and its cycles are not traced.  A cumulant keeps a pairing when
+its surface has a single component (the empty word counts as
+connected).  Float evaluation reduces the term values with error-free
+summation in canonical pairing order, so the same configuration gives
+the same bits on every run; exact mode keeps everything in integers and
+rationals.
 """
 
 from __future__ import annotations
@@ -62,12 +67,13 @@ from .gluing import (
     front_rotation,
     slot_dimensions,
 )
-from .matrices import DimensionError, Gram, Matrix, trace_along
+from .matrices import DimensionError, Gram, Matrix, _row_codes, trace_cycles
 from .perm import Pairing, crossings, orbits, pairing_count
 
 # The per-pairing specification the kernel is tested against; bound here
 # too, so that a tracer finds every layer in this namespace.
 from .gluing import particular_cycles, surface_census, vertex_permutation  # noqa: F401
+from .matrices import trace_along  # noqa: F401
 from .perm import enumerate_pairings  # noqa: F401
 
 Number = Union[int, float, Fraction]
@@ -384,40 +390,90 @@ class _Plan:
             [component, orientable, vertices.reshape(len(partner), r)], axis=1
         )
         # One census per distinct key row, which the chunk's rows share.
-        kinds, kind = np.unique(key, axis=0, return_inverse=True)
+        _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
         reports = [
-            _assemble_surface(shape, k[:r], k[r : 2 * r], k[2 * r :]) for k in kinds.tolist()
+            _assemble_surface(shape, k[:r], k[r : 2 * r], k[2 * r :])
+            for k in key[firsts].tolist()
         ]
-        firsts = (2 * np.nonzero(particular)[1]).tolist()
-        ends = np.cumsum(particular.sum(axis=1)).tolist()
-        leads = [firsts[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        return _Gluing(
-            self.signed, img.tolist(), leads, [reports[i] for i in kind.reshape(-1).tolist()]
-        )
+        kind = kind.reshape(-1).tolist()
+        return _Gluing(img, particular, [reports[i] for i in kind])
 
 
 @dataclass(frozen=True)
 class _Gluing:
-    """The kernel's output for one chunk and one sign assignment."""
+    """The kernel's output for one chunk and one sign assignment: per row,
+    the vertex image of each position, which positive letters lead a
+    particular cycle, and the surface census."""
 
-    signed: list[int]
-    img: list[list[int]]
-    leads: list[list[int]]
+    img: np.ndarray
+    particular: np.ndarray
     census: list[SurfaceReport]
 
-    def cycles(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Row i's particular cycles, walked from their leads in order:
-        ``particular_cycles(vertex_permutation(p, shape))``."""
-        img, signed = self.img[i], self.signed
-        out = []
-        for lead in self.leads[i]:
-            cyc = [signed[lead]]
-            x = img[lead]
-            while x != lead:
-                cyc.append(signed[x])
-                x = img[x]
-            out.append(tuple(cyc))
-        return tuple(out)
+
+def _cycle_walk(img: np.ndarray, particular: np.ndarray) -> np.ndarray:
+    """The positions of every row's particular cycles, walked from their
+    leads in lockstep: one row per cycle, by row and then by lead, padded
+    with 2m after the cycle closes."""
+    rows, leads = np.nonzero(particular)
+    lead = 2 * leads
+    flat, pad = img.ravel(), img.shape[1]
+    base = pad * rows
+    walk = np.full((len(lead), max(pad // 2, 1)), pad, dtype=np.min_scalar_type(pad))
+    x, open_, steps = lead, np.ones(len(lead), dtype=bool), 0
+    while open_.any():
+        walk[:, steps] = np.where(open_, x, pad)
+        steps += 1
+        x = flat[base + x]
+        open_ &= x != lead
+    return walk[:, : max(steps, 1)]
+
+
+def _letters(walk: np.ndarray, signed: list[int]) -> list[tuple[int, ...]]:
+    """Each walked cycle as its tuple of signed letters, which are the
+    objects of ``signed``, so that equal letters are one int object."""
+    inside = walk != len(signed)
+    it = map(signed.__getitem__, walk[inside].tolist())
+    return [tuple(itertools.islice(it, n)) for n in inside.sum(axis=1).tolist()]
+
+
+class _CycleTraces:
+    """Per evaluation: every distinct cycle once, as the tuple that all
+    terms share, with its trace once a term of nonzero weight needs it."""
+
+    def __init__(self, signed: list[int], mats: Sequence[Matrix], exact: bool):
+        self.signed, self.mats, self.exact = signed, mats, exact
+        self.dtype = object if exact else float
+        self.index: dict[tuple[int, ...], int] = {}
+        self.cycles: list[tuple[int, ...]] = []
+        self.values = np.zeros(0, dtype=self.dtype)
+        self.traced = np.zeros(0, dtype=bool)
+
+    def read(self, walk: np.ndarray, needed: np.ndarray) -> tuple[list, np.ndarray]:
+        """Each walked cycle's shared tuple and trace.  Each distinct cycle
+        of the walk is looked up once, and the new ones that are
+        ``needed`` are traced; a cycle never needed reads 0."""
+        _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
+        ids = []
+        for cyc in _letters(walk[firsts], self.signed):
+            i = self.index.setdefault(cyc, len(self.cycles))
+            if i == len(self.cycles):
+                self.cycles.append(cyc)
+            ids.append(i)
+        if len(self.cycles) > len(self.values):
+            grow = max(len(self.cycles) - len(self.values), len(self.values))
+            self.values = np.concatenate([self.values, np.zeros(grow, dtype=self.dtype)])
+            self.traced = np.concatenate([self.traced, np.zeros(grow, dtype=bool)])
+        ids = np.array(ids, dtype=np.intp)
+        need = np.zeros(len(ids), dtype=bool)
+        inverse = inverse.reshape(-1)
+        need[inverse[needed]] = True
+        new = ids[need & ~self.traced[ids]]
+        self.values[new] = trace_cycles(
+            [self.cycles[i] for i in new.tolist()], self.mats, self.exact
+        )
+        self.traced[new] = True
+        ids = ids[inverse]
+        return list(map(self.cycles.__getitem__, ids.tolist())), self.values[ids]
 
 
 @lru_cache(maxsize=64)
@@ -485,63 +541,73 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     families = tuple(dict.fromkeys(shape.labels))
     family = np.array([families.index(lab) for lab in shape.labels], dtype=np.int64)
     pairs = [(a, b) for a in families for b in families]  # pairs[code of (a, b)]
-    # Per evaluation: each distinct cycle's trace, with the cycle tuple the
-    # terms share.
-    traces: dict[tuple[int, ...], tuple[tuple[int, ...], Number]] = {}
+    traces = _CycleTraces(plans[0].signed, spec.matrices, exact)
 
-    # Odd m has no pairings: the sum is empty and the total is 0.
-    terms = []
-    for first, (opens, closes), cross, gluings in _walk(plans, m, max(1, _CHUNK_TERMS >> w)):
+    def chunk_terms(first, ends, cross, gluings) -> list[TermReport]:
+        """One chunk's terms; its arrays are freed before the next chunk."""
+        opens, closes = ends
         key = np.column_stack([cross, family[opens - 1] * len(families) + family[closes - 1]])
         # One weight per distinct (crossings, block family pairs) row.
-        kinds, kind = np.unique(key, axis=0, return_inverse=True)
+        _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
         kind_weights = [
             _block_weight(k[0], [pairs[c] for c in k[1:]], spec, exact) * share
-            for k in kinds.tolist()
+            for k in key[firsts].tolist()
         ]
-        blocks = _block_rows(opens, closes)
         # The components of the letters do not depend on the transpose
         # signs, so any sign assignment's census decides transitivity; the
         # empty word has no components and counts as connected.
-        for i, k in enumerate(kind.reshape(-1).tolist()):
-            if transitive_only and r and not gluings[0].census[i].connected:
-                continue
-            weight = kind_weights[k]
-            for plan, gluing in zip(plans, gluings):
-                parts = gluing.cycles(i)
-                if weight == 0:
-                    value: Number = weight
-                else:
-                    # trace_along(parts) multiplies its cycles' traces in
-                    # order; each distinct cycle is traced and chain-checked
-                    # once.  The mirror checks in glue already rule out a
-                    # slot repeated across a term's cycles.
-                    product: Number = 1 if exact else 1.0
-                    shared = []
-                    for cyc in parts:
-                        hit = traces.get(cyc)
-                        if hit is None:
-                            hit = traces[cyc] = (
-                                cyc,
-                                trace_along((cyc,), spec.matrices, exact),
-                            )
-                        shared.append(hit[0])
-                        product = product * hit[1]
-                    parts = tuple(shared)
-                    value = weight * product
+        rows = np.arange(len(cross))
+        if transitive_only and r:
+            rows = rows[[c.connected for c in gluings[0].census]]
+        kind = kind.reshape(-1)[rows]
+        # Terms in canonical order: by pairing row, then by sign assignment.
+        count = len(rows) * len(plans)
+        particular = np.stack([g.particular[rows] for g in gluings], axis=1).reshape(count, m)
+        walk = _cycle_walk(
+            np.stack([g.img[rows] for g in gluings], axis=1).reshape(count, 2 * m), particular
+        )
+        counts = particular.sum(axis=1)
+        term = np.repeat(np.arange(count), counts)
+        weight = np.array(kind_weights, dtype=traces.dtype)[kind].repeat(len(plans))
+        zero = weight == 0
+        cycles, values = traces.read(walk, needed=~zero[term])
+
+        # trace_along(cycles) multiplies its cycles' traces in order from 1,
+        # and so do the columns of the grid, padded with 1.  The mirror
+        # checks in glue already rule out a slot repeated across a term's
+        # cycles, which trace_along would refuse.
+        grid = np.ones((count, int(counts.max(initial=0))), dtype=traces.dtype)
+        grid[term, np.arange(len(term)) - (np.cumsum(counts) - counts)[term]] = values
+        product = np.ones(count, dtype=traces.dtype)
+        with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
+            for column in grid.T:
+                product = product * column
+            values = iter(np.where(zero, weight, weight * product).tolist())
+
+        blocks = _block_rows(opens, closes)
+        cycles = iter(cycles)
+        out = []
+        for i, k, n in zip(rows.tolist(), kind.tolist(), counts.reshape(-1, len(plans)).tolist()):
+            for plan, gluing, parts in zip(plans, gluings, n):
                 census = gluing.census[i]
-                terms.append(
+                out.append(
                     TermReport(
                         index=first + i,
                         blocks=blocks[i],
-                        weight=weight,
-                        cycles=parts,
+                        weight=kind_weights[k],
+                        cycles=tuple(itertools.islice(cycles, parts)),
                         surface=census,
                         order_exponent=census.order_exponent,
-                        value=value,
+                        value=next(values),
                         epsilon=plan.shape.epsilon if w else None,
                     )
                 )
+        return out
+
+    # Odd m has no pairings: the sum is empty and the total is 0.
+    terms = []
+    for chunk in _walk(plans, m, max(1, _CHUNK_TERMS >> w)):
+        terms += chunk_terms(*chunk)
 
     if exact:
         prefactor: Number = Fraction(1, spec.n_dim ** (m // 2 + r))

@@ -7,9 +7,10 @@ a float64 array for float evaluation and an object array holding the
 ``int``/``Fraction`` entries themselves, whose products are exact and
 unbounded.  The matrices of a word's slots 1..m are a plain tuple in
 slot order, as :func:`bind_matrices` returns it.  :func:`trace_along`
-is the one reader of signed slots: slot k is the matrix of slot k and
--k its transpose, which is never materialized; evaluation multiplies
-the transposed view.
+reads signed slots: slot k is the matrix of slot k and -k its
+transpose, which is never materialized; evaluation multiplies the
+transposed view.  :func:`trace_cycles` traces many cycles at once with
+the same views, so that each of its traces has ``trace_along``'s bits.
 """
 
 from __future__ import annotations
@@ -350,3 +351,84 @@ def trace_along(
         diagonal = prod.diagonal().tolist()
         total = total * (sum(diagonal) if exact else math.fsum(diagonal))
     return total
+
+
+def _row_codes(key: np.ndarray) -> np.ndarray:
+    """One int64 per row of a non-negative integer array, equal for equal
+    rows and ordered as the rows are lexicographically, so that
+    ``np.unique`` of the codes groups the rows without sorting records."""
+    code = np.zeros(len(key), dtype=np.int64)
+    for col in key.T:
+        col = col.astype(np.int64)
+        radix = int(col.max(initial=0)) + 1
+        if int(code.max(initial=0)) >= (1 << 62) // radix:
+            # Renumber the distinct prefixes densely before they overflow.
+            code = np.unique(code, return_inverse=True)[1].reshape(-1)
+        code = code * radix + col
+    return code
+
+
+def trace_cycles(
+    cycles: Sequence[Sequence[int]], mats: Sequence[Matrix], exact: bool = False
+) -> list[Number]:
+    """``trace_along((cyc,), mats, exact)`` for each cycle, in order.
+
+    Cycles of one length, one set of transpose signs and view shapes are
+    traced together, one stacked ``@`` per position, and every matrix in
+    a stack keeps the strides and transpose flag ``trace_along`` gives
+    it, so each trace has the same bits.  Where a cycle's first two slots
+    hold one matrix with opposite signs, both factors are views of one
+    stack, as ``trace_along``'s are views of one array.  A cycle that
+    fails a check of ``trace_along`` is handed to it, which raises.
+    """
+    out: list[Number] = [None] * len(cycles)
+    dims = np.array([(a.rows, a.cols) for a in mats], dtype=np.int64).reshape(-1, 2)
+    usable = np.array([a.is_exact or not exact for a in mats], dtype=bool)
+    ident = np.array([next(j for j, b in enumerate(mats) if b is a) for a in mats], dtype=np.int64)
+    # One stack per storage shape; slot k is stacks[dims[k]][where[k]].
+    stacks: dict[tuple[int, int], list] = {}
+    where = np.zeros(len(mats), dtype=np.intp)
+    for k, a in enumerate(mats):
+        stack = stacks.setdefault((a.rows, a.cols), [])
+        where[k] = len(stack)
+        stack.append(a.as_array(exact))
+    stacks = {d: np.stack(views) for d, views in stacks.items()}
+
+    by_length: dict[int, list[int]] = {}
+    for i, cyc in enumerate(cycles):
+        by_length.setdefault(len(cyc), []).append(i)
+    for length, idx in by_length.items():
+        letters = np.array([cycles[i] for i in idx], dtype=np.int64).reshape(len(idx), length)
+        slot, neg = np.abs(letters) - 1, letters < 0
+        bad = ((slot < 0) | (slot >= len(mats))).any(axis=1)
+        if not bad.any():
+            rows = np.where(neg, dims[slot, 1], dims[slot, 0])
+            cols = np.where(neg, dims[slot, 0], dims[slot, 1])
+            ordered = np.sort(slot, axis=1)
+            bad = (
+                (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+                | ~usable[slot].all(axis=1)
+                | (cols != np.roll(rows, -1, axis=1)).any(axis=1)
+            )
+        if bad.any():
+            trace_along((cycles[idx[int(np.argmax(bad))]],), mats, exact)
+        alias = np.zeros(len(idx), dtype=bool)
+        if length > 1:
+            alias = (ident[slot[:, 0]] == ident[slot[:, 1]]) & (neg[:, 0] != neg[:, 1])
+        codes = _row_codes(np.column_stack([neg, rows, alias]))
+        order = np.argsort(codes, kind="stable")
+        for members in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
+            f = members[0]
+            views = []
+            for j in range(length):
+                view = stacks[tuple(dims[slot[f, j]].tolist())][where[slot[members, j]]]
+                views.append(view.transpose(0, 2, 1) if neg[f, j] else view)
+            if alias[f]:
+                views[1] = views[0].transpose(0, 2, 1)
+            prod = views[0]
+            for view in views[1:]:
+                prod = prod @ view
+            diagonals = prod.diagonal(axis1=1, axis2=2).tolist()
+            for i, diagonal in zip(members.tolist(), diagonals):
+                out[idx[i]] = sum(diagonal) if exact else math.fsum(diagonal)
+    return out

@@ -291,6 +291,30 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument {option}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, option, value, takes",
+        [
+            ("moment", "--q", "abc", "a number in [-1, 1]"),
+            ("moment", "--q", "1/0", "a number in [-1, 1]"),
+            ("moment", "--q", "2", "a number in [-1, 1]"),
+            ("cumulant", "--q", "nan", "a number in [-1, 1]"),
+            ("clt", "--q", "-inf", "a number in [-1, 1]"),
+            ("moment", "-N", "x", "an integer of at least 1"),
+            ("moment", "-M", "1.5", "an integer of at least 1"),
+            ("verify", "--samples", "two", "0 or an integer of at least 2"),
+        ],
+    )
+    def test_bad_option_value_says_what_the_option_takes(
+        self, capsys, command, option, value, takes
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--expr", QUAD, "--bind-identity", f"{option}={value}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {option}: must be {takes}" in err and f"got {value!r}" in err
+        assert "invalid" not in err and "_parse_number" not in err and "count" not in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("samples, checks", [("0", 1), ("2", 2)])
     def test_samples_zero_or_at_least_two(self, capsys, samples, checks):
         # 0 runs no Monte Carlo check; 2 is the fewest that have a spread.

@@ -2,8 +2,10 @@
 ``vertex_permutation``, ``particular_cycles``, ``surface_census``,
 ``is_transitive``, ``crossings``, ``pairing_weight`` and ``trace_along``."""
 
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,8 @@ from wte.engine import (
     MomentSpec,
     _combinatorics,
     _crossings,
+    _cycle_walk,
+    _letters,
     _pairing_table,
     census_rows,
     cumulant,
@@ -29,7 +33,7 @@ from wte.gluing import (
     surface_census,
     vertex_permutation,
 )
-from wte.matrices import Gram, Matrix, trace_along
+from wte.matrices import Gram, Matrix, trace_along, trace_cycles
 from wte.perm import crossings, enumerate_pairings, pairing_count
 
 
@@ -96,18 +100,21 @@ class TestKernelMatchesSpecification:
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s.lengths}{s.epsilon}")
     def test_every_pairing(self, shape):
         partner = _pairing_table(shape.m, 0, pairing_count(shape.m))
-        gluing = _combinatorics(shape).glue(partner)
+        plan = _combinatorics(shape)
+        gluing = plan.glue(partner)
         cross = _crossings(partner).tolist()
+        walked = iter(_letters(_cycle_walk(gluing.img, gluing.particular), plan.signed))
         for i, p in enumerate(enumerate_pairings(shape.m)):
             parts = particular_cycles(vertex_permutation(p, shape))
             census = surface_census(p, shape)
-            assert gluing.cycles(i) == parts
+            assert tuple(itertools.islice(walked, int(gluing.particular[i].sum()))) == parts
             # Per component: factors, vertices, edges, faces, orientability
             # (so chi); and the order exponent.
             assert gluing.census[i] == census
             assert gluing.census[i].vertex_count == len(parts)
             assert gluing.census[i].connected == is_transitive(p, shape)
             assert cross[i] == crossings(p)
+        assert next(walked, None) is None
 
     @pytest.mark.parametrize("shape", SHAPES[::3], ids=lambda s: f"{s.lengths}{s.epsilon}")
     def test_census_rows(self, shape):
@@ -153,6 +160,19 @@ class TestKernelMatchesSpecification:
         chunked = moment(spec)
         assert repr(chunked.total) == repr(whole.total)
         assert as_rows(chunked) == as_rows(whole)
+
+    def test_cumulant_chunks_that_keep_no_pairing(self, monkeypatch):
+        # One pairing per chunk: the chunks of disconnecting pairings keep
+        # no term at all.
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 1)
+        rng = random.Random(8)
+        shape = WordShape((2, 2, 2), (1, -1, -1, 1, 1, -1))
+        spec = MomentSpec(shape, fraction_matrices(rng, shape, 2, 3), 2, 3)
+        total, terms = reference_sum(spec, transitive_only=True)
+        res = cumulant(spec)
+        assert 0 < len(res.terms) < pairing_count(6)
+        assert repr(res.total) == repr(total)
+        assert as_rows(res) == terms
 
     def test_census_across_chunk_seams(self, monkeypatch):
         # 105 pairings in chunks of 7: every seam falls inside the census.
@@ -207,3 +227,138 @@ class TestMomentMatchesReferenceSum:
         res = cumulant(spec)
         assert repr(res.total) == repr(total)
         assert as_rows(res) == terms
+
+
+def float_matrices(rng, shape, n_dim, m_dim):
+    """Slot matrices with full-precision float entries."""
+    return tuple(
+        Matrix([[rng.uniform(-1, 1) for _ in range(c)] for _ in range(r)])
+        for r, c in slot_dimensions(shape, n_dim, m_dim)
+    )
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """Every (cycles, traces, exact) batch the engine traces."""
+    calls = []
+    real = wte.engine.trace_cycles
+
+    def spy(cycles, mats, exact=False):
+        out = real(cycles, mats, exact)
+        calls.append((list(cycles), out, exact))
+        return out
+
+    monkeypatch.setattr(wte.engine, "trace_cycles", spy)
+    return calls
+
+
+def assert_traces_match_trace_along(calls, res, mats):
+    """Each cycle is traced once, with ``trace_along``'s bits (float) or
+    value and type (exact), and exactly the cycles of nonzero-weight
+    terms are traced."""
+    seen = set()
+    for cycles, out, exact in calls:
+        for cyc, value in zip(cycles, out):
+            assert cyc not in seen
+            seen.add(cyc)
+            want = trace_along((cyc,), mats, exact)
+            if exact:
+                assert value == want and type(value) is type(want)
+            else:
+                assert repr(value) == repr(want)
+    assert seen == {c for t in res.terms if t.weight != 0 for c in t.cycles}
+    return seen
+
+
+class TestBatchedTraces:
+    """``trace_cycles`` against ``trace_along``, for every distinct cycle
+    the engine traces."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s.lengths}{s.epsilon}")
+    def test_every_distinct_cycle(self, traced, shape, exact):
+        # N != M, so slots are rectangular; entries k/7 round as floats.
+        rng = random.Random(repr(shape))
+        spec = MomentSpec(shape, fraction_matrices(rng, shape, 3, 2), 3, 2)
+        res = moment(spec, exact=exact)
+        assert_traces_match_trace_along(traced, res, spec.matrices)
+
+    def test_wigner_sign_assignments(self, traced):
+        rng = random.Random(12)
+        base = random_shape(rng, 8, labels=("X", "Z", "X", "Z", "Z", "X", "X", "X"))
+        spec = MomentSpec(
+            base, float_matrices(rng, base, 3, 3), 3, 3, wigner=frozenset({"Z"})
+        )
+        res = moment(spec)
+        assert len({t.epsilon for t in res.terms}) == 8
+        assert_traces_match_trace_along(traced, res, spec.matrices)
+
+    def test_weight_zero_terms_are_not_traced(self, traced):
+        rng = random.Random(13)
+        shape = random_shape(rng, 10)
+        spec = MomentSpec(shape, fraction_matrices(rng, shape, 2, 3), 2, 3, q=0)
+        res = moment(spec)
+        seen = assert_traces_match_trace_along(traced, res, spec.matrices)
+        zero = {c for t in res.terms if t.weight == 0 for c in t.cycles}
+        assert zero - seen
+        assert all(t.value == 0 for t in res.terms if t.weight == 0)
+
+    def test_chunk_seams(self, traced, monkeypatch):
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 7)
+        rng = random.Random(14)
+        shape = random_shape(rng, 10)
+        spec = MomentSpec(shape, float_matrices(rng, shape, 2, 3), 2, 3)
+        t0 = time.perf_counter()
+        res = moment(spec)
+        assert 0 <= res.metadata["elapsed_s"] <= time.perf_counter() - t0
+        assert len(traced) > 1
+        assert_traces_match_trace_along(traced, res, spec.matrices)
+        total, terms = reference_sum(spec)
+        assert repr(res.total) == repr(total)
+        assert [repr(t.value) for t in res.terms] == [repr(t[-1]) for t in terms]
+
+    def test_aliased_slot(self, traced):
+        # One Matrix in slots 1 and 3 (X' D1 X D2 X' D3 ...): a cycle that
+        # starts (1, -3) multiplies a @ a.T in trace_along, which numpy
+        # may hand to syrk rather than gemm.
+        rng = random.Random(15)
+        shape = WordShape.alternating((8,))
+        mats = list(float_matrices(rng, shape, 3, 3))
+        mats[2] = mats[0]
+        spec = MomentSpec(shape, mats, 3, 3)
+        res = moment(spec)
+        seen = assert_traces_match_trace_along(traced, res, spec.matrices)
+        assert any(
+            len(c) > 1 and mats[abs(c[0]) - 1] is mats[abs(c[1]) - 1] and c[0] * c[1] < 0
+            for c in seen
+        )
+
+    def test_aliased_slots_directly(self):
+        # Every slot holds one square matrix: every cycle of two or more
+        # slots starts with an aliased pair.
+        rng = random.Random(16)
+        mat = Matrix([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)])
+        mats = (mat,) * 6
+        cycles = []
+        for _ in range(400):
+            slots = rng.sample(range(1, 7), rng.randint(1, 6))
+            cycles.append(tuple(k * rng.choice((1, -1)) for k in slots))
+        got = trace_cycles(cycles, mats)
+        assert [repr(x) for x in got] == [repr(trace_along((c,), mats)) for c in cycles]
+
+
+class TestSharedCycles:
+    def test_equal_cycles_are_one_object(self):
+        rng = random.Random(17)
+        shape = random_shape(rng, 10, labels=("X", "Z") * 5)
+        spec = MomentSpec(
+            shape, fraction_matrices(rng, shape, 2, 2), 2, 2, wigner=frozenset({"Z"})
+        )
+        res = moment(spec)
+        first = {}
+        for t in res.terms:
+            for c in t.cycles:
+                assert first.setdefault(c, c) is c
+        # The letters are the plan's int objects, not ints read back from
+        # an array, which would be new objects for |x| > 5.
+        assert len({id(x) for t in res.terms for c in t.cycles for x in c}) <= 2 * shape.m

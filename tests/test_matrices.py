@@ -17,6 +17,7 @@ from wte.matrices import (
     parse_matrix,
     slot_identity_fill,
     trace_along,
+    trace_cycles,
 )
 
 
@@ -214,6 +215,49 @@ class TestTraceAlong:
         ms = (a, b)
         expected = int(np.trace(a.as_array() @ b.as_array()))
         assert trace_along([(1, 2)], ms, exact=True) == expected
+
+
+class TestTraceCycles:
+    """``trace_cycles`` is ``trace_along`` of each cycle on its own."""
+
+    def setup_method(self):
+        rng = random.Random(12)
+        # Slots 1-3 are 2x3, 3x3 and 3x2; slot 4 is a float 3x3.
+        self.mats = (
+            random_int_matrix(rng, 2, 3),
+            Matrix([[Fraction(rng.randint(-9, 9), 7) for _ in range(3)] for _ in range(3)]),
+            random_int_matrix(rng, 3, 2),
+            Matrix([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)]),
+        )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_values(self, exact):
+        cycles = [(2,), (-2,), (1, 2, 3), (-3, -2, -1), (1, -2, 3), (3, 1), (-1, -3), (2,)]
+        if not exact:
+            cycles += [(4,), (2, 4), (-4, 2), (1, 4, 3)]
+        got = trace_cycles(cycles, self.mats, exact)
+        want = [trace_along((c,), self.mats, exact) for c in cycles]
+        if exact:
+            assert got == want and [type(x) for x in got] == [type(x) for x in want]
+        else:
+            assert [repr(x) for x in got] == [repr(x) for x in want]
+
+    @pytest.mark.parametrize(
+        "bad, error, exact",
+        [
+            ((1, 5), IndexError, False),
+            ((0,), IndexError, False),
+            ((2, -2), ValueError, False),
+            ((1, 3, 2), DimensionError, False),
+            ((2, 4), ValueError, True),
+        ],
+    )
+    def test_errors_are_trace_along_errors(self, bad, error, exact):
+        with pytest.raises(error) as want:
+            trace_along((bad,), self.mats, exact)
+        with pytest.raises(error) as got:
+            trace_cycles([(1, 2, 3), bad, (2,)], self.mats, exact)
+        assert str(got.value) == str(want.value)
 
 
 class TestBindMatrices:
