@@ -40,8 +40,12 @@ value 0 and its cycles are not traced.  A cumulant keeps a pairing when
 its surface has a single component (the empty word counts as
 connected).  Float evaluation reduces the term values with error-free
 summation in canonical pairing order, so the same configuration gives
-the same bits on every run; exact mode keeps everything in integers and
-rationals.
+the same bits on every run.  Exact mode puts each chunk's distinct
+weights over one common denominator (the lcm of theirs): a term's value
+is the ``Fraction`` of its integer numerator, the weight's numerator
+times the trace product, over that denominator, the numerators of a
+chunk are summed as plain ints once, and the total is the prefactor
+times the sum of the chunks' fractions.
 """
 
 from __future__ import annotations
@@ -153,6 +157,12 @@ class MomentSpec:
                 raise DimensionError(
                     f"slot {k} expected {want[0]}x{want[1]}, got {mat.rows}x{mat.cols}"
                 )
+            for i, row in enumerate(mat.entries, start=1):
+                for j, x in enumerate(row, start=1):
+                    if isinstance(x, float) and not math.isfinite(x):
+                        raise ValueError(
+                            f"slot {k} entry ({i}, {j}) is {x}: matrix entries must be finite"
+                        )
 
     def fingerprint(self) -> str:
         """Stable content hash for reproducibility metadata."""
@@ -543,8 +553,10 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     pairs = [(a, b) for a in families for b in families]  # pairs[code of (a, b)]
     traces = _CycleTraces(plans[0].signed, spec.matrices, exact)
 
-    def chunk_terms(first, ends, cross, gluings) -> list[TermReport]:
-        """One chunk's terms; its arrays are freed before the next chunk."""
+    def chunk_terms(first, ends, cross, gluings) -> tuple[list[TermReport], Number]:
+        """One chunk's terms and, in exact mode, the exact sum of their
+        values (0 in float mode); its arrays are freed before the next
+        chunk."""
         opens, closes = ends
         key = np.column_stack([cross, family[opens - 1] * len(families) + family[closes - 1]])
         # One weight per distinct (crossings, block family pairs) row.
@@ -568,7 +580,17 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
         )
         counts = particular.sum(axis=1)
         term = np.repeat(np.arange(count), counts)
-        weight = np.array(kind_weights, dtype=traces.dtype)[kind].repeat(len(plans))
+        if exact:
+            # The distinct weights over one common denominator: a term's
+            # value is an integer weight numerator times its trace product,
+            # over den.
+            den = math.lcm(*(x.denominator for x in kind_weights))
+            weight = np.array(
+                [x.numerator * (den // x.denominator) for x in kind_weights], dtype=object
+            )
+        else:
+            weight = np.array(kind_weights, dtype=float)
+        weight = weight[kind].repeat(len(plans))
         zero = weight == 0
         cycles, values = traces.read(walk, needed=~zero[term])
 
@@ -582,7 +604,15 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
         with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
             for column in grid.T:
                 product = product * column
-            values = iter(np.where(zero, weight, weight * product).tolist())
+            if exact:
+                # An untraced cycle reads 0, so a term of weight 0 has
+                # numerator 0.
+                numerators = (weight * product).tolist()
+                chunk_sum = Fraction(sum(numerators), den)
+                values = (Fraction(x, den) for x in numerators)
+            else:
+                chunk_sum = 0
+                values = iter(np.where(zero, weight, weight * product).tolist())
 
         blocks = _block_rows(opens, closes)
         cycles = iter(cycles)
@@ -602,16 +632,18 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
                         epsilon=plan.shape.epsilon if w else None,
                     )
                 )
-        return out
+        return out, chunk_sum
 
     # Odd m has no pairings: the sum is empty and the total is 0.
-    terms = []
+    terms, chunk_sums = [], []
     for chunk in _walk(plans, m, max(1, _CHUNK_TERMS >> w)):
-        terms += chunk_terms(*chunk)
+        out, chunk_sum = chunk_terms(*chunk)
+        terms += out
+        chunk_sums.append(chunk_sum)
 
     if exact:
         prefactor: Number = Fraction(1, spec.n_dim ** (m // 2 + r))
-        total: Number = prefactor * sum(t.value for t in terms)
+        total: Number = prefactor * sum(chunk_sums)
     else:
         total = float(spec.n_dim) ** prefactor_exp * math.fsum(t.value for t in terms)
 

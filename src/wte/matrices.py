@@ -2,15 +2,21 @@
 along signed cycles.
 
 Matrices are immutable after construction and carry their entries as
-plain Python numbers.  Each matrix keeps two cached numpy views of them:
-a float64 array for float evaluation and an object array holding the
-``int``/``Fraction`` entries themselves, whose products are exact and
-unbounded.  The matrices of a word's slots 1..m are a plain tuple in
-slot order, as :func:`bind_matrices` returns it.  :func:`trace_along`
-reads signed slots: slot k is the matrix of slot k and -k its
-transpose, which is never materialized; evaluation multiplies the
-transposed view.  :func:`trace_cycles` traces many cycles at once with
-the same views, so that each of its traces has ``trace_along``'s bits.
+plain Python numbers.  Each matrix keeps three cached numpy views of
+them: a float64 array for float evaluation, an int64 array for a matrix
+of ``int`` entries, and an object array holding the ``int``/``Fraction``
+entries themselves, whose products are exact and unbounded.  The
+matrices of a word's slots 1..m are a plain tuple in slot order, as
+:func:`bind_matrices` returns it.  :func:`trace_along` reads signed
+slots: slot k is the matrix of slot k and -k its transpose, which is
+never materialized; evaluation multiplies the transposed view.
+:func:`trace_cycles` traces many cycles at once with the same views, so
+that each of its traces has ``trace_along``'s bits.  In exact mode it
+multiplies the int64 views instead of the object views when every slot
+holds ``int`` entries and ``(amax * d)^L < 2^62`` for the largest
+|entry| amax, the largest dimension d and the cycle length L: no entry
+of a partial product, and no trace, can then leave int64, so the
+traces are the same Python ints.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ def _parse_number(token: str) -> Number:
 class Matrix:
     """A rows x cols real matrix with row-major entries."""
 
-    __slots__ = ("rows", "cols", "entries", "is_exact", "_float", "_exact")
+    __slots__ = ("rows", "cols", "entries", "is_exact", "amax", "_float", "_int", "_exact")
 
     def __init__(self, entries: Sequence[Sequence[Number]]):
         rows = tuple(tuple(row) for row in entries)
@@ -70,7 +76,11 @@ class Matrix:
         self.entries = rows
         # True when every entry is an integer or rational (no floats).
         self.is_exact = all(isinstance(x, (int, Fraction)) for row in rows for x in row)
+        # The largest |entry| when every entry is an int, else None.
+        ints = all(isinstance(x, int) for row in rows for x in row)
+        self.amax = max(abs(x) for row in rows for x in row) if ints else None
         self._float = None
+        self._int = None
         self._exact = None
 
     @classmethod
@@ -87,6 +97,13 @@ class Matrix:
         if self._float is None:
             self._float = np.array(self.entries, dtype=float)
         return self._float
+
+    def as_int64(self) -> np.ndarray:
+        """Cached int64 view of a matrix of ``int`` entries below 2^63 in
+        absolute value."""
+        if self._int is None:
+            self._int = np.array(self.entries, dtype=np.int64)
+        return self._int
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -378,21 +395,37 @@ def trace_cycles(
     a stack keeps the strides and transpose flag ``trace_along`` gives
     it, so each trace has the same bits.  Where a cycle's first two slots
     hold one matrix with opposite signs, both factors are views of one
-    stack, as ``trace_along``'s are views of one array.  A cycle that
-    fails a check of ``trace_along`` is handed to it, which raises.
+    stack, as ``trace_along``'s are views of one array.  An exact group
+    multiplies int64 stacks when every slot holds ``int`` entries and
+    ``(amax * d)^L < 2^62`` (see the module docstring), and object
+    stacks otherwise.  A cycle that fails a check of ``trace_along`` is
+    handed to it, which raises.
     """
     out: list[Number] = [None] * len(cycles)
     dims = np.array([(a.rows, a.cols) for a in mats], dtype=np.int64).reshape(-1, 2)
     usable = np.array([a.is_exact or not exact for a in mats], dtype=bool)
     ident = np.array([next(j for j, b in enumerate(mats) if b is a) for a in mats], dtype=np.int64)
-    # One stack per storage shape; slot k is stacks[dims[k]][where[k]].
-    stacks: dict[tuple[int, int], list] = {}
+    # Every entry of an L-matrix product and its trace is at most
+    # (amax * d)^L in absolute value; None when some slot is not all int.
+    amaxes = [a.amax for a in mats]
+    scale = None
+    if exact and None not in amaxes:
+        scale = max(amaxes, default=0) * int(dims.max(initial=0))
+    # One stack per view and storage shape; slot k is
+    # stack(int64, dims[k])[where[k]].
+    shaped: dict[tuple[int, int], list[Matrix]] = {}
     where = np.zeros(len(mats), dtype=np.intp)
     for k, a in enumerate(mats):
-        stack = stacks.setdefault((a.rows, a.cols), [])
-        where[k] = len(stack)
-        stack.append(a.as_array(exact))
-    stacks = {d: np.stack(views) for d, views in stacks.items()}
+        same = shaped.setdefault((a.rows, a.cols), [])
+        where[k] = len(same)
+        same.append(a)
+    stacks: dict[tuple, np.ndarray] = {}
+
+    def stack(int64: bool, shape: tuple[int, int]) -> np.ndarray:
+        if (int64, shape) not in stacks:
+            views = [a.as_int64() if int64 else a.as_array(exact) for a in shaped[shape]]
+            stacks[int64, shape] = np.stack(views)
+        return stacks[int64, shape]
 
     by_length: dict[int, list[int]] = {}
     for i, cyc in enumerate(cycles):
@@ -412,6 +445,7 @@ def trace_cycles(
             )
         if bad.any():
             trace_along((cycles[idx[int(np.argmax(bad))]],), mats, exact)
+        int64 = scale is not None and scale**length < 1 << 62
         alias = np.zeros(len(idx), dtype=bool)
         if length > 1:
             alias = (ident[slot[:, 0]] == ident[slot[:, 1]]) & (neg[:, 0] != neg[:, 1])
@@ -421,14 +455,18 @@ def trace_cycles(
             f = members[0]
             views = []
             for j in range(length):
-                view = stacks[tuple(dims[slot[f, j]].tolist())][where[slot[members, j]]]
+                view = stack(int64, tuple(dims[slot[f, j]].tolist()))[where[slot[members, j]]]
                 views.append(view.transpose(0, 2, 1) if neg[f, j] else view)
             if alias[f]:
                 views[1] = views[0].transpose(0, 2, 1)
             prod = views[0]
             for view in views[1:]:
                 prod = prod @ view
-            diagonals = prod.diagonal(axis1=1, axis2=2).tolist()
-            for i, diagonal in zip(members.tolist(), diagonals):
-                out[idx[i]] = sum(diagonal) if exact else math.fsum(diagonal)
+            if int64:
+                traces = prod.trace(axis1=1, axis2=2).tolist()
+            else:
+                diagonals = prod.diagonal(axis1=1, axis2=2).tolist()
+                traces = [sum(d) if exact else math.fsum(d) for d in diagonals]
+            for i, value in zip(members.tolist(), traces):
+                out[idx[i]] = value
     return out

@@ -73,6 +73,26 @@ def run_json(capsys, *argv):
 
 
 QUAD = "E[ tr(X' D1 X D2) ]"
+ALT6 = "E[ tr(X' D1 X D2 X' D3 X D4 X' D5 X D6) ]"
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+SRC = os.path.dirname(os.path.dirname(wte.__file__))
+
+
+def q_half_args(tmp_path) -> tuple[str, ...]:
+    """``wte moment`` arguments for q = 1/2 on the alternating 8-letter
+    word at N=3, M=2, with fixed integer matrices in every slot."""
+    lines = []
+    for k in range(1, 9):
+        n = 2 if k % 2 else 3
+        rows = [" ".join(str((3 * k + 5 * i + 7 * j) % 7 - 3) for j in range(n)) for i in range(n)]
+        mat = tmp_path / f"d{k}.txt"
+        mat.write_text(f"{n} {n}\n" + "\n".join(rows) + "\n")
+        lines.append(f"D{k} = {mat}\n")
+    binds = tmp_path / "binds.txt"
+    binds.write_text("".join(lines))
+    expr = "E[ tr(" + " ".join(f"X' D{2 * k - 1} X D{2 * k}" for k in range(1, 5)) + ") ]"
+    return ("moment", "--expr", expr, "--bind", str(binds), "-N", "3", "-M", "2",
+            "--q", "1/2", "--exact", "--terms", "--format", "json")
 
 
 class TestMomentCommand:
@@ -135,6 +155,15 @@ class TestMomentCommand:
         code4, out4, _ = run(capsys, *args, *second)
         assert code1 == code4 == 0
         assert out1 == out4
+
+    def test_exact_terms_json_is_unchanged(self, capsys, tmp_path):
+        # The committed bytes were written when exact mode multiplied object
+        # arrays and summed the term values one Fraction at a time; the
+        # integer numerators over one denominator give the same output.
+        code, out, err = run(capsys, *q_half_args(tmp_path))
+        assert code == 0, err
+        with open(os.path.join(DATA, "q_half_m8_exact_terms.json"), encoding="utf-8") as fh:
+            assert out == fh.read()
 
     def test_decimal_q_is_exact(self, capsys):
         args = ("moment", "--expr", "E[ tr(X' D1 X D2 X' D3 X D4) ]",
@@ -231,6 +260,25 @@ class TestExitCodes:
             capsys, "moment", "--expr", QUAD, "--bind", str(binds), "-N", "4", "-M", "3"
         )
         assert code == 3 and "D2" in err
+
+    @pytest.mark.parametrize(
+        "d3, entry",
+        [("1 2 inf\n0 1 0\n0 0 1", "(1, 3) is inf"), ("inf 0 0\n0 -inf 0\n0 0 1", "(1, 1) is inf")],
+        ids=["nan-total", "inf-minus-inf"],
+    )
+    def test_non_finite_entry_is_1(self, tmp_path, d3, entry):
+        # Refused before evaluation, so no numpy warning reaches stderr.
+        mat = tmp_path / "d3.txt"
+        mat.write_text(f"3 3\n{d3}\n")
+        binds = tmp_path / "binds.txt"
+        binds.write_text(f"D3 = {mat}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wte.cli", "moment", "--expr", ALT6, "--bind", str(binds),
+             "--bind-identity", "-N", "3", "-M", "3"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: slot 3 entry {entry}: matrix entries must be finite\n"
 
     def test_budget_error_is_4(self, capsys, monkeypatch):
         monkeypatch.setenv("WTE_BUDGET", "5")

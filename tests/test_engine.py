@@ -80,6 +80,13 @@ class TestSpecValidation:
         assert listed.matrices == given.matrices and type(listed.matrices) is tuple
         assert listed == given and hash(listed) == hash(given)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_names_slot_and_entry(self, bad):
+        shape = WordShape.alternating((2,))
+        mats = (Matrix.identity(2), Matrix([[1, 2, bad], [0, 1, 0], [0, 0, 1]]))
+        with pytest.raises(ValueError, match=rf"slot 2 entry \(1, 3\) is {bad}: .* finite"):
+            MomentSpec(shape, mats, 3, 2)
+
     def test_gram_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             Gram(("G", "H"), ((1, 0), (1, 1)))
@@ -326,6 +333,54 @@ class TestModels:
     def test_q_half_matches_wick(self):
         spec = make_spec((4,), (-1, 1, -1, 1), 2, 2, seed=15, q=Fraction(1, 2))
         assert moment(spec, exact=True).total == wick_oracle(spec)
+
+
+class TestExactReduction:
+    """Exact mode sums integer numerators over one common denominator; the
+    total is still the prefactor times the sum of the term values, and
+    every value and weight is a Fraction."""
+
+    @pytest.mark.parametrize(
+        "statistic, spec",
+        [
+            (moment, make_spec((10,), (-1, 1) * 5, 3, 2, seed=31, q=Fraction(1, 2))),
+            (
+                moment,
+                make_spec(
+                    (10,), (-1, 1) * 5, 3, 2, seed=32, labels=("X", "X", "Y") * 3 + ("X",),
+                    gram=Gram(("X", "Y"), ((1, Fraction(1, 2)), (Fraction(1, 2), 1))),
+                ),
+            ),
+            (
+                moment,
+                make_spec(
+                    (8,), (-1, 1, 1, -1, 1, -1, 1, 1), 3, 3, seed=33,
+                    labels=("X", "X", "Z", "X", "X", "X", "X", "Z"), wigner={"Z"},
+                ),
+            ),
+            (cumulant, make_spec((4, 6), (-1, 1) * 5, 3, 2, seed=34)),
+        ],
+        ids=["q-half", "gram-half", "wigner", "cumulant"],
+    )
+    def test_total_is_prefactor_times_term_sum(self, statistic, spec):
+        res = statistic(spec, exact=True)
+        m, r = spec.shape.m, spec.shape.r
+        prefactor = Fraction(1, spec.n_dim ** (m // 2 + r))
+        assert res.total == prefactor * sum(t.value for t in res.terms)
+        assert type(res.total) is Fraction and res.terms
+        assert all(type(t.value) is Fraction and type(t.weight) is Fraction for t in res.terms)
+
+    def test_fraction_slots_stay_exact(self):
+        spec = make_spec((6,), (-1, 1) * 3, 2, 2, seed=35, q=Fraction(1, 3))
+        halves = tuple(
+            Matrix([[Fraction(x, 2) for x in row] for row in mat.entries])
+            for mat in spec.matrices
+        )
+        halved = MomentSpec(spec.shape, halves, 2, 2, q=Fraction(1, 3))
+        res, doubled = moment(halved, exact=True), moment(spec, exact=True)
+        assert res.total * 2**6 == doubled.total
+        assert [t.value * 2**6 for t in res.terms] == [t.value for t in doubled.terms]
+        assert all(type(t.value) is Fraction for t in res.terms)
 
 
 class TestLeadingTerms:

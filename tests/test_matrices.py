@@ -57,6 +57,15 @@ class TestMatrix:
         assert view.tolist() == [[1, Fraction(1, 3)], [2**70, -4]]
         assert type(view[0, 1]) is Fraction and type(view[1, 0]) is int
 
+    def test_int64_view_and_amax(self):
+        m = Matrix([[1, -5], [3, 4]])
+        assert m.amax == 5
+        view = m.as_int64()
+        assert view is m.as_int64() and view.dtype == np.int64
+        assert view.tolist() == [[1, -5], [3, 4]]
+        assert Matrix([[1, Fraction(1, 2)]]).amax is None
+        assert Matrix([[1, 2.0]]).amax is None
+
 
 class TestParseMatrix:
     def test_round_trip(self):
@@ -258,6 +267,67 @@ class TestTraceCycles:
         with pytest.raises(error) as got:
             trace_cycles([(1, 2, 3), bad, (2,)], self.mats, exact)
         assert str(got.value) == str(want.value)
+
+
+class TestTraceCyclesInt64:
+    """Exact ``trace_cycles`` multiplies int64 stacks when every slot holds
+    ints and (amax * d)^L < 2^62, and object stacks otherwise; either way
+    each trace is ``trace_along``'s, in value and type."""
+
+    @staticmethod
+    def trace(cycles, mats, monkeypatch):
+        """The traces, checked against ``trace_along``, and whether any
+        group took the int64 path."""
+        int64 = []
+        as_int64 = Matrix.as_int64
+
+        def spy(mat):
+            int64.append(mat)
+            return as_int64(mat)
+
+        monkeypatch.setattr(Matrix, "as_int64", spy)
+        got = trace_cycles(cycles, mats, exact=True)
+        want = [trace_along((c,), mats, exact=True) for c in cycles]
+        assert got == want and [type(x) for x in got] == [type(x) for x in want]
+        return got, bool(int64)
+
+    def test_small_ints_take_int64(self, monkeypatch):
+        rng = random.Random(13)
+        mats = tuple(random_int_matrix(rng, 3, 3) for _ in range(6))
+        cycles = [(1,), (-2,), (1, 2), (-3, 4), (1, -2, 3), (4, 5, -6, 1), (-6, -5, -4, -3, -2, -1)]
+        _, int64 = self.trace(cycles, mats, monkeypatch)
+        assert int64
+
+    def test_past_the_bound_stays_exact(self, monkeypatch):
+        # (3 * 2^20)^3 > 2^63: a trace of three such products leaves int64.
+        rng = random.Random(14)
+        mats = tuple(random_int_matrix(rng, 3, 3, 2**20 - 8, 2**20) for _ in range(3))
+        got, int64 = self.trace([(1, 2, 3), (-3, 1, -2)], mats, monkeypatch)
+        assert not int64 and min(got) > 2**63
+
+    @pytest.mark.parametrize("amax, int64", [(2**30, False), (2**30 - 1, True)])
+    def test_at_the_bound(self, monkeypatch, amax, int64):
+        # d = 2 and L = 2: (2 * 2^30)^2 is 2^62 itself, which the bound
+        # excludes; one less fits.
+        mats = (Matrix([[amax, -amax], [amax, amax]]), Matrix([[amax, amax], [-amax, amax]]))
+        got, took = self.trace([(1, 2), (-1, 2), (1, -2)], mats, monkeypatch)
+        assert took == int64 and max(map(abs, got)) <= 4 * amax**2
+
+    def test_aliased_slots_with_opposite_signs(self, monkeypatch):
+        rng = random.Random(15)
+        d1, d3 = random_int_matrix(rng, 3, 3), random_int_matrix(rng, 3, 3)
+        mats = (d1, d1, d3)  # D2 = D1
+        cycles = [(1, -2), (-1, 2), (2, -1), (1, -2, 3), (-2, 1, -3), (1, 2, 3)]
+        _, int64 = self.trace(cycles, mats, monkeypatch)
+        assert int64
+
+    def test_int_and_fraction_slots(self, monkeypatch):
+        rng = random.Random(16)
+        third = Matrix([[Fraction(rng.randint(-9, 9), 3) for _ in range(3)] for _ in range(3)])
+        mats = (random_int_matrix(rng, 3, 3), third, random_int_matrix(rng, 3, 3))
+        got, int64 = self.trace([(1, 3), (-1, 2), (2,), (3, -2, 1), (1,)], mats, monkeypatch)
+        assert not int64
+        assert [type(x) for x in got] == [int, Fraction, Fraction, Fraction, int]
 
 
 class TestBindMatrices:
