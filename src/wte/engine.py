@@ -30,14 +30,15 @@ lead), joins sheet faces into components and counts crossings.  The
 per-pairing functions of ``gluing.py`` are the specification the kernel
 is tested against.  The chunk's terms are then assembled in numpy too:
 one weight per distinct crossing count and block family pairs, a
-lockstep walk of every particular cycle from its lead, one lookup per
-distinct cycle of the chunk in a memo that keeps every distinct cycle of
-the evaluation once (the tuple all terms share, and its trace), and
-:func:`~wte.matrices.trace_cycles` for the new ones, which has the bits
-of ``trace_along`` cycle by cycle.  A term's value is its weight times
-its cycles' traces, multiplied in cycle order; a term of weight 0 has
-value 0 and its cycles are not traced.  A cumulant keeps a pairing when
-its surface has a single component (the empty word counts as
+lockstep walk of every particular cycle from its lead, one tuple per
+distinct cycle of the chunk (which the chunk's terms share), and one
+:func:`~wte.matrices.trace_cycles` call for the chunk's distinct cycles,
+which has the bits of ``trace_along`` cycle by cycle.  Nothing but the
+terms and, in exact mode, the chunk's sum outlives a chunk, so a chunk
+depends only on its range of pairings.  A term's value is its weight
+times its cycles' traces, multiplied in cycle order; a term of weight 0
+has value 0 and its cycles are not traced.  A cumulant keeps a pairing
+when its surface has a single component (the empty word counts as
 connected).  Float evaluation reduces the term values with error-free
 summation in canonical pairing order, so the same configuration gives
 the same bits on every run.  Exact mode puts each chunk's distinct
@@ -94,7 +95,10 @@ def _enforce_budget(work: int, what: str) -> None:
     """Refuse ``work`` operations of ``what`` past the budget:
     ``WTE_BUDGET`` or :data:`DEFAULT_BUDGET`."""
     env = os.environ.get(BUDGET_ENV_VAR)
-    limit = int(env) if env else DEFAULT_BUDGET
+    try:
+        limit = int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} takes an integer, got {env!r}") from None
     if work > limit:
         raise BudgetError(
             f"{what} needs ~{work} operations, budget is {limit} "
@@ -446,44 +450,20 @@ def _letters(walk: np.ndarray, signed: list[int]) -> list[tuple[int, ...]]:
     return [tuple(itertools.islice(it, n)) for n in inside.sum(axis=1).tolist()]
 
 
-class _CycleTraces:
-    """Per evaluation: every distinct cycle once, as the tuple that all
-    terms share, with its trace once a term of nonzero weight needs it."""
-
-    def __init__(self, signed: list[int], mats: Sequence[Matrix], exact: bool):
-        self.signed, self.mats, self.exact = signed, mats, exact
-        self.dtype = object if exact else float
-        self.index: dict[tuple[int, ...], int] = {}
-        self.cycles: list[tuple[int, ...]] = []
-        self.values = np.zeros(0, dtype=self.dtype)
-        self.traced = np.zeros(0, dtype=bool)
-
-    def read(self, walk: np.ndarray, needed: np.ndarray) -> tuple[list, np.ndarray]:
-        """Each walked cycle's shared tuple and trace.  Each distinct cycle
-        of the walk is looked up once, and the new ones that are
-        ``needed`` are traced; a cycle never needed reads 0."""
-        _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
-        ids = []
-        for cyc in _letters(walk[firsts], self.signed):
-            i = self.index.setdefault(cyc, len(self.cycles))
-            if i == len(self.cycles):
-                self.cycles.append(cyc)
-            ids.append(i)
-        if len(self.cycles) > len(self.values):
-            grow = max(len(self.cycles) - len(self.values), len(self.values))
-            self.values = np.concatenate([self.values, np.zeros(grow, dtype=self.dtype)])
-            self.traced = np.concatenate([self.traced, np.zeros(grow, dtype=bool)])
-        ids = np.array(ids, dtype=np.intp)
-        need = np.zeros(len(ids), dtype=bool)
-        inverse = inverse.reshape(-1)
-        need[inverse[needed]] = True
-        new = ids[need & ~self.traced[ids]]
-        self.values[new] = trace_cycles(
-            [self.cycles[i] for i in new.tolist()], self.mats, self.exact
-        )
-        self.traced[new] = True
-        ids = ids[inverse]
-        return list(map(self.cycles.__getitem__, ids.tolist())), self.values[ids]
+def _chunk_cycles(
+    walk: np.ndarray, needed: np.ndarray, signed: list[int], mats: Sequence[Matrix], exact: bool
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Each walked cycle's tuple and trace.  Equal cycles of the walk share
+    one tuple, and the distinct cycles of the rows marked ``needed`` are
+    traced once each; a cycle that no needed row has reads 0."""
+    _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    distinct = _letters(walk[firsts], signed)
+    need = np.zeros(len(distinct), dtype=bool)
+    need[inverse[needed]] = True
+    values = np.zeros(len(distinct), dtype=object if exact else float)
+    values[need] = trace_cycles([distinct[i] for i in np.flatnonzero(need).tolist()], mats, exact)
+    return list(map(distinct.__getitem__, inverse.tolist())), values[inverse]
 
 
 @lru_cache(maxsize=64)
@@ -551,7 +531,6 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     families = tuple(dict.fromkeys(shape.labels))
     family = np.array([families.index(lab) for lab in shape.labels], dtype=np.int64)
     pairs = [(a, b) for a in families for b in families]  # pairs[code of (a, b)]
-    traces = _CycleTraces(plans[0].signed, spec.matrices, exact)
 
     def chunk_terms(first, ends, cross, gluings) -> tuple[list[TermReport], Number]:
         """One chunk's terms and, in exact mode, the exact sum of their
@@ -592,15 +571,15 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
             weight = np.array(kind_weights, dtype=float)
         weight = weight[kind].repeat(len(plans))
         zero = weight == 0
-        cycles, values = traces.read(walk, needed=~zero[term])
+        cycles, values = _chunk_cycles(walk, ~zero[term], plans[0].signed, spec.matrices, exact)
 
         # trace_along(cycles) multiplies its cycles' traces in order from 1,
         # and so do the columns of the grid, padded with 1.  The mirror
         # checks in glue already rule out a slot repeated across a term's
         # cycles, which trace_along would refuse.
-        grid = np.ones((count, int(counts.max(initial=0))), dtype=traces.dtype)
+        grid = np.ones((count, int(counts.max(initial=0))), dtype=values.dtype)
         grid[term, np.arange(len(term)) - (np.cumsum(counts) - counts)[term]] = values
-        product = np.ones(count, dtype=traces.dtype)
+        product = np.ones(count, dtype=values.dtype)
         with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
             for column in grid.T:
                 product = product * column

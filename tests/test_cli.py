@@ -9,6 +9,7 @@ import pytest
 
 import wte
 import wte.cli
+import wte.engine
 from wte.cli import main
 
 RESULT_SCHEMA = {
@@ -156,10 +157,15 @@ class TestMomentCommand:
         assert code1 == code4 == 0
         assert out1 == out4
 
-    def test_exact_terms_json_is_unchanged(self, capsys, tmp_path):
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default", "7"])
+    def test_exact_terms_json_is_unchanged(self, capsys, tmp_path, monkeypatch, chunk):
         # The committed bytes were written when exact mode multiplied object
         # arrays and summed the term values one Fraction at a time; the
         # integer numerators over one denominator give the same output.
+        # The 105 pairings fit in one default chunk; chunks of 7 put 14
+        # seams inside them.
+        if chunk:
+            monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", chunk)
         code, out, err = run(capsys, *q_half_args(tmp_path))
         assert code == 0, err
         with open(os.path.join(DATA, "q_half_m8_exact_terms.json"), encoding="utf-8") as fh:
@@ -286,6 +292,16 @@ class TestExitCodes:
             capsys, "verify", "--expr", QUAD, "--bind-identity", "-N", "2", "-M", "2"
         )
         assert code == 4 and "budget" in err
+
+    @pytest.mark.parametrize("command", ["moment", "verify"])
+    @pytest.mark.parametrize("value", ["abc", "1e9"])
+    def test_budget_that_is_not_an_integer_is_1(self, capsys, monkeypatch, command, value):
+        monkeypatch.setenv("WTE_BUDGET", value)
+        code, out, err = run(
+            capsys, command, "--expr", QUAD, "--bind-identity", "-N", "3", "-M", "2"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: WTE_BUDGET takes an integer, got '{value}'\n"
 
     def test_refused_verify_skips_the_engine(self, capsys, monkeypatch):
         # Engine work (1)!! * 2 = 2 is within the budget of 5, the Wick

@@ -491,3 +491,10 @@ class TestBudget:
             moment(spec)
         monkeypatch.setenv("WTE_BUDGET", "8")
         assert len(moment(spec).terms) == 4  # one pairing, four sign choices
+
+    @pytest.mark.parametrize("value", ["abc", "1e9"])
+    def test_budget_that_is_not_an_integer(self, monkeypatch, value):
+        monkeypatch.setenv("WTE_BUDGET", value)
+        with pytest.raises(ValueError) as info:
+            moment(identity_spec((2,), 2))
+        assert str(info.value) == f"WTE_BUDGET takes an integer, got {value!r}"

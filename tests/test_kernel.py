@@ -253,13 +253,13 @@ def traced(monkeypatch):
 
 
 def assert_traces_match_trace_along(calls, res, mats):
-    """Each cycle is traced once, with ``trace_along``'s bits (float) or
-    value and type (exact), and exactly the cycles of nonzero-weight
-    terms are traced."""
+    """No cycle is traced twice in one call (one call per chunk), each
+    with ``trace_along``'s bits (float) or value and type (exact), and
+    exactly the cycles of nonzero-weight terms are traced."""
     seen = set()
     for cycles, out, exact in calls:
+        assert len(set(cycles)) == len(cycles)
         for cyc, value in zip(cycles, out):
-            assert cyc not in seen
             seen.add(cyc)
             want = trace_along((cyc,), mats, exact)
             if exact:
@@ -268,6 +268,13 @@ def assert_traces_match_trace_along(calls, res, mats):
                 assert repr(value) == repr(want)
     assert seen == {c for t in res.terms if t.weight != 0 for c in t.cycles}
     return seen
+
+
+def by_chunk(terms, w=0):
+    """The terms grouped by the kernel chunk that made them: chunks of
+    ``_CHUNK_TERMS >> w`` pairings for w Wigner letters."""
+    rows = max(1, wte.engine._CHUNK_TERMS >> w)
+    return [list(g) for _, g in itertools.groupby(terms, key=lambda t: t.index // rows)]
 
 
 class TestBatchedTraces:
@@ -313,6 +320,12 @@ class TestBatchedTraces:
         assert 0 <= res.metadata["elapsed_s"] <= time.perf_counter() - t0
         assert len(traced) > 1
         assert_traces_match_trace_along(traced, res, spec.matrices)
+        # Each chunk traces exactly its own terms' cycles, including those
+        # an earlier chunk traced too.
+        chunks = by_chunk(res.terms)
+        assert len(traced) == len(chunks)
+        for (cycles, _, _), chunk in zip(traced, chunks):
+            assert set(cycles) == {c for t in chunk if t.weight != 0 for c in t.cycles}
         total, terms = reference_sum(spec)
         assert repr(res.total) == repr(total)
         assert [repr(t.value) for t in res.terms] == [repr(t[-1]) for t in terms]
@@ -355,10 +368,13 @@ class TestSharedCycles:
             shape, fraction_matrices(rng, shape, 2, 2), 2, 2, wigner=frozenset({"Z"})
         )
         res = moment(spec)
-        first = {}
-        for t in res.terms:
-            for c in t.cycles:
-                assert first.setdefault(c, c) is c
+        chunks = by_chunk(res.terms, w=shape.labels.count("Z"))
+        assert len(chunks) > 1
+        for chunk in chunks:
+            first = {}
+            for t in chunk:
+                for c in t.cycles:
+                    assert first.setdefault(c, c) is c
         # The letters are the plan's int objects, not ints read back from
         # an array, which would be new objects for |x| > 5.
         assert len({id(x) for t in res.terms for c in t.cycles for x in c}) <= 2 * shape.m
