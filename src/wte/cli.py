@@ -14,12 +14,13 @@ Exit codes: 0 success, 1 failure or verification mismatch, 2 usage
 errors (among them an option the subcommand does not take, such as
 ``census --wigner``: the census classifies the transpose signs as
 written; ``census --terms --format csv``: csv writes the group table;
-and a value an option does not take, such as ``-N 0``, ``--samples 1``,
-``--q abc`` or ``--q 2``), parse errors (expression or input files) and
-input files that cannot be read or are not UTF-8, 3 dimension/binding errors,
-4 work budget exceeded (the pairing sum of ``moment``, ``cumulant`` and
-``census``, or the Wick expansion of ``verify``, which is checked before
-the engine runs).
+``verify --samples`` at ``--q`` other than 1, which has no sampling
+model; and a value an option does not take, such as ``-N 0``,
+``--samples 1``, ``--q 2`` or a ``--seed`` outside [0, 2**128)), parse
+errors (expression or input files) and input files that cannot be read
+or are not UTF-8, 3 dimension/binding errors, 4 work budget exceeded
+(the pairing sum of ``moment``, ``cumulant`` and ``census``, or the Wick
+expansion of ``verify``, which is checked before the engine runs).
 """
 
 from __future__ import annotations
@@ -60,16 +61,17 @@ FLOAT_TOL = 1e-10
 MC_SIGMA = 5.0
 
 
-def _count(least: int, zero: bool = False):
-    """An argparse type: an integer of at least ``least``, or 0 if ``zero``."""
+def _count(least: int, zero: bool = False, bits: Optional[int] = None):
+    """An argparse type: an integer n >= least, or 0 if ``zero``; n < 2**bits if given."""
     def count(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
             n = None
-        if n is None or (n < least and not (zero and n == 0)):
+        if n is None or (n < least and not (zero and n == 0)) or (bits and n >= 2**bits):
             raise argparse.ArgumentTypeError(
-                f"must be {'0 or ' if zero else ''}an integer of at least {least}, got {text!r}")
+                f"must be {'0 or ' if zero else ''}an integer of at least {least}"
+                f"{f' and below 2**{bits}' if bits else ''}, got {text!r}")
         return n
     return count
 
@@ -107,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     terms.add_argument("--terms", action="store_true", help="emit the per-term table")
     threads.add_argument("--threads", type=int, default=0, help="accepted for "
                          "compatibility; has no effect (pairings are summed in one pass)")
-    monte_carlo.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    monte_carlo.add_argument("--seed", type=_count(0, bits=128), default=0,
+                             help="Monte Carlo seed, from 0 to 2**128 - 1")
     monte_carlo.add_argument("--samples", type=_count(2, zero=True), default=0,
                              help="Monte Carlo sample count: 0 (no check) or at least 2")
 
@@ -527,6 +530,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "census --format csv writes the group table; "
             "--terms applies to json and text"
         )
+    if args.command == "verify" and args.samples and args.q != 1:
+        parser.error("verify --samples needs --q 1: Monte Carlo sampling requires q = 1")
     try:
         code = _COMMANDS[args.command](args)
         # Flush here so that a closed pipe raises inside this try, not

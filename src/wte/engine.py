@@ -21,12 +21,14 @@ the census share), refused up front, before any table is built, with
 letters, exceeds the budget it shares with the Wick oracle
 (``WTE_BUDGET``).  Each word shape compiles once into a plan
 (``_combinatorics``): the constant index arrays of the factor rotation
-and its inverse, the transpose signs, the sheet face of every signed
-letter and the cycle order key.  Per chunk, the kernel decodes each
-pairing index into its partner row, gathers the vertex permutation in
-the closed form of ``gluing._vertex_image``, labels its cycles by
-pointer doubling (the smallest position on each cycle is its canonical
-lead), joins sheet faces into components and counts crossings.  The
+and its inverse, the sheet face of every signed letter and the cycle
+order key.  The transpose signs are an input: one int8 row per sign
+assignment of the Wigner letters.  Per chunk, the decode gives each
+pairing's partner row and blocks, crossings are counted over block
+pairs, and one gluing of every pairing under every sign row gathers the
+vertex permutation in the closed form of ``gluing._vertex_image``,
+labels its cycles by pointer doubling (the smallest position on each
+cycle is its canonical lead) and joins sheet faces into components.  The
 per-pairing functions of ``gluing.py`` are the specification the kernel
 is tested against.  The chunk's terms are then assembled in numpy too:
 one weight per distinct crossing count and block family pairs, a
@@ -42,11 +44,10 @@ when its surface has a single component (the empty word counts as
 connected).  Float evaluation reduces the term values with error-free
 summation in canonical pairing order, so the same configuration gives
 the same bits on every run.  Exact mode puts each chunk's distinct
-weights over one common denominator (the lcm of theirs): a term's value
-is the ``Fraction`` of its integer numerator, the weight's numerator
-times the trace product, over that denominator, the numerators of a
-chunk are summed as plain ints once, and the total is the prefactor
-times the sum of the chunks' fractions.
+weights over one common denominator: a term's value is the ``Fraction``
+of its integer numerator (the weight's numerator times the trace
+product), a chunk's numerators are summed as plain ints once, and the
+total is the prefactor times the sum of the chunks' fractions.
 """
 
 from __future__ import annotations
@@ -280,37 +281,30 @@ def is_transitive(p: Pairing, shape: WordShape) -> bool:
 _CHUNK_TERMS = 4096
 
 
-def _pairing_table(m: int, start: int, stop: int) -> np.ndarray:
+def _pairing_table(m: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partner rows, 1-based, of the pairings with canonical indices
-    start..stop-1.
+    start..stop-1, and per row the first and second letters of its blocks
+    in ``Pairing.blocks`` order.
 
     An index's mixed-radix digits, with radices m-1, m-3, ..., 1 from the
     most significant, say which of the remaining letters the smallest
-    unpaired letter takes: the order of ``enumerate_pairings``.
+    unpaired letter takes: the order of ``enumerate_pairings``.  So each
+    digit decodes one block (a, b), in order of a.
     """
     idx = np.arange(start, stop, dtype=np.int64)
     rows = np.arange(len(idx))
     partner = np.zeros((len(idx), m), dtype=np.int64)
+    opens, closes = np.zeros((2, len(idx), m // 2), dtype=np.int64)
     avail = np.tile(np.arange(1, m + 1), (len(idx), 1))
-    for width in range(m, 0, -2):
+    for block, width in enumerate(range(m, 0, -2)):
         digit, idx = np.divmod(idx, pairing_count(width - 2))
         a, b = avail[:, 0], avail[rows, digit + 1]
+        opens[:, block], closes[:, block] = a, b
         partner[rows, a - 1] = b
         partner[rows, b - 1] = a
-        keep = np.ones(avail.shape, dtype=bool)
-        keep[:, 0] = False
-        keep[rows, digit + 1] = False
-        avail = avail[keep].reshape(len(idx), width - 2)
-    return partner
-
-
-def _blocks(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the first and second letters of the blocks in block order
-    (the order of ``Pairing.blocks``)."""
-    rows, m = partner.shape
-    letters = np.broadcast_to(np.arange(1, m + 1), partner.shape)
-    opens = partner > letters
-    return letters[opens].reshape(rows, m // 2), partner[opens].reshape(rows, m // 2)
+        keep = np.arange(width - 1) != digit[:, None]
+        avail = avail[:, 1:][keep].reshape(len(idx), width - 2)
+    return partner, opens, closes
 
 
 def _block_rows(opens: np.ndarray, closes: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
@@ -321,18 +315,17 @@ def _block_rows(opens: np.ndarray, closes: np.ndarray) -> list[tuple[tuple[int, 
     return [tuple(map(pairs.__getitem__, row)) for row in codes]
 
 
-def _crossings(partner: np.ndarray) -> np.ndarray:
-    """Per row, ``crossings`` of the pairing: each crossing has a letter
-    strictly inside either of its two blocks whose partner lies outside."""
-    m = partner.shape[1]
-    k = np.arange(1, m + 1)
-    inside = (k > k[:, None]) & (k < partner[:, :, None])
-    outside = (partner[:, None, :] > partner[:, :, None]) | (partner[:, None, :] < k[:, None])
-    return (inside & outside).sum(axis=(1, 2)) // 2
+def _crossings(opens: np.ndarray, closes: np.ndarray) -> np.ndarray:
+    """Per row, ``crossings`` of the pairing: the block pairs (i, j),
+    (k, l) with i < k < j < l."""
+    i, j = opens[:, :, None], closes[:, :, None]
+    k, l = opens[:, None, :], closes[:, None, :]
+    return ((i < k) & (k < j) & (j < l)).sum(axis=(1, 2))
 
 
 class _Plan:
-    """One WordShape's constant index arrays, for the kernel.
+    """One word shape's constant index arrays, for the kernel; the
+    transpose signs are an input of ``glue``, one row per sign assignment.
 
     The signed letters sit at positions in cycle-key order: +k at
     2(k-1) and -k at 2(k-1)+1, so x ^ 1 is the mirror letter and a
@@ -342,7 +335,6 @@ class _Plan:
     def __init__(self, shape: WordShape):
         m, r = shape.m, shape.r
         gamma, gamma_inv = _rotation_arrays(shape.lengths)
-        eps = (0,) + shape.epsilon
         self.shape = shape
         self.signed = [(x // 2 + 1) * (-1 if x % 2 else 1) for x in range(2 * m)]
         # ``_vertex_image``: with a = gamma(k) for k > 0 and a = k otherwise,
@@ -350,8 +342,7 @@ class _Plan:
         # -gamma_inv(l).  ``plain`` and ``flipped`` are those two positions.
         a = [gamma[k] if k > 0 else k for k in self.signed]
         self.letter = np.array([abs(x) - 1 for x in a], dtype=np.intp)
-        self.sign = np.array([-eps[abs(x)] if x > 0 else eps[abs(x)] for x in a])
-        self.eps = np.array(eps)
+        self.turn = np.array([-1 if x > 0 else 1 for x in a], dtype=np.int8)
         self.plain = 2 * np.arange(-1, m)
         self.flipped = 2 * np.array(gamma_inv) - 1
         # Sheet face of each position: factor f on the front, f + r on the back.
@@ -360,19 +351,24 @@ class _Plan:
         self.doublings = max(2 * m - 1, 0).bit_length()
         self.closures = max(2 * r - 2, 0).bit_length()
 
-    def glue(self, partner: np.ndarray) -> "_Gluing":
-        """Vertex cycles and surface census of every pairing in ``partner``."""
+    def glue(self, partner: np.ndarray, eps: np.ndarray) -> "_Gluing":
+        """Vertex cycles and surface census of every pairing in ``partner``
+        under every sign row of ``eps`` (column k: letter k's sign): row
+        i * len(eps) + j is pairing i under ``eps[j]``."""
         shape = self.shape
         m, r = shape.m, shape.r
-        rows = np.arange(len(partner))[:, None]
+        count = len(partner) * len(eps)
+        rows = np.arange(count)[:, None]
+        pairing, sign = np.divmod(rows, len(eps))
         pos = np.arange(2 * m)
-        l = partner[:, self.letter]
-        img = np.where(self.sign * self.eps[l] > 0, self.plain[l], self.flipped[l])
+        l = partner[pairing, self.letter]
+        turn = self.turn * eps[sign, self.letter + 1] * eps[sign, l]
+        img = np.where(turn > 0, self.plain[l], self.flipped[l])
         base = 2 * m * rows  # flat index of each row's position 0
 
         # Pointer doubling: after j steps, lead[x] is the smallest position
         # among x, v(x), ..., v^(2^j - 1)(x); 2^j >= 2m covers every cycle.
-        lead, hop = np.tile(pos, len(partner)), (img + base).ravel()
+        lead, hop = np.tile(pos, count), (img + base).ravel()
         for _ in range(self.doublings):
             lead = np.minimum(lead, lead[hop])
             hop = hop[hop]
@@ -387,21 +383,21 @@ class _Plan:
 
         # Join the sheet faces of x and v(x) for every signed x, then close
         # the joins transitively; class[n] is the smallest face joined to n.
-        joined = np.zeros((len(partner), 2 * r, 2 * r), dtype=bool)
+        joined = np.zeros((count, 2 * r, 2 * r), dtype=bool)
         joined[rows, self.face, self.face[img]] = True
         joined |= joined.transpose(0, 2, 1) | np.eye(2 * r, dtype=bool)
         for _ in range(self.closures):
             hops = joined.astype(np.float32)
             joined = hops @ hops > 0
-        classes = joined.argmax(axis=2) if r else np.zeros((len(partner), 0), np.intp)
+        classes = joined.argmax(axis=2) if r else np.zeros((count, 0), np.intp)
         # A component is named by its smallest factor; it is orientable iff
         # its front and back faces stay in different classes.
         component = np.minimum(classes[:, :r], classes[:, r:])
         orientable = classes[:, :r] != classes[:, r:]
         owner = rows * r + component[:, self.factor]
-        vertices = np.bincount(owner[particular], minlength=len(partner) * r)
+        vertices = np.bincount(owner[particular], minlength=count * r)
         key = np.concatenate(
-            [component, orientable, vertices.reshape(len(partner), r)], axis=1
+            [component, orientable, vertices.reshape(count, r)], axis=1
         )
         # One census per distinct key row, which the chunk's rows share.
         _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
@@ -415,9 +411,9 @@ class _Plan:
 
 @dataclass(frozen=True)
 class _Gluing:
-    """The kernel's output for one chunk and one sign assignment: per row,
-    the vertex image of each position, which positive letters lead a
-    particular cycle, and the surface census."""
+    """The kernel's output for one chunk: per row (a pairing under one sign
+    assignment), the vertex image of each position, which positive letters
+    lead a particular cycle, and the surface census."""
 
     img: np.ndarray
     particular: np.ndarray
@@ -473,25 +469,26 @@ def _combinatorics(shape: WordShape) -> _Plan:
     return _Plan(shape)
 
 
-def _walk(plans: Sequence[_Plan], m: int, rows: int) -> Iterator[tuple]:
-    """The pairing sum's one pass over the canonical pairings of m
-    letters, in chunks of ``rows``: per chunk, its first index, its
-    ``_blocks``, its crossings and each plan's gluing of it."""
+def _walk(plan: _Plan, eps: np.ndarray, rows: int) -> Iterator[tuple]:
+    """The pairing sum's one pass over the canonical pairings of the
+    plan's word, in chunks of ``rows``: per chunk, its first index, its
+    blocks' first and second letters, its crossings and the gluing of
+    every pairing under every sign row of ``eps``."""
+    m = plan.shape.m
     count = pairing_count(m)
     for first in range(0, count, rows):
-        partner = _pairing_table(m, first, min(count, first + rows))
-        yield first, _blocks(partner), _crossings(partner), [p.glue(partner) for p in plans]
+        partner, opens, closes = _pairing_table(m, first, min(count, first + rows))
+        yield first, opens, closes, _crossings(opens, closes), plan.glue(partner, eps)
 
 
 def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, int]]:
     """Every pairing's (index, blocks, surface census, crossings), in
     canonical order, for the transpose signs as written."""
     _check_budget(shape.m)
-    plan = _combinatorics(shape)
-    for first, blocks, cross, (gluing,) in _walk([plan], shape.m, _CHUNK_TERMS):
-        rows = zip(_block_rows(*blocks), gluing.census, cross.tolist())
-        for i, row in enumerate(rows):
-            yield (first + i, *row)
+    plan, as_written = _combinatorics(shape), np.array([(0, *shape.epsilon)], dtype=np.int8)
+    for first, opens, closes, cross, gluing in _walk(plan, as_written, _CHUNK_TERMS):
+        rows = zip(_block_rows(opens, closes), gluing.census, cross.tolist())
+        yield from ((first + i, *row) for i, row in enumerate(rows))
 
 
 def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentResult:
@@ -501,9 +498,7 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     prefactor_exp = -(m // 2) - r
     statistic = "cumulant" if transitive_only else "moment"
 
-    wigner_pos = tuple(
-        k for k, lab in enumerate(shape.labels, start=1) if lab in spec.wigner
-    )
+    wigner_pos = [k for k, lab in enumerate(shape.labels, start=1) if lab in spec.wigner]
     w = len(wigner_pos)
     _check_budget(m, w)
 
@@ -518,25 +513,22 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
         "spec_hash": spec.fingerprint(),
     }
 
-    assignments = list(itertools.product((1, -1), repeat=w))
+    # One row of transpose signs per assignment to the Wigner letters, in
+    # itertools.product order; column k is letter k's sign.
+    eps = np.tile(np.array((0, *shape.epsilon), dtype=np.int8), (2**w, 1))
+    eps[:, wigner_pos] = list(itertools.product((1, -1), repeat=w))
+    signs = len(eps)
+    epsilons = [tuple(row) for row in eps[:, 1:].tolist()] if w else [None]
     share: Number = Fraction(1, 2**w) if exact else 0.5**w
-
-    def shape_with(assign: tuple[int, ...]) -> WordShape:
-        eps = list(shape.epsilon)
-        for pos, sign in zip(wigner_pos, assign):
-            eps[pos - 1] = sign
-        return WordShape(shape.lengths, tuple(eps), shape.labels)
-
-    plans = [_combinatorics(shape_with(a)) for a in assignments]
+    plan = _combinatorics(shape)
     families = tuple(dict.fromkeys(shape.labels))
     family = np.array([families.index(lab) for lab in shape.labels], dtype=np.int64)
     pairs = [(a, b) for a in families for b in families]  # pairs[code of (a, b)]
 
-    def chunk_terms(first, ends, cross, gluings) -> tuple[list[TermReport], Number]:
+    def chunk_terms(first, opens, closes, cross, gluing) -> tuple[list[TermReport], Number]:
         """One chunk's terms and, in exact mode, the exact sum of their
         values (0 in float mode); its arrays are freed before the next
         chunk."""
-        opens, closes = ends
         key = np.column_stack([cross, family[opens - 1] * len(families) + family[closes - 1]])
         # One weight per distinct (crossings, block family pairs) row.
         _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
@@ -545,33 +537,31 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
             for k in key[firsts].tolist()
         ]
         # The components of the letters do not depend on the transpose
-        # signs, so any sign assignment's census decides transitivity; the
-        # empty word has no components and counts as connected.
-        rows = np.arange(len(cross))
+        # signs, so any sign row's census decides transitivity; the empty
+        # word has no components and counts as connected.
+        kept = np.ones(len(cross), dtype=bool)
         if transitive_only and r:
-            rows = rows[[c.connected for c in gluings[0].census]]
-        kind = kind.reshape(-1)[rows]
-        # Terms in canonical order: by pairing row, then by sign assignment.
-        count = len(rows) * len(plans)
-        particular = np.stack([g.particular[rows] for g in gluings], axis=1).reshape(count, m)
-        walk = _cycle_walk(
-            np.stack([g.img[rows] for g in gluings], axis=1).reshape(count, 2 * m), particular
-        )
+            kept = np.array([c.connected for c in gluing.census[::signs]])
+        kind = kind.reshape(-1)[kept]
+        # Terms in canonical order: by pairing, then by sign assignment.
+        term_rows = np.flatnonzero(kept.repeat(signs))
+        count = len(term_rows)
+        particular = gluing.particular[term_rows]
+        walk = _cycle_walk(gluing.img[term_rows], particular)
         counts = particular.sum(axis=1)
         term = np.repeat(np.arange(count), counts)
         if exact:
-            # The distinct weights over one common denominator: a term's
-            # value is an integer weight numerator times its trace product,
-            # over den.
+            # The distinct weights over one common denominator den: a term's
+            # value is its integer weight numerator times its traces, over den.
             den = math.lcm(*(x.denominator for x in kind_weights))
             weight = np.array(
                 [x.numerator * (den // x.denominator) for x in kind_weights], dtype=object
             )
         else:
             weight = np.array(kind_weights, dtype=float)
-        weight = weight[kind].repeat(len(plans))
+        weight = weight[kind].repeat(signs)
         zero = weight == 0
-        cycles, values = _chunk_cycles(walk, ~zero[term], plans[0].signed, spec.matrices, exact)
+        cycles, values = _chunk_cycles(walk, ~zero[term], plan.signed, spec.matrices, exact)
 
         # trace_along(cycles) multiplies its cycles' traces in order from 1,
         # and so do the columns of the grid, padded with 1.  The mirror
@@ -596,26 +586,27 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
         blocks = _block_rows(opens, closes)
         cycles = iter(cycles)
         out = []
-        for i, k, n in zip(rows.tolist(), kind.tolist(), counts.reshape(-1, len(plans)).tolist()):
-            for plan, gluing, parts in zip(plans, gluings, n):
-                census = gluing.census[i]
+        counts = counts.reshape(-1, signs).tolist()
+        for i, k, n in zip(np.flatnonzero(kept).tolist(), kind.tolist(), counts):
+            for j, parts in enumerate(n):
+                surface = gluing.census[signs * i + j]
                 out.append(
                     TermReport(
                         index=first + i,
                         blocks=blocks[i],
                         weight=kind_weights[k],
                         cycles=tuple(itertools.islice(cycles, parts)),
-                        surface=census,
-                        order_exponent=census.order_exponent,
+                        surface=surface,
+                        order_exponent=surface.order_exponent,
                         value=next(values),
-                        epsilon=plan.shape.epsilon if w else None,
+                        epsilon=epsilons[j],
                     )
                 )
         return out, chunk_sum
 
     # Odd m has no pairings: the sum is empty and the total is 0.
     terms, chunk_sums = [], []
-    for chunk in _walk(plans, m, max(1, _CHUNK_TERMS >> w)):
+    for chunk in _walk(plan, eps, max(1, _CHUNK_TERMS >> w)):
         out, chunk_sum = chunk_terms(*chunk)
         terms += out
         chunk_sums.append(chunk_sum)

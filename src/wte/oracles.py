@@ -208,10 +208,13 @@ def mc_oracle(
 
     Only q = 1 has a matrix sampling model; the gram matrix must be
     positive semi-definite.  Wigner families are sampled as the symmetric
-    part (X + X^T)/2 of a square Gaussian matrix.
+    part (X + X^T)/2 of a square Gaussian matrix.  The seed, the Philox
+    key, is an integer in [0, 2**128).
     """
     if float(spec.q) != 1.0:
         raise ValueError("Monte Carlo sampling requires q = 1")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"Monte Carlo seed must lie in [0, 2**128), got {seed}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     shape = spec.shape

@@ -340,6 +340,8 @@ class TestExitCodes:
         [
             ("verify", "--samples", "-4"),
             ("verify", "--samples", "1"),
+            ("verify", "--seed", "-1"),
+            ("verify", "--seed", str(2**128)),
             ("moment", "-N", "0"),
             ("moment", "-M", "0"),
             ("clt", "-N", "-2"),
@@ -366,6 +368,8 @@ class TestExitCodes:
             ("moment", "-N", "x", "an integer of at least 1"),
             ("moment", "-M", "1.5", "an integer of at least 1"),
             ("verify", "--samples", "two", "0 or an integer of at least 2"),
+            ("verify", "--seed", "-1", "an integer of at least 0 and below 2**128"),
+            ("verify", "--seed", "2.5", "an integer of at least 0 and below 2**128"),
         ],
     )
     def test_bad_option_value_says_what_the_option_takes(
@@ -378,6 +382,28 @@ class TestExitCodes:
         assert f"argument {option}: must be {takes}" in err and f"got {value!r}" in err
         assert "invalid" not in err and "_parse_number" not in err and "count" not in err
         assert "Traceback" not in err
+
+    def test_samples_with_q_not_one_is_2(self, capsys, monkeypatch):
+        # Only q = 1 has a sampling model: refused while reading the
+        # options, before the Wick oracle or the engine runs.
+        def never(*args, **kwargs):
+            raise AssertionError("ran before refusing the options")
+
+        monkeypatch.setattr(wte.cli, "wick_oracle", never)
+        monkeypatch.setattr(wte.cli, "moment", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--expr", QUAD, "--bind-identity", "--samples", "10", "--q", "1/2"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Monte Carlo sampling requires q = 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["0", str(2**128 - 1)])
+    def test_seed_range_ends(self, capsys, seed):
+        code, out, _ = run(
+            capsys, "verify", "--expr", QUAD, "--bind-identity", "-N", "3", "-M", "2",
+            "--samples", "10", "--seed", seed, "--format", "json",
+        )
+        assert code in (0, 1) and json.loads(out)["checks"][1]["name"] == "monte-carlo"
 
     @pytest.mark.parametrize("samples, checks", [("0", 1), ("2", 2)])
     def test_samples_zero_or_at_least_two(self, capsys, samples, checks):

@@ -76,6 +76,20 @@ def reference_sum(spec, transitive_only=False):
     return scale * math.fsum(t[-1] for t in terms), terms
 
 
+SLICES_12 = ((0, 1), (4095, 4097), (5000, 5100), (10394, 10395))
+
+
+def block_rows(opens, closes):
+    """The decoded blocks of each row, as ``Pairing.blocks`` gives them."""
+    return [tuple(zip(a, b)) for a, b in zip(opens.tolist(), closes.tolist())]
+
+
+def as_written(shape):
+    """The kernel's sign table of the transpose signs as written: one row,
+    whose column k holds letter k's sign."""
+    return np.array([(0, *shape.epsilon)], dtype=np.int8)
+
+
 def as_rows(result):
     return [
         (t.index, t.blocks, t.weight, t.cycles, t.surface, t.order_exponent, t.value)
@@ -86,23 +100,34 @@ def as_rows(result):
 class TestPairingTable:
     @pytest.mark.parametrize("m", [0, 2, 4, 6, 8, 10])
     def test_whole_table_is_canonical_order(self, m):
-        table = _pairing_table(m, 0, pairing_count(m)).tolist()
+        table = _pairing_table(m, 0, pairing_count(m))[0].tolist()
         assert [tuple(row) for row in table] == [p.partner for p in enumerate_pairings(m)]
 
     def test_slices_decode_their_own_indices(self):
         every = [p.partner for p in enumerate_pairings(12)]
-        for start, stop in ((0, 1), (4095, 4097), (5000, 5100), (10394, 10395)):
-            table = _pairing_table(12, start, stop).tolist()
+        for start, stop in SLICES_12:
+            table = _pairing_table(12, start, stop)[0].tolist()
             assert [tuple(row) for row in table] == every[start:stop]
+
+    @pytest.mark.parametrize("m", [0, 2, 4, 6, 8, 10])
+    def test_whole_table_blocks(self, m):
+        _, opens, closes = _pairing_table(m, 0, pairing_count(m))
+        assert block_rows(opens, closes) == [p.blocks() for p in enumerate_pairings(m)]
+
+    def test_slices_decode_their_own_blocks(self):
+        every = [p.blocks() for p in enumerate_pairings(12)]
+        for start, stop in SLICES_12:
+            _, opens, closes = _pairing_table(12, start, stop)
+            assert block_rows(opens, closes) == every[start:stop]
 
 
 class TestKernelMatchesSpecification:
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s.lengths}{s.epsilon}")
     def test_every_pairing(self, shape):
-        partner = _pairing_table(shape.m, 0, pairing_count(shape.m))
+        partner, opens, closes = _pairing_table(shape.m, 0, pairing_count(shape.m))
         plan = _combinatorics(shape)
-        gluing = plan.glue(partner)
-        cross = _crossings(partner).tolist()
+        gluing = plan.glue(partner, as_written(shape))
+        cross = _crossings(opens, closes).tolist()
         walked = iter(_letters(_cycle_walk(gluing.img, gluing.particular), plan.signed))
         for i, p in enumerate(enumerate_pairings(shape.m)):
             parts = particular_cycles(vertex_permutation(p, shape))
@@ -126,21 +151,34 @@ class TestKernelMatchesSpecification:
             assert cross == crossings(p)
         assert [row[0] for row in rows] == list(range(len(rows)))
 
-    def test_wigner_sign_assignments_across_chunk_seams(self, monkeypatch):
-        # Three Wigner letters and 16 terms per chunk: two pairing rows per
-        # chunk, each glued under all eight sign assignments.
+    @pytest.mark.parametrize("statistic", [moment, cumulant], ids=["moment", "cumulant"])
+    def test_wigner_sign_assignments_across_chunk_seams(self, monkeypatch, statistic):
+        # Three Wigner letters in two factors and 16 terms per chunk: two
+        # pairing rows per chunk, each glued under all eight sign
+        # assignments.
         monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 16)
         rng = random.Random(7)
-        base = random_shape(rng, 8, labels=("X", "Z", "X", "Z", "X", "X", "Z", "X"))
+        eps = tuple(rng.choice((1, -1)) for _ in range(8))
+        base = WordShape((4, 4), eps, ("X", "Z", "X", "Z", "X", "X", "Z", "X"))
         n = 2
         spec = MomentSpec(
             base, fraction_matrices(rng, base, n, n), n, n, wigner=frozenset({"Z"})
         )
-        res = moment(spec)
-        assert len(res.terms) == pairing_count(8) * 8
+        res = statistic(spec)
         pairings = list(enumerate_pairings(8))
+        # The cumulant keeps exactly the pairings that connect both factors,
+        # each under all eight assignments in product order.
+        kept = [i for i, p in enumerate(pairings) if statistic is moment or is_transitive(p, base)]
+        if statistic is cumulant:
+            assert 0 < len(kept) < len(pairings)
+        wigner_pos = (2, 4, 7)
+        assignments = list(itertools.product((1, -1), repeat=3))
+        assert [(t.index, tuple(t.epsilon[k - 1] for k in wigner_pos)) for t in res.terms] == [
+            (i, a) for i in kept for a in assignments
+        ]
         for t in res.terms:
             p = pairings[t.index]
+            assert all(t.epsilon[k - 1] == eps[k - 1] for k in range(1, 9) if k not in wigner_pos)
             shape = WordShape(base.lengths, t.epsilon, base.labels)
             parts = particular_cycles(vertex_permutation(p, shape))
             assert t.blocks == p.blocks()
@@ -150,6 +188,19 @@ class TestKernelMatchesSpecification:
             assert t.weight == expected
             if expected:
                 assert t.value == expected * trace_along(parts, spec.matrices)
+
+    def test_one_plan_for_every_sign_assignment(self):
+        # The sign assignments are rows of one table: a word with three
+        # Wigner letters compiles one plan, not one per assignment.
+        shape = WordShape((2, 4), (1, -1, 1, 1, -1, -1), ("Z", "X", "Z", "Z", "X", "X"))
+        spec = MomentSpec(shape, fraction_matrices(random.Random(18), shape, 2, 2), 2, 2,
+                          wigner=frozenset({"Z"}))
+        _combinatorics.cache_clear()
+        res = moment(spec)
+        assert len({t.epsilon for t in res.terms}) == 8
+        assert _combinatorics.cache_info()[:2] == (0, 1)  # (hits, misses)
+        moment(spec)
+        assert _combinatorics.cache_info()[:2] == (1, 1)
 
     def test_chunking_does_not_change_the_result(self, monkeypatch):
         rng = random.Random(3)
@@ -187,10 +238,10 @@ class TestKernelMatchesSpecification:
     )
     def test_rows_that_are_not_pairings_fail_the_mirror_checks(self, row, message):
         plan = _combinatorics(WordShape.alternating((4,)))
-        good = _pairing_table(4, 0, pairing_count(4))
-        plan.glue(good)
+        good = _pairing_table(4, 0, pairing_count(4))[0]
+        plan.glue(good, as_written(plan.shape))
         with pytest.raises(MirrorPropertyError, match=message):
-            plan.glue(np.vstack([good, row]))
+            plan.glue(np.vstack([good, row]), as_written(plan.shape))
 
 
 class TestMomentMatchesReferenceSum:

@@ -302,6 +302,12 @@ class TestMcOracle:
         with pytest.raises(ValueError, match="q = 1"):
             mc_oracle(spec, 100)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_rejects_seed_outside_the_key_range(self, seed):
+        spec = make_spec((2,), (-1, 1), 2, 2, seed=12)
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*128\), got {seed}"):
+            mc_oracle(spec, 100, seed=seed)
+
     def test_rejects_tiny_sample_count(self):
         spec = make_spec((2,), (-1, 1), 2, 2, seed=12)
         with pytest.raises(ValueError, match="2 samples"):
