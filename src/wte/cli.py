@@ -127,7 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    "with the transpose signs as written", (terms,)),
         ("clt", "pairwise N^2 k_2 fluctuation table for the factors", (model,)),
     ):
-        sub.add_parser(name, help=descr, description=descr, parents=(common, *groups))
+        command = sub.add_parser(name, help=descr, description=descr, parents=(common, *groups))
+        # Usage errors found after parsing print this subcommand's usage.
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
@@ -523,15 +525,14 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "census" and args.terms and args.format == "csv":
-        parser.error(
+        args.usage_error(
             "census --format csv writes the group table; "
             "--terms applies to json and text"
         )
     if args.command == "verify" and args.samples and args.q != 1:
-        parser.error("verify --samples needs --q 1: Monte Carlo sampling requires q = 1")
+        args.usage_error("verify --samples needs --q 1: Monte Carlo sampling requires q = 1")
     try:
         code = _COMMANDS[args.command](args)
         # Flush here so that a closed pipe raises inside this try, not

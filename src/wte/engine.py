@@ -19,10 +19,11 @@ canonical pairing table (``_walk``, which the moment, the cumulant and
 the census share), refused up front, before any table is built, with
 :class:`BudgetError` when its work, (m-1)!! * m * 2^w for w Wigner
 letters, exceeds the budget it shares with the Wick oracle
-(``WTE_BUDGET``).  Each word shape compiles once into a plan
-(``_combinatorics``): the constant index arrays of the factor rotation
-and its inverse, the sheet face of every signed letter and the cycle
-order key.  The transpose signs are an input: one int8 row per sign
+(``WTE_BUDGET``).  Each list of factor lengths compiles once into a
+plan (``_combinatorics``), which words that differ only in transpose
+signs or family labels share: the constant index arrays of the factor
+rotation and its inverse, the sheet face of every signed letter and the
+cycle order key.  The transpose signs are an input: one int8 row per sign
 assignment of the Wigner letters.  Per chunk, the decode gives each
 pairing's partner row and blocks, crossings are counted over block
 pairs, and one gluing of every pairing under every sign row gathers the
@@ -324,18 +325,19 @@ def _crossings(opens: np.ndarray, closes: np.ndarray) -> np.ndarray:
 
 
 class _Plan:
-    """One word shape's constant index arrays, for the kernel; the
-    transpose signs are an input of ``glue``, one row per sign assignment.
+    """The constant index arrays of the words with these factor lengths,
+    for the kernel; the transpose signs are an input of ``glue``, one row
+    per sign assignment.
 
     The signed letters sit at positions in cycle-key order: +k at
     2(k-1) and -k at 2(k-1)+1, so x ^ 1 is the mirror letter and a
     cycle's canonical lead is its smallest position.
     """
 
-    def __init__(self, shape: WordShape):
-        m, r = shape.m, shape.r
-        gamma, gamma_inv = _rotation_arrays(shape.lengths)
-        self.shape = shape
+    def __init__(self, lengths: tuple[int, ...]):
+        m, r = sum(lengths), len(lengths)
+        gamma, gamma_inv = _rotation_arrays(lengths)
+        self.lengths, self.m, self.r = lengths, m, r
         self.signed = [(x // 2 + 1) * (-1 if x % 2 else 1) for x in range(2 * m)]
         # ``_vertex_image``: with a = gamma(k) for k > 0 and a = k otherwise,
         # and l = p(|a|), v(k) is +l if -sign(a) eps(|a|) eps(l) > 0, else
@@ -346,7 +348,7 @@ class _Plan:
         self.plain = 2 * np.arange(-1, m)
         self.flipped = 2 * np.array(gamma_inv) - 1
         # Sheet face of each position: factor f on the front, f + r on the back.
-        self.factor = np.repeat(np.arange(r), shape.lengths)
+        self.factor = np.repeat(np.arange(r), lengths)
         self.face = self.factor.repeat(2) + r * (np.arange(2 * m) % 2)
         self.doublings = max(2 * m - 1, 0).bit_length()
         self.closures = max(2 * r - 2, 0).bit_length()
@@ -355,8 +357,7 @@ class _Plan:
         """Vertex cycles and surface census of every pairing in ``partner``
         under every sign row of ``eps`` (column k: letter k's sign): row
         i * len(eps) + j is pairing i under ``eps[j]``."""
-        shape = self.shape
-        m, r = shape.m, shape.r
+        m, r = self.m, self.r
         count = len(partner) * len(eps)
         rows = np.arange(count)[:, None]
         pairing, sign = np.divmod(rows, len(eps))
@@ -402,7 +403,7 @@ class _Plan:
         # One census per distinct key row, which the chunk's rows share.
         _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
         reports = [
-            _assemble_surface(shape, k[:r], k[r : 2 * r], k[2 * r :])
+            _assemble_surface(self.lengths, k[:r], k[r : 2 * r], k[2 * r :])
             for k in key[firsts].tolist()
         ]
         kind = kind.reshape(-1).tolist()
@@ -463,10 +464,11 @@ def _chunk_cycles(
 
 
 @lru_cache(maxsize=64)
-def _combinatorics(shape: WordShape) -> _Plan:
-    """The kernel's plan for one word shape: independent of the pairing,
-    the matrices and the dimensions."""
-    return _Plan(shape)
+def _combinatorics(lengths: tuple[int, ...]) -> _Plan:
+    """The kernel's plan for the words with these factor lengths:
+    independent of the transpose signs, the labels, the pairing, the
+    matrices and the dimensions."""
+    return _Plan(lengths)
 
 
 def _walk(plan: _Plan, eps: np.ndarray, rows: int) -> Iterator[tuple]:
@@ -474,7 +476,7 @@ def _walk(plan: _Plan, eps: np.ndarray, rows: int) -> Iterator[tuple]:
     plan's word, in chunks of ``rows``: per chunk, its first index, its
     blocks' first and second letters, its crossings and the gluing of
     every pairing under every sign row of ``eps``."""
-    m = plan.shape.m
+    m = plan.m
     count = pairing_count(m)
     for first in range(0, count, rows):
         partner, opens, closes = _pairing_table(m, first, min(count, first + rows))
@@ -485,7 +487,7 @@ def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, i
     """Every pairing's (index, blocks, surface census, crossings), in
     canonical order, for the transpose signs as written."""
     _check_budget(shape.m)
-    plan, as_written = _combinatorics(shape), np.array([(0, *shape.epsilon)], dtype=np.int8)
+    plan, as_written = _combinatorics(shape.lengths), np.array([(0, *shape.epsilon)], dtype=np.int8)
     for first, opens, closes, cross, gluing in _walk(plan, as_written, _CHUNK_TERMS):
         rows = zip(_block_rows(opens, closes), gluing.census, cross.tolist())
         yield from ((first + i, *row) for i, row in enumerate(rows))
@@ -520,7 +522,7 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     signs = len(eps)
     epsilons = [tuple(row) for row in eps[:, 1:].tolist()] if w else [None]
     share: Number = Fraction(1, 2**w) if exact else 0.5**w
-    plan = _combinatorics(shape)
+    plan = _combinatorics(shape.lengths)
     families = tuple(dict.fromkeys(shape.labels))
     family = np.array([families.index(lab) for lab in shape.labels], dtype=np.int64)
     pairs = [(a, b) for a in families for b in families]  # pairs[code of (a, b)]

@@ -390,14 +390,15 @@ def surface_census(
     vertex_in = dict.fromkeys(component_of, 0)
     for cyc in particular:
         vertex_in[component_of[face[m + abs(cyc[0])]]] += 1
-    return _assemble_surface(shape, component_of, orientable, vertex_in)
+    return _assemble_surface(shape.lengths, component_of, orientable, vertex_in)
 
 
-def _assemble_surface(shape: WordShape, component_of, orientable, vertices) -> SurfaceReport:
-    """The census from the component label c of each (0-based) factor f,
-    ``component_of[f]``, and each component's ``orientable[c]`` and
-    particular vertex count ``vertices[c]``; the engine's kernel builds
-    its census here too.  Components are listed by their smallest factor."""
+def _assemble_surface(lengths: Sequence[int], component_of, orientable, vertices) -> SurfaceReport:
+    """The census of a word with these factor lengths from the component
+    label c of each (0-based) factor f, ``component_of[f]``, and each
+    component's ``orientable[c]`` and particular vertex count
+    ``vertices[c]``; the engine's kernel builds its census here too.
+    Components are listed by their smallest factor."""
     members: dict[int, list[int]] = {}
     for f, c in enumerate(component_of):
         members.setdefault(c, []).append(f)
@@ -405,14 +406,14 @@ def _assemble_surface(shape: WordShape, component_of, orientable, vertices) -> S
         ComponentSurface(
             factors=tuple(f + 1 for f in factors),
             vertices=vertices[c],
-            edges=sum(shape.lengths[f] for f in factors) // 2,
+            edges=sum(lengths[f] for f in factors) // 2,
             faces=len(factors),
             orientable=bool(orientable[c]),
         )
         for c, factors in members.items()
     )
     return SurfaceReport(
-        components, sum(c.vertices for c in components) - shape.m // 2 - shape.r
+        components, sum(c.vertices for c in components) - sum(lengths) // 2 - len(lengths)
     )
 
 

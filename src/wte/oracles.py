@@ -6,6 +6,18 @@ column indices identified across each paired letter) of the product of
 constant-matrix entries.  It shares only pairing enumeration and matrix
 storage with the engine -- no double-cover permutations, no vertex
 cycles, and its own crossing counter -- so agreement is meaningful.
+The loops over pairings, their weights and the sign assignments of the
+Wigner letters run in Python; the sum over index assignments runs in
+numpy, in slices of ``_WICK_SLICE`` assignments taken in
+``itertools.product`` order.  Per slice the assignments are decoded
+into each block's row and column digits, each letter's slot entries
+are gathered with one fancy index, and the m gathered columns are
+multiplied in letter order.  Exact mode multiplies object arrays of
+the entries themselves (``int`` or ``Fraction``).  Float mode
+multiplies float64 arrays and sums each slice as a left fold in
+assignment order (``np.add.accumulate``, carried across slices), so its
+bits are those of the one-assignment-at-a-time loop that
+``tests/wick.py`` keeps as the specification.
 
 ``mc_oracle`` samples the Gaussian matrix families directly and averages
 the trace-word product.  Sampling is counter-based (Philox keyed by the
@@ -31,6 +43,8 @@ from .gluing import _rotation_arrays
 from .perm import enumerate_pairings, pairing_count
 
 Number = Union[int, float, Fraction]
+
+_WICK_SLICE = 1 << 14  # index assignments per array slice of the Wick sum
 
 
 def _local_crossings(blocks: Sequence[tuple[int, int]]) -> int:
@@ -94,12 +108,8 @@ def wick_oracle(spec: MomentSpec, *, exact: bool = True) -> Number:
     if exact and not all(mat.is_exact for mat in spec.matrices):
         raise ValueError("exact mode requires integer or rational matrix entries")
 
-    entries = []
-    for mat in spec.matrices:
-        if exact:
-            entries.append(mat.entries)
-        else:
-            entries.append(tuple(tuple(float(x) for x in row) for row in mat.entries))
+    entries = [mat.as_array(exact=exact) for mat in spec.matrices]
+    dtype = object if exact else float
 
     gamma, _ = _rotation_arrays(shape.lengths)
     assignments = list(itertools.product((1, -1), repeat=w))
@@ -116,7 +126,12 @@ def wick_oracle(spec: MomentSpec, *, exact: bool = True) -> Number:
         Fraction(spec.q) if exact else float(spec.q)
     )
 
-    index_pairs = list(itertools.product(range(spec.m_dim), range(spec.n_dim)))
+    # An index assignment gives each block a row in [m_dim] and a column
+    # in [n_dim]; in itertools.product order over the blocks, assignment
+    # t has the digits of t in the mixed radix (m_dim, n_dim) * (m/2),
+    # so digit 2b is block b's row and digit 2b + 1 its column.
+    radix = (spec.m_dim, spec.n_dim) * (m // 2)
+    count = math.prod(radix)
     total: Number = Fraction(0) if exact else 0.0
 
     for p in enumerate_pairings(m):
@@ -133,33 +148,31 @@ def wick_oracle(spec: MomentSpec, *, exact: bool = True) -> Number:
 
         for assign in assignments:
             eps = eps_for(assign)
-            # Per letter: which block supplies each index of its slot's
-            # entry, and whether that index is the shared row (in [m_dim])
-            # or the shared column (in [n_dim]).
-            plan = []
-            for k in range(1, m + 1):
-                j = gamma[k]
-                plan.append(
-                    (
-                        block_of[k],
-                        eps[k] == -1,
-                        block_of[j],
-                        eps[j] == 1,
-                        entries[k - 1],
-                    )
+            # Per letter: its slot's entries and the digits that index
+            # them: the row (2b) or the column (2b + 1) of the block b
+            # that holds the letter, then of the block that holds the
+            # next letter of its factor.
+            plan = [
+                (
+                    entries[k - 1],
+                    2 * block_of[k] + (eps[k] != -1),
+                    2 * block_of[gamma[k]] + (eps[gamma[k]] != 1),
                 )
-            acc: Number = Fraction(0) if exact else 0.0
-            for choice in itertools.product(index_pairs, repeat=len(blocks)):
-                prod: Number = 1
-                for bf, first_row, bs, second_row, ent in plan:
-                    c1 = choice[bf]
-                    i1 = c1[0] if first_row else c1[1]
-                    c2 = choice[bs]
-                    i2 = c2[0] if second_row else c2[1]
-                    prod = prod * ent[i1][i2]
-                    if prod == 0:
-                        break
-                acc = acc + prod
+                for k in range(1, m + 1)
+            ]
+            acc: Number = 0 if exact else 0.0
+            for start in range(0, count, _WICK_SLICE):
+                index = np.arange(start, min(count, start + _WICK_SLICE))
+                digits = np.unravel_index(index, radix) if m else ()
+                prod = np.ones(len(index), dtype=dtype)
+                for ent, first, second in plan:
+                    prod *= ent[digits[first], digits[second]]
+                if exact:
+                    acc = acc + prod.sum()
+                else:
+                    # A left fold in assignment order, carried across
+                    # slices: the bits of the scalar loop's sum.
+                    acc = float(np.add.accumulate(np.concatenate(([acc], prod)))[-1])
             total = total + weight * share * acc
 
     if exact:

@@ -396,6 +396,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert "Monte Carlo sampling requires q = 1" in err and "Traceback" not in err
+        # The subcommand's usage, as for argparse's own option errors.
+        assert err.startswith("usage: wte verify ")
+        assert "wte verify: error: verify --samples needs --q 1" in err
 
     @pytest.mark.parametrize("seed", ["0", str(2**128 - 1)])
     def test_seed_range_ends(self, capsys, seed):
@@ -575,6 +578,8 @@ class TestCensusCommand:
         assert exc.value.code == 2
         assert "csv writes the group table" in err
         assert "--terms applies to json and text" in err
+        assert err.startswith("usage: wte census ")
+        assert "wte census: error: census --format csv" in err
 
     def test_counts_match_the_specification(self, capsys):
         # Every pairing's record equals surface_census and crossings.

@@ -125,7 +125,7 @@ class TestKernelMatchesSpecification:
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s.lengths}{s.epsilon}")
     def test_every_pairing(self, shape):
         partner, opens, closes = _pairing_table(shape.m, 0, pairing_count(shape.m))
-        plan = _combinatorics(shape)
+        plan = _combinatorics(shape.lengths)
         gluing = plan.glue(partner, as_written(shape))
         cross = _crossings(opens, closes).tolist()
         walked = iter(_letters(_cycle_walk(gluing.img, gluing.particular), plan.signed))
@@ -202,6 +202,24 @@ class TestKernelMatchesSpecification:
         moment(spec)
         assert _combinatorics.cache_info()[:2] == (1, 1)
 
+    def test_one_plan_for_words_that_differ_in_signs_and_labels(self):
+        # The plan reads only the factor lengths: three one-factor words of
+        # length 4 with different transpose signs and labels share it.
+        rng = random.Random(19)
+        shapes = [
+            WordShape((4,), (-1, 1, -1, 1)),
+            WordShape((4,), (1, 1, -1, -1)),
+            WordShape((4,), (1, -1, -1, 1), ("X", "Y", "Y", "X")),
+        ]
+        _combinatorics.cache_clear()
+        for shape in shapes:
+            spec = MomentSpec(shape, fraction_matrices(rng, shape, 2, 3), 2, 3)
+            total, terms = reference_sum(spec, transitive_only=False)
+            res = moment(spec)
+            assert repr(res.total) == repr(total)
+            assert as_rows(res) == terms
+        assert _combinatorics.cache_info()[:2] == (2, 1)  # (hits, misses)
+
     def test_chunking_does_not_change_the_result(self, monkeypatch):
         rng = random.Random(3)
         shape = random_shape(rng, 8)
@@ -237,11 +255,12 @@ class TestKernelMatchesSpecification:
         [((1, 1, 1, 1), "cycle count"), ((1, 1, 4, 1), "no mirror partner")],
     )
     def test_rows_that_are_not_pairings_fail_the_mirror_checks(self, row, message):
-        plan = _combinatorics(WordShape.alternating((4,)))
+        shape = WordShape.alternating((4,))
+        plan = _combinatorics(shape.lengths)
         good = _pairing_table(4, 0, pairing_count(4))[0]
-        plan.glue(good, as_written(plan.shape))
+        plan.glue(good, as_written(shape))
         with pytest.raises(MirrorPropertyError, match=message):
-            plan.glue(np.vstack([good, row]), as_written(plan.shape))
+            plan.glue(np.vstack([good, row]), as_written(shape))
 
 
 class TestMomentMatchesReferenceSum:

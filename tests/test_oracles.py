@@ -11,6 +11,7 @@ from wte.gluing import WordShape, slot_dimensions
 from wte.matrices import Matrix
 from wte.oracles import is_noncrossing, mc_oracle, wick_oracle
 from wte.perm import crossings, enumerate_pairings, pairing_count
+from wick import wick_reference
 
 
 def int_matrices(rng, shape, n_dim, m_dim, lo=-4, hi=4):
@@ -109,6 +110,89 @@ class TestWickOracle:
         mats[1] = Matrix(bumped)
         corrupted = MomentSpec(spec.shape, tuple(mats), 2, 2)
         assert wick_oracle(corrupted) != moment(spec, exact=True).total
+
+
+GRAM_XY = Gram(("X", "Y"), ((1, Fraction(1, 2)), (Fraction(1, 2), 1)))
+
+
+def _word(name):
+    """The words the array sum is checked against the per-assignment loop
+    on: q and Gram weights, Wigner sign assignments, two factors of a
+    rectangular X, Fraction entries and ints past int64."""
+    rng = random.Random(name)
+    entries = {
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        "past_int64": lambda: rng.choice((-1, 1)) * rng.randint(2**40, 2**70),
+    }.get(name, lambda: rng.randint(-3, 3))
+    lengths, eps, n_dim, m_dim, kw = {
+        "q_half": ((6,), (-1, 1) * 3, 2, 2, {"q": Fraction(1, 2)}),
+        "gram": ((6,), (-1, 1) * 3, 2, 2,
+                 {"labels": ("X", "Y", "X", "X", "Y", "Y"), "gram": GRAM_XY}),
+        "wigner": ((4, 2), (1, -1, 1, 1, -1, 1), 2, 2,
+                   {"labels": ("Z", "X", "Z", "X", "X", "Z"), "wigner": frozenset({"Z"})}),
+        "rectangular_r2": ((2, 4), (-1, 1, 1, -1, -1, 1), 3, 2, {}),
+        "fraction": ((6,), (-1, 1) * 3, 2, 3, {}),
+        "past_int64": ((6,), (1, -1, -1, 1, 1, -1), 2, 2, {}),
+    }[name]
+    shape = WordShape(lengths, eps, kw.pop("labels", ()))
+    mats = tuple(
+        Matrix([[entries() for _ in range(c)] for _ in range(r)])
+        for r, c in slot_dimensions(shape, n_dim, m_dim)
+    )
+    return MomentSpec(shape, mats, n_dim, m_dim, **kw)
+
+
+class TestArraySumMatchesReference:
+    """``wick_oracle`` sums array slices of index assignments; the loop
+    of ``wick_reference`` visits them one at a time."""
+
+    WORDS = ["q_half", "gram", "wigner", "rectangular_r2", "fraction", "past_int64"]
+
+    @pytest.mark.parametrize("slice_size", [7, None], ids=["slice7", "default"])
+    @pytest.mark.parametrize("name", WORDS)
+    def test_exact_values_and_float_bits(self, monkeypatch, name, slice_size):
+        spec = _word(name)
+        if slice_size:
+            # 7 does not divide (NM)^(m/2): slices end inside blocks' digits.
+            monkeypatch.setattr(wte.oracles, "_WICK_SLICE", slice_size)
+        exact = wick_oracle(spec, exact=True)
+        assert exact == wick_reference(spec, exact=True)
+        assert type(exact) is Fraction
+        assert wick_oracle(spec, exact=False).hex() == wick_reference(spec, exact=False).hex()
+
+    def test_products_past_int64_do_not_wrap(self, monkeypatch):
+        # Entries of 2^60 overflow an int64 product; exact sums must not wrap.
+        shape = WordShape.alternating((2,))
+        big = Matrix([[2**60, 1], [1, 2**60]])
+        spec = MomentSpec(shape, (big, big), 2, 2)
+        monkeypatch.setattr(wte.oracles, "_WICK_SLICE", 3)
+        assert wick_oracle(spec) == wick_reference(spec) == moment(spec, exact=True).total
+
+    def test_empty_word(self):
+        spec = MomentSpec(WordShape(()), (), 2, 3)
+        assert wick_oracle(spec) == wick_reference(spec) == 1
+        assert wick_oracle(spec, exact=False) == wick_reference(spec, exact=False) == 1.0
+
+
+class TestEngineMatchesWickAtTenLetters:
+    """The exact moment of the m = 10 words of the benchmark's exact sweep
+    at N = M = 2: 945 pairings times 4^5 index assignments (times 4 sign
+    assignments for the Wigner word) for the oracle."""
+
+    @pytest.mark.parametrize(
+        "labels, eps, kw",
+        [
+            ("X" * 10, (-1, 1) * 5, {"q": Fraction(1, 2)}),
+            ("XXYXXYXXYX", (-1, 1) * 5, {"gram": GRAM_XY}),
+            ("XXZXXXXZXX", (-1, 1, 1, -1, 1, -1, 1, 1, -1, 1), {"wigner": frozenset({"Z"})}),
+        ],
+        ids=["q10", "gram10", "wig10"],
+    )
+    def test_exact_moment_equals_oracle(self, labels, eps, kw):
+        shape = WordShape((10,), eps, tuple(labels))
+        mats = int_matrices(random.Random(labels), shape, 2, 2, -3, 3)
+        spec = MomentSpec(shape, mats, 2, 2, **kw)
+        assert moment(spec, exact=True).total == wick_oracle(spec, exact=True)
 
 
 RATIONALS = st.fractions(-2, 2, max_denominator=3)
