@@ -19,8 +19,9 @@ model; and a value an option does not take, such as ``-N 0``,
 ``--samples 1``, ``--q 2`` or a ``--seed`` outside [0, 2**128)), parse
 errors (expression or input files) and input files that cannot be read
 or are not UTF-8, 3 dimension/binding errors, 4 work budget exceeded
-(the pairing sum of ``moment``, ``cumulant`` and ``census``, or the Wick
-expansion of ``verify``, which is checked before the engine runs).
+(the pairing sum of ``moment``, ``cumulant`` and ``census``, the Wick
+expansion of ``verify``, which is checked before the engine runs, or
+the identities ``--bind-identity`` would build, checked before any is).
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ from .engine import (
     MomentResult,
     MomentSpec,
     TermReport,
+    _enforce_budget,
     census_rows,
     clt_report,
     cumulant,
     moment,
 )
 from .expr import ParseError, TraceWordAst, build_shape, elaborate, parse, pretty
+from .gluing import slot_dimensions
 from .matrices import (
     DimensionError,
     Matrix,
@@ -149,6 +152,10 @@ def _make_spec(args, ast: TraceWordAst) -> MomentSpec:
             bindings = parse_bindings(fh.read())
     shape, slot_names = build_shape(ast)
     if args.bind_identity:
+        # One n x n identity per size of the unbound slots, n^2 entries each.
+        profile = slot_dimensions(shape, args.n_dim, args.m_dim)
+        sizes = {profile[k][0] for k, name in enumerate(slot_names) if name not in bindings}
+        _enforce_budget(sum(n * n for n in sizes), "identity fill")
         bindings = slot_identity_fill(bindings, slot_names, shape, args.n_dim, args.m_dim)
     gram = None
     if args.gram:

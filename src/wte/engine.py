@@ -34,10 +34,11 @@ per-pairing functions of ``gluing.py`` are the specification the kernel
 is tested against.  The chunk's terms are then assembled in numpy too:
 one weight per distinct crossing count and block family pairs, a
 lockstep walk of every particular cycle from its lead, one tuple per
-distinct cycle of the chunk (which the chunk's terms share), and one
-:func:`~wte.matrices.trace_cycles` call for the chunk's distinct cycles,
-which has the bits of ``trace_along`` cycle by cycle.  Nothing but the
-terms and, in exact mode, the chunk's sum outlives a chunk, so a chunk
+distinct cycle of the chunk (which the chunk's terms share), and the
+kernel's last stage, ``_trace_walk``, which traces the chunk's distinct
+walked cycles in stacks, with the bits of
+:func:`~wte.matrices.trace_along` cycle by cycle.  Nothing but the terms
+and, in exact mode, the chunk's sum outlives a chunk, so a chunk
 depends only on its range of pairings.  A term's value is its weight
 times its cycles' traces, multiplied in cycle order; a term of weight 0
 has value 0 and its cycles are not traced.  A cumulant keeps a pairing
@@ -49,6 +50,15 @@ weights over one common denominator: a term's value is the ``Fraction``
 of its integer numerator (the weight's numerator times the trace
 product), a chunk's numerators are summed as plain ints once, and the
 total is the prefactor times the sum of the chunks' fractions.
+
+Exact mode needs integer or rational entries in every slot of an even
+word, since every term reads all m slots; this is checked once, before
+any table is built.
+Its traces multiply the matrices' int64 views instead of their object
+views when every slot holds ``int`` entries and ``(amax * d)^L < 2^62``
+for the largest |entry| amax, the largest dimension d and the cycle
+length L: no entry of a partial product, and no trace, can then leave
+int64, so the traces are the same Python ints.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ from .gluing import (
     front_rotation,
     slot_dimensions,
 )
-from .matrices import DimensionError, Gram, Matrix, _row_codes, trace_cycles
+from .matrices import DimensionError, Gram, Matrix
 from .perm import Pairing, crossings, orbits, pairing_count
 
 # The per-pairing specification the kernel is tested against; bound here
@@ -324,6 +334,21 @@ def _crossings(opens: np.ndarray, closes: np.ndarray) -> np.ndarray:
     return ((i < k) & (k < j) & (j < l)).sum(axis=(1, 2))
 
 
+def _row_codes(key: np.ndarray) -> np.ndarray:
+    """One int64 per row of a non-negative integer array, equal for equal
+    rows and ordered as the rows are lexicographically, so that
+    ``np.unique`` of the codes groups the rows without sorting records."""
+    code = np.zeros(len(key), dtype=np.int64)
+    for col in key.T:
+        col = col.astype(np.int64)
+        radix = int(col.max(initial=0)) + 1
+        if int(code.max(initial=0)) >= (1 << 62) // radix:
+            # Renumber the distinct prefixes densely before they overflow.
+            code = np.unique(code, return_inverse=True)[1].reshape(-1)
+        code = code * radix + col
+    return code
+
+
 class _Plan:
     """The constant index arrays of the words with these factor lengths,
     for the kernel; the transpose signs are an input of ``glue``, one row
@@ -447,6 +472,81 @@ def _letters(walk: np.ndarray, signed: list[int]) -> list[tuple[int, ...]]:
     return [tuple(itertools.islice(it, n)) for n in inside.sum(axis=1).tolist()]
 
 
+def _trace_walk(walk: np.ndarray, mats: Sequence[Matrix], exact: bool) -> list[Number]:
+    """``trace_along((cycle,), mats, exact)`` for the cycle of each row of
+    ``walk``, in order: position x is slot x // 2 + 1, transposed when x
+    is odd, and 2m pads a row after its cycle closes.
+
+    The kernel's cycles need no checks: their slots lie in 1..m and none
+    repeats (the mirror checks in ``glue``), and they chain (``MomentSpec``
+    checks the profile).  Cycles of one length, one set of transpose
+    signs and view shapes are traced together, one stacked ``@`` per
+    position, and every matrix in a stack keeps the strides and transpose
+    flag ``trace_along`` gives it, so each trace has the same bits.  Where
+    a cycle's first two slots hold one matrix with opposite signs, both
+    factors are views of one stack, as ``trace_along``'s are views of one
+    array.  An exact group multiplies int64 stacks when every slot holds
+    ``int`` entries and ``(amax * d)^L < 2^62`` (see the module
+    docstring), and object stacks otherwise.
+    """
+    out: list[Number] = [None] * len(walk)
+    if not len(walk):
+        return out
+    m = len(mats)
+    # A padded position, 2m, reads index m: a 0 x 0 matrix aliasing no slot.
+    dims = np.array([(a.rows, a.cols) for a in mats] + [(0, 0)], dtype=np.int64)
+    ident = np.array([next(j for j, b in enumerate(mats) if b is a) for a in mats] + [m])
+    # Every entry of an L-matrix product and its trace is at most
+    # (amax * d)^L in absolute value; None when some slot is not all int.
+    amaxes = [a.amax for a in mats]
+    scale = None
+    if exact and None not in amaxes:
+        scale = max(amaxes, default=0) * int(dims.max(initial=0))
+    # One stack per view and storage shape; slot k is
+    # stack(int64, dims[k])[where[k]].
+    shaped: dict[tuple[int, int], list[Matrix]] = {}
+    where = np.zeros(m, dtype=np.intp)
+    for k, a in enumerate(mats):
+        same = shaped.setdefault((a.rows, a.cols), [])
+        where[k] = len(same)
+        same.append(a)
+    stacks: dict[tuple, np.ndarray] = {}
+
+    def stack(int64: bool, shape: tuple[int, int]) -> np.ndarray:
+        if (int64, shape) not in stacks:
+            views = [a.as_int64() if int64 else a.as_array(exact) for a in shaped[shape]]
+            stacks[int64, shape] = np.stack(views)
+        return stacks[int64, shape]
+
+    slot, neg = walk // 2, walk % 2 == 1
+    length = (walk < 2 * m).sum(axis=1)
+    rows = np.where(neg, dims[slot, 1], dims[slot, 0])
+    alias = np.zeros(len(walk), dtype=bool)
+    if walk.shape[1] > 1:
+        alias = (ident[slot[:, 0]] == ident[slot[:, 1]]) & (neg[:, 0] != neg[:, 1])
+    codes = _row_codes(np.column_stack([length, neg, rows, alias]))
+    order = np.argsort(codes, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
+        f, n = members[0], int(length[members[0]])
+        int64 = scale is not None and scale**n < 1 << 62
+        views = []
+        for j in range(n):
+            view = stack(int64, tuple(dims[slot[f, j]].tolist()))[where[slot[members, j]]]
+            views.append(view.transpose(0, 2, 1) if neg[f, j] else view)
+        if alias[f]:
+            views[1] = views[0].transpose(0, 2, 1)
+        prod = views[0]
+        for view in views[1:]:
+            prod = prod @ view
+        if exact:
+            traces = prod.trace(axis1=1, axis2=2).tolist()
+        else:
+            traces = [math.fsum(d) for d in prod.diagonal(axis1=1, axis2=2).tolist()]
+        for i, value in zip(members.tolist(), traces):
+            out[i] = value
+    return out
+
+
 def _chunk_cycles(
     walk: np.ndarray, needed: np.ndarray, signed: list[int], mats: Sequence[Matrix], exact: bool
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -455,12 +555,12 @@ def _chunk_cycles(
     traced once each; a cycle that no needed row has reads 0."""
     _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
-    distinct = _letters(walk[firsts], signed)
+    distinct = walk[firsts]
     need = np.zeros(len(distinct), dtype=bool)
     need[inverse[needed]] = True
     values = np.zeros(len(distinct), dtype=object if exact else float)
-    values[need] = trace_cycles([distinct[i] for i in np.flatnonzero(need).tolist()], mats, exact)
-    return list(map(distinct.__getitem__, inverse.tolist())), values[inverse]
+    values[need] = _trace_walk(distinct[need], mats, exact)
+    return list(map(_letters(distinct, signed).__getitem__, inverse.tolist())), values[inverse]
 
 
 @lru_cache(maxsize=64)
@@ -503,6 +603,10 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
     wigner_pos = [k for k, lab in enumerate(shape.labels, start=1) if lab in spec.wigner]
     w = len(wigner_pos)
     _check_budget(m, w)
+    # Every term reads all m slots, so this holds whatever the weights; an
+    # odd word has no terms and, as in the Wick oracle, a total of 0.
+    if exact and m % 2 == 0 and not all(mat.is_exact for mat in spec.matrices):
+        raise ValueError("exact mode requires integer or rational matrix entries")
 
     metadata = {
         "statistic": statistic,

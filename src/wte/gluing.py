@@ -345,11 +345,7 @@ class SurfaceReport:
         return tuple(c.chi for c in self.components)
 
 
-def surface_census(
-    p: Pairing,
-    shape: WordShape,
-    particular: Optional[tuple[tuple[int, ...], ...]] = None,
-) -> SurfaceReport:
+def surface_census(p: Pairing, shape: WordShape) -> SurfaceReport:
     """Classify the surface glued by ``p`` on the faces of ``shape``.
 
     Union-find over the 2r sheet faces (node f is factor f's face on the
@@ -365,8 +361,7 @@ def surface_census(
     if p.m != shape.m:
         raise ValueError(f"domain mismatch: pairing m={p.m}, word m={shape.m}")
     m, r = shape.m, shape.r
-    if particular is None:
-        particular = particular_cycles(vertex_permutation(p, shape))
+    particular = particular_cycles(vertex_permutation(p, shape))
     ranges = shape.factor_ranges()
     # Sheet face of the corner k, indexed by slot k + m (slots 0..2m).
     face = [0] * (2 * m + 1)

@@ -1,5 +1,5 @@
-"""Dense matrix storage, family Gram matrices, bindings, and traces
-along signed cycles.
+"""Dense matrix storage, family Gram matrices, bindings, and the trace
+along signed cycles that the engine's batched traces are tested against.
 
 Matrices are immutable after construction and carry their entries as
 plain Python numbers.  Each matrix keeps three cached numpy views of
@@ -10,13 +10,6 @@ matrices of a word's slots 1..m are a plain tuple in slot order, as
 :func:`bind_matrices` returns it.  :func:`trace_along` reads signed
 slots: slot k is the matrix of slot k and -k its transpose, which is
 never materialized; evaluation multiplies the transposed view.
-:func:`trace_cycles` traces many cycles at once with the same views, so
-that each of its traces has ``trace_along``'s bits.  In exact mode it
-multiplies the int64 views instead of the object views when every slot
-holds ``int`` entries and ``(amax * d)^L < 2^62`` for the largest
-|entry| amax, the largest dimension d and the cycle length L: no entry
-of a partial product, and no trace, can then leave int64, so the
-traces are the same Python ints.
 """
 
 from __future__ import annotations
@@ -256,9 +249,11 @@ def slot_identity_fill(
     m_dim: int,
 ) -> dict[str, Matrix]:
     """Copy of ``bindings`` with every unbound slot bound to the identity
-    of its required size; rejects slots whose profile is rectangular."""
+    of its required size, one ``Matrix`` per size; rejects slots whose
+    profile is rectangular."""
     out = dict(bindings)
     profile = slot_dimensions(shape, n_dim, m_dim)
+    identities: dict[int, Matrix] = {}  # one per size, shared by its slots
     for k, name in enumerate(slot_names, start=1):
         if name in out:
             continue
@@ -267,7 +262,9 @@ def slot_identity_fill(
             raise DimensionError(
                 f"slot {name} needs {rows}x{cols}; identity fill requires square slots"
             )
-        out[name] = Matrix.identity(rows)
+        if rows not in identities:
+            identities[rows] = Matrix.identity(rows)
+        out[name] = identities[rows]
     return out
 
 
@@ -293,37 +290,24 @@ def parse_bindings(text: str, loader=load_matrix) -> dict[str, Matrix]:
             raise MatrixFormatError(f"bindings line {lineno}: empty name or target")
         entries[name] = target
 
-    raw: dict[str, tuple[str, str]] = {}
-    for name, target in entries.items():
-        tokens = target.split()
-        if tokens[0] == "I":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise MatrixFormatError(f"binding {name}: use 'I <dim>'")
-            raw[name] = ("identity", tokens[1])
-        elif len(tokens) == 1 and tokens[0] in entries:
-            raw[name] = ("alias", tokens[0])
-        else:
-            raw[name] = ("file", target)
-
     resolved: dict[str, Matrix] = {}
-
-    def resolve(name: str, trail: tuple[str, ...]) -> Matrix:
-        if name in resolved:
-            return resolved[name]
-        if name in trail:
-            raise MatrixFormatError(f"circular alias involving {name}")
-        kind, arg = raw[name]
-        if kind == "identity":
-            mat = Matrix.identity(int(arg))
-        elif kind == "alias":
-            mat = resolve(arg, trail + (name,))
-        else:
-            mat = loader(arg)
-        resolved[name] = mat
-        return mat
-
-    for name in raw:
-        resolve(name, ())
+    for name in entries:
+        chain: dict[str, None] = {}  # the aliases walked from this name
+        while name not in resolved:
+            if name in chain:
+                raise MatrixFormatError(f"circular alias involving {name}")
+            tokens = entries[name].split()
+            if tokens[0] == "I":
+                if len(tokens) != 2 or not tokens[1].isdigit():
+                    raise MatrixFormatError(f"binding {name}: use 'I <dim>'")
+                resolved[name] = Matrix.identity(int(tokens[1]))
+            elif len(tokens) == 1 and tokens[0] in entries:
+                chain[name] = None
+                name = tokens[0]
+            else:
+                resolved[name] = loader(entries[name])
+        for alias in reversed(chain):
+            resolved[alias] = resolved[name]
     return resolved
 
 
@@ -368,105 +352,3 @@ def trace_along(
         diagonal = prod.diagonal().tolist()
         total = total * (sum(diagonal) if exact else math.fsum(diagonal))
     return total
-
-
-def _row_codes(key: np.ndarray) -> np.ndarray:
-    """One int64 per row of a non-negative integer array, equal for equal
-    rows and ordered as the rows are lexicographically, so that
-    ``np.unique`` of the codes groups the rows without sorting records."""
-    code = np.zeros(len(key), dtype=np.int64)
-    for col in key.T:
-        col = col.astype(np.int64)
-        radix = int(col.max(initial=0)) + 1
-        if int(code.max(initial=0)) >= (1 << 62) // radix:
-            # Renumber the distinct prefixes densely before they overflow.
-            code = np.unique(code, return_inverse=True)[1].reshape(-1)
-        code = code * radix + col
-    return code
-
-
-def trace_cycles(
-    cycles: Sequence[Sequence[int]], mats: Sequence[Matrix], exact: bool = False
-) -> list[Number]:
-    """``trace_along((cyc,), mats, exact)`` for each cycle, in order.
-
-    Cycles of one length, one set of transpose signs and view shapes are
-    traced together, one stacked ``@`` per position, and every matrix in
-    a stack keeps the strides and transpose flag ``trace_along`` gives
-    it, so each trace has the same bits.  Where a cycle's first two slots
-    hold one matrix with opposite signs, both factors are views of one
-    stack, as ``trace_along``'s are views of one array.  An exact group
-    multiplies int64 stacks when every slot holds ``int`` entries and
-    ``(amax * d)^L < 2^62`` (see the module docstring), and object
-    stacks otherwise.  A cycle that fails a check of ``trace_along`` is
-    handed to it, which raises.
-    """
-    out: list[Number] = [None] * len(cycles)
-    dims = np.array([(a.rows, a.cols) for a in mats], dtype=np.int64).reshape(-1, 2)
-    usable = np.array([a.is_exact or not exact for a in mats], dtype=bool)
-    ident = np.array([next(j for j, b in enumerate(mats) if b is a) for a in mats], dtype=np.int64)
-    # Every entry of an L-matrix product and its trace is at most
-    # (amax * d)^L in absolute value; None when some slot is not all int.
-    amaxes = [a.amax for a in mats]
-    scale = None
-    if exact and None not in amaxes:
-        scale = max(amaxes, default=0) * int(dims.max(initial=0))
-    # One stack per view and storage shape; slot k is
-    # stack(int64, dims[k])[where[k]].
-    shaped: dict[tuple[int, int], list[Matrix]] = {}
-    where = np.zeros(len(mats), dtype=np.intp)
-    for k, a in enumerate(mats):
-        same = shaped.setdefault((a.rows, a.cols), [])
-        where[k] = len(same)
-        same.append(a)
-    stacks: dict[tuple, np.ndarray] = {}
-
-    def stack(int64: bool, shape: tuple[int, int]) -> np.ndarray:
-        if (int64, shape) not in stacks:
-            views = [a.as_int64() if int64 else a.as_array(exact) for a in shaped[shape]]
-            stacks[int64, shape] = np.stack(views)
-        return stacks[int64, shape]
-
-    by_length: dict[int, list[int]] = {}
-    for i, cyc in enumerate(cycles):
-        by_length.setdefault(len(cyc), []).append(i)
-    for length, idx in by_length.items():
-        letters = np.array([cycles[i] for i in idx], dtype=np.int64).reshape(len(idx), length)
-        slot, neg = np.abs(letters) - 1, letters < 0
-        bad = ((slot < 0) | (slot >= len(mats))).any(axis=1)
-        if not bad.any():
-            rows = np.where(neg, dims[slot, 1], dims[slot, 0])
-            cols = np.where(neg, dims[slot, 0], dims[slot, 1])
-            ordered = np.sort(slot, axis=1)
-            bad = (
-                (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-                | ~usable[slot].all(axis=1)
-                | (cols != np.roll(rows, -1, axis=1)).any(axis=1)
-            )
-        if bad.any():
-            trace_along((cycles[idx[int(np.argmax(bad))]],), mats, exact)
-        int64 = scale is not None and scale**length < 1 << 62
-        alias = np.zeros(len(idx), dtype=bool)
-        if length > 1:
-            alias = (ident[slot[:, 0]] == ident[slot[:, 1]]) & (neg[:, 0] != neg[:, 1])
-        codes = _row_codes(np.column_stack([neg, rows, alias]))
-        order = np.argsort(codes, kind="stable")
-        for members in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
-            f = members[0]
-            views = []
-            for j in range(length):
-                view = stack(int64, tuple(dims[slot[f, j]].tolist()))[where[slot[members, j]]]
-                views.append(view.transpose(0, 2, 1) if neg[f, j] else view)
-            if alias[f]:
-                views[1] = views[0].transpose(0, 2, 1)
-            prod = views[0]
-            for view in views[1:]:
-                prod = prod @ view
-            if int64:
-                traces = prod.trace(axis1=1, axis2=2).tolist()
-            else:
-                diagonals = prod.diagonal(axis1=1, axis2=2).tolist()
-                traces = [sum(d) if exact else math.fsum(d) for d in diagonals]
-            for i, value in zip(members.tolist(), traces):
-                out[idx[i]] = value
-    return out

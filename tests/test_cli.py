@@ -316,6 +316,27 @@ class TestExitCodes:
         )
         assert code == 4 and "wick expansion" in err
 
+    def test_identity_fill_past_budget_is_4(self, capsys, monkeypatch):
+        # One 40 x 40 identity for D1 and D2: 1,600 entries against 1,000,
+        # refused before any identity is built.
+        def never(n):
+            raise AssertionError("built an identity before the budget check")
+
+        monkeypatch.setenv("WTE_BUDGET", "1000")
+        monkeypatch.setattr(wte.cli.Matrix, "identity", never)
+        code, out, err = run(
+            capsys, "moment", "--expr", QUAD, "--bind-identity", "-N", "40", "-M", "40"
+        )
+        assert code == 4 and "identity fill" in err and out == ""
+
+    def test_long_alias_cycle_is_2(self, capsys, tmp_path):
+        binds = tmp_path / "binds.txt"
+        binds.write_text("".join(f"D{k} = D{k % 2000 + 1}\n" for k in range(1, 2001)))
+        code, out, err = run(
+            capsys, "moment", "--expr", QUAD, "--bind", str(binds), "-N", "3", "-M", "3"
+        )
+        assert code == 2 and "circular alias" in err and out == ""
+
     @pytest.mark.parametrize("command", ["moment", "cumulant", "census"])
     def test_pairing_sum_past_budget_is_4(self, capsys, monkeypatch, command):
         # m = 18: 17!! * 18 = 620,270,650 exceeds the default budget.

@@ -180,6 +180,23 @@ class TestMoment:
             statistic(spec, exact=True)
         assert math.isclose(statistic(spec).total, 2.5 / 3)
 
+    @pytest.mark.parametrize("statistic", [moment, cumulant])
+    def test_exact_rule_does_not_depend_on_weights(self, statistic):
+        # The only pairing pairs independent families, so its weight is 0,
+        # and exact mode still refuses the float slot, as the oracle does.
+        mats = (Matrix([[0.5, 0], [0, 1]]), Matrix.identity(2))
+        spec = MomentSpec(WordShape((2,), (1, -1), ("X", "Y")), mats, 2, 2)
+        with pytest.raises(ValueError) as oracle:
+            wick_oracle(spec)
+        with pytest.raises(ValueError) as engine:
+            statistic(spec, exact=True)
+        assert str(engine.value) == str(oracle.value)
+        assert str(engine.value) == "exact mode requires integer or rational matrix entries"
+        assert statistic(spec).total == 0
+        # An odd word has no terms: both give 0.
+        odd = MomentSpec(WordShape((3,), (1, 1, 1)), mats + mats[:1], 2, 2)
+        assert statistic(odd, exact=True).total == wick_oracle(odd) == 0
+
     def test_exact_float_agreement(self):
         spec = make_spec((4, 2), (-1, 1, -1, 1, -1, 1), 3, 2, seed=6)
         exact = moment(spec, exact=True).total

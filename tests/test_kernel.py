@@ -33,8 +33,10 @@ from wte.gluing import (
     surface_census,
     vertex_permutation,
 )
-from wte.matrices import Gram, Matrix, trace_along, trace_cycles
+from wte.matrices import Gram, Matrix, trace_along
 from wte.perm import crossings, enumerate_pairings, pairing_count
+
+from walks import trace_rows, walk_cycles
 
 
 def random_shape(rng, m, labels=()):
@@ -68,7 +70,7 @@ def reference_sum(spec, transitive_only=False):
         if transitive_only and not is_transitive(p, shape):
             continue
         parts = particular_cycles(vertex_permutation(p, shape))
-        census = surface_census(p, shape, particular=parts)
+        census = surface_census(p, shape)
         weight = pairing_weight(p, spec) * 1.0
         value = weight if weight == 0 else weight * trace_along(parts, spec.matrices)
         terms.append((idx, p.blocks(), weight, parts, census, census.order_exponent, value))
@@ -311,14 +313,14 @@ def float_matrices(rng, shape, n_dim, m_dim):
 def traced(monkeypatch):
     """Every (cycles, traces, exact) batch the engine traces."""
     calls = []
-    real = wte.engine.trace_cycles
+    real = wte.engine._trace_walk
 
-    def spy(cycles, mats, exact=False):
-        out = real(cycles, mats, exact)
-        calls.append((list(cycles), out, exact))
+    def spy(walk, mats, exact):
+        out = real(walk, mats, exact)
+        calls.append((walk_cycles(walk, len(mats)), out, exact))
         return out
 
-    monkeypatch.setattr(wte.engine, "trace_cycles", spy)
+    monkeypatch.setattr(wte.engine, "_trace_walk", spy)
     return calls
 
 
@@ -348,8 +350,8 @@ def by_chunk(terms, w=0):
 
 
 class TestBatchedTraces:
-    """``trace_cycles`` against ``trace_along``, for every distinct cycle
-    the engine traces."""
+    """The batched trace stage against ``trace_along``, for every distinct
+    cycle the engine traces."""
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s.lengths}{s.epsilon}")
@@ -426,7 +428,7 @@ class TestBatchedTraces:
         for _ in range(400):
             slots = rng.sample(range(1, 7), rng.randint(1, 6))
             cycles.append(tuple(k * rng.choice((1, -1)) for k in slots))
-        got = trace_cycles(cycles, mats)
+        got = trace_rows(cycles, mats)
         assert [repr(x) for x in got] == [repr(trace_along((c,), mats)) for c in cycles]
 
 

@@ -17,8 +17,9 @@ from wte.matrices import (
     parse_matrix,
     slot_identity_fill,
     trace_along,
-    trace_cycles,
 )
+
+from walks import trace_rows
 
 
 def random_int_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -227,7 +228,8 @@ class TestTraceAlong:
 
 
 class TestTraceCycles:
-    """``trace_cycles`` is ``trace_along`` of each cycle on its own."""
+    """The engine's batched trace stage is ``trace_along`` of each cycle on
+    its own."""
 
     def setup_method(self):
         rng = random.Random(12)
@@ -244,35 +246,18 @@ class TestTraceCycles:
         cycles = [(2,), (-2,), (1, 2, 3), (-3, -2, -1), (1, -2, 3), (3, 1), (-1, -3), (2,)]
         if not exact:
             cycles += [(4,), (2, 4), (-4, 2), (1, 4, 3)]
-        got = trace_cycles(cycles, self.mats, exact)
+        got = trace_rows(cycles, self.mats, exact)
         want = [trace_along((c,), self.mats, exact) for c in cycles]
         if exact:
             assert got == want and [type(x) for x in got] == [type(x) for x in want]
         else:
             assert [repr(x) for x in got] == [repr(x) for x in want]
 
-    @pytest.mark.parametrize(
-        "bad, error, exact",
-        [
-            ((1, 5), IndexError, False),
-            ((0,), IndexError, False),
-            ((2, -2), ValueError, False),
-            ((1, 3, 2), DimensionError, False),
-            ((2, 4), ValueError, True),
-        ],
-    )
-    def test_errors_are_trace_along_errors(self, bad, error, exact):
-        with pytest.raises(error) as want:
-            trace_along((bad,), self.mats, exact)
-        with pytest.raises(error) as got:
-            trace_cycles([(1, 2, 3), bad, (2,)], self.mats, exact)
-        assert str(got.value) == str(want.value)
-
 
 class TestTraceCyclesInt64:
-    """Exact ``trace_cycles`` multiplies int64 stacks when every slot holds
-    ints and (amax * d)^L < 2^62, and object stacks otherwise; either way
-    each trace is ``trace_along``'s, in value and type."""
+    """The exact batched trace stage multiplies int64 stacks when every
+    slot holds ints and (amax * d)^L < 2^62, and object stacks otherwise;
+    either way each trace is ``trace_along``'s, in value and type."""
 
     @staticmethod
     def trace(cycles, mats, monkeypatch):
@@ -286,7 +271,7 @@ class TestTraceCyclesInt64:
             return as_int64(mat)
 
         monkeypatch.setattr(Matrix, "as_int64", spy)
-        got = trace_cycles(cycles, mats, exact=True)
+        got = trace_rows(cycles, mats, exact=True)
         want = [trace_along((c,), mats, exact=True) for c in cycles]
         assert got == want and [type(x) for x in got] == [type(x) for x in want]
         return got, bool(int64)
@@ -379,6 +364,18 @@ class TestBindingsFile:
         with pytest.raises(MatrixFormatError, match="circular"):
             parse_bindings("D1 = D2\nD2 = D1\n")
 
+    def test_long_alias_chain(self):
+        # D1 = D2, ..., D1999 = D2000, D2000 = I 2: one shared Matrix.
+        links = "".join(f"D{k} = D{k + 1}\n" for k in range(1, 2000))
+        out = parse_bindings(links + "D2000 = I 2\n")
+        assert len(out) == 2000 and len({id(mat) for mat in out.values()}) == 1
+        assert out["D1"] == Matrix.identity(2)
+
+    def test_long_alias_cycle(self):
+        links = "".join(f"D{k} = D{k % 2000 + 1}\n" for k in range(1, 2001))
+        with pytest.raises(MatrixFormatError, match="circular alias involving D1$"):
+            parse_bindings(links)
+
     def test_bad_line(self):
         with pytest.raises(MatrixFormatError, match="name = target"):
             parse_bindings("D1 I 3\n")
@@ -400,6 +397,12 @@ class TestIdentityFill:
         shape = WordShape((2,), (1, 1))
         with pytest.raises(DimensionError, match="square"):
             slot_identity_fill({}, ("D1", "D2"), shape, 3, 2)
+
+    def test_one_identity_per_size(self):
+        shape = WordShape.alternating((4,))
+        out = slot_identity_fill({}, ("D1", "D2", "D3", "D4"), shape, 3, 2)
+        assert out["D1"] is out["D3"] and out["D2"] is out["D4"]
+        assert out["D1"] == Matrix.identity(2) and out["D2"] == Matrix.identity(3)
 
     def test_keeps_existing(self):
         shape = WordShape.alternating((2,))
