@@ -20,8 +20,9 @@ model; and a value an option does not take, such as ``-N 0``,
 errors (expression or input files) and input files that cannot be read
 or are not UTF-8, 3 dimension/binding errors, 4 work budget exceeded
 (the pairing sum of ``moment``, ``cumulant`` and ``census``, the Wick
-expansion of ``verify``, which is checked before the engine runs, or
-the identities ``--bind-identity`` would build, checked before any is).
+expansion of ``verify``, which is checked before the engine runs, the
+identities ``--bind-identity`` would build, checked before any is, or
+the ``I <dim>`` lines of a bindings file, checked before each is built).
 """
 
 from __future__ import annotations
@@ -148,8 +149,16 @@ def _expression_text(args) -> str:
 def _make_spec(args, ast: TraceWordAst) -> MomentSpec:
     bindings: dict[str, Matrix] = {}
     if args.bind:
+        built = 0  # entries of the file's identities so far
+
+        def identity(n: int) -> Matrix:
+            nonlocal built
+            built += n * n
+            _enforce_budget(built, "identity binding")
+            return Matrix.identity(n)
+
         with open(args.bind, "r", encoding="utf-8") as fh:
-            bindings = parse_bindings(fh.read())
+            bindings = parse_bindings(fh.read(), identity=identity)
     shape, slot_names = build_shape(ast)
     if args.bind_identity:
         # One n x n identity per size of the unbound slots, n^2 entries each.

@@ -36,20 +36,25 @@ one weight per distinct crossing count and block family pairs, a
 lockstep walk of every particular cycle from its lead, one tuple per
 distinct cycle of the chunk (which the chunk's terms share), and the
 kernel's last stage, ``_trace_walk``, which traces the chunk's distinct
-walked cycles in stacks, with the bits of
-:func:`~wte.matrices.trace_along` cycle by cycle.  Nothing but the terms
-and, in exact mode, the chunk's sum outlives a chunk, so a chunk
-depends only on its range of pairings.  A term's value is its weight
-times its cycles' traces, multiplied in cycle order; a term of weight 0
-has value 0 and its cycles are not traced.  A cumulant keeps a pairing
-when its surface has a single component (the empty word counts as
-connected).  Float evaluation reduces the term values with error-free
-summation in canonical pairing order, so the same configuration gives
-the same bits on every run.  Exact mode puts each chunk's distinct
-weights over one common denominator: a term's value is the ``Fraction``
-of its integer numerator (the weight's numerator times the trace
-product), a chunk's numerators are summed as plain ints once, and the
-total is the prefactor times the sum of the chunks' fractions.
+walked cycles as a prefix trie: each distinct prefix is multiplied
+once, in stacks, and every trace has the bits of
+:func:`~wte.matrices.trace_along`.  The terms are built from columns,
+one ``TermReport`` call per term through ``map``, with every tuple
+(blocks, cycles, letters) zipped from columns of shared objects.
+Nothing but the terms and, in exact mode, the chunk's sum outlives a
+chunk, so a chunk depends only on its range of pairings.  A term's
+value is its weight times its cycles' traces, multiplied in cycle
+order; a term of weight 0 has value 0 and its cycles are not traced.
+A cumulant keeps a pairing when its surface has a single component (the
+empty word counts as connected).  Float evaluation reduces the term
+values with error-free summation in canonical pairing order, so the
+same configuration gives the same bits on every run.  Exact mode puts
+each chunk's distinct weights over one common denominator: a term's
+value is the ``Fraction`` of its integer numerator (the weight's
+numerator times the trace product), a chunk's numerators are summed as
+plain ints once, and the total is the prefactor times the sum of the
+chunks' fractions.  Over a denominator of 1 the values are
+``Fraction(x)``, which skips the gcd.
 
 Exact mode needs integer or rational entries in every slot of an even
 word, since every term reads all m slots; this is checked once, before
@@ -58,7 +63,8 @@ Its traces multiply the matrices' int64 views instead of their object
 views when every slot holds ``int`` entries and ``(amax * d)^L < 2^62``
 for the largest |entry| amax, the largest dimension d and the cycle
 length L: no entry of a partial product, and no trace, can then leave
-int64, so the traces are the same Python ints.
+int64, so the traces are the same Python ints.  The cycles that fit and
+the rest are traced in two tries.
 """
 
 from __future__ import annotations
@@ -199,7 +205,7 @@ class MomentSpec:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermReport:
     """One summand of the pairing sum, before the global prefactor."""
 
@@ -322,8 +328,22 @@ def _block_rows(opens: np.ndarray, closes: np.ndarray) -> list[tuple[tuple[int, 
     """Per row, ``Pairing.blocks``; rows share their (a, b) tuples."""
     m = 2 * opens.shape[1]
     pairs = [(a, b) for a in range(m + 1) for b in range(m + 1)]
-    codes = (opens * (m + 1) + closes).tolist()
-    return [tuple(map(pairs.__getitem__, row)) for row in codes]
+    return _tuples(opens * (m + 1) + closes, np.full(len(opens), m // 2), pairs)
+
+
+def _tuples(table: np.ndarray, length: np.ndarray, items: list) -> list[tuple]:
+    """Per row of ``table``, the tuple of ``items[x]`` for the row's first
+    ``length`` entries x.  The rows of one length zip their columns, so
+    every tuple is built in C from the objects of ``items``."""
+    order = np.argsort(length, kind="stable")
+    out: list[tuple] = []
+    for rows in np.split(order, np.flatnonzero(np.diff(length[order])) + 1):
+        n = int(length[rows[0]]) if len(rows) else 0
+        columns = [map(items.__getitem__, col) for col in table[rows, :n].T.tolist()]
+        out += zip(*columns) if n else [()] * len(rows)
+    if (np.diff(length) >= 0).all():  # the rows were in length order already
+        return out
+    return list(map(out.__getitem__, np.argsort(order).tolist()))
 
 
 def _crossings(opens: np.ndarray, closes: np.ndarray) -> np.ndarray:
@@ -467,92 +487,155 @@ def _cycle_walk(img: np.ndarray, particular: np.ndarray) -> np.ndarray:
 def _letters(walk: np.ndarray, signed: list[int]) -> list[tuple[int, ...]]:
     """Each walked cycle as its tuple of signed letters, which are the
     objects of ``signed``, so that equal letters are one int object."""
-    inside = walk != len(signed)
-    it = map(signed.__getitem__, walk[inside].tolist())
-    return [tuple(itertools.islice(it, n)) for n in inside.sum(axis=1).tolist()]
+    return _tuples(walk, (walk != len(signed)).sum(axis=1), signed)
 
 
 def _trace_walk(walk: np.ndarray, mats: Sequence[Matrix], exact: bool) -> list[Number]:
     """``trace_along((cycle,), mats, exact)`` for the cycle of each row of
     ``walk``, in order: position x is slot x // 2 + 1, transposed when x
-    is odd, and 2m pads a row after its cycle closes.
+    is odd, and 2m pads a row after its cycle closes.  Rows may repeat
+    and come in any order.
 
     The kernel's cycles need no checks: their slots lie in 1..m and none
     repeats (the mirror checks in ``glue``), and they chain (``MomentSpec``
-    checks the profile).  Cycles of one length, one set of transpose
-    signs and view shapes are traced together, one stacked ``@`` per
-    position, and every matrix in a stack keeps the strides and transpose
-    flag ``trace_along`` gives it, so each trace has the same bits.  Where
-    a cycle's first two slots hold one matrix with opposite signs, both
-    factors are views of one stack, as ``trace_along``'s are views of one
-    array.  An exact group multiplies int64 stacks when every slot holds
-    ``int`` entries and ``(amax * d)^L < 2^62`` (see the module
-    docstring), and object stacks otherwise.
+    checks the profile).  The distinct rows form a prefix trie (see
+    ``_trie_traces``), which multiplies each shared prefix once.  An exact
+    cycle of length L is traced in int64 when every slot holds ``int``
+    entries and ``(amax * d)^L < 2^62`` (see the module docstring), and in
+    object arrays otherwise, so the cycles that fit and the rest are two
+    tries.
     """
-    out: list[Number] = [None] * len(walk)
     if not len(walk):
-        return out
+        return []
     m = len(mats)
-    # A padded position, 2m, reads index m: a 0 x 0 matrix aliasing no slot.
+    _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
+    walk = walk[firsts]  # sorted, so rows that share a prefix are adjacent
+    length = (walk < 2 * m).sum(axis=1)
+    # Per position (2m the pad, read as slot m: a 0 x 0 matrix aliasing no
+    # slot): its slot, transpose flag, view rows and cols, storage shape
+    # and index in that shape's stack, and the first slot of its matrix.
+    x = np.arange(2 * m + 1)
+    slot, neg = x // 2, x % 2
     dims = np.array([(a.rows, a.cols) for a in mats] + [(0, 0)], dtype=np.int64)
+    shapes = list(dict.fromkeys((a.rows, a.cols) for a in mats))
+    kind = np.array([shapes.index((a.rows, a.cols)) for a in mats] + [0])
+    where = np.zeros(m + 1, dtype=np.intp)
+    for k in range(m):
+        where[k] = (kind[:k] == kind[k]).sum()
     ident = np.array([next(j for j, b in enumerate(mats) if b is a) for a in mats] + [m])
+    pos = {
+        "rows": np.where(neg, dims[slot, 1], dims[slot, 0]),
+        "cols": np.where(neg, dims[slot, 0], dims[slot, 1]),
+        "kind": kind[slot],
+        "where": where[slot],
+        "ident": ident[slot],
+        "neg": neg,
+    }
     # Every entry of an L-matrix product and its trace is at most
     # (amax * d)^L in absolute value; None when some slot is not all int.
     amaxes = [a.amax for a in mats]
-    scale = None
+    fits = np.zeros(int(length.max()) + 1, dtype=bool)
     if exact and None not in amaxes:
         scale = max(amaxes, default=0) * int(dims.max(initial=0))
-    # One stack per view and storage shape; slot k is
-    # stack(int64, dims[k])[where[k]].
-    shaped: dict[tuple[int, int], list[Matrix]] = {}
-    where = np.zeros(m, dtype=np.intp)
-    for k, a in enumerate(mats):
-        same = shaped.setdefault((a.rows, a.cols), [])
-        where[k] = len(same)
-        same.append(a)
-    stacks: dict[tuple, np.ndarray] = {}
+        fits = np.array([scale**n < 1 << 62 for n in range(len(fits))])
+    traces = np.empty(len(walk), dtype=object)
+    for int64 in (True, False):
+        rows = np.flatnonzero(fits[length] == int64)
+        if len(rows):
+            store = []
+            for shape in shapes:
+                same = [a for a in mats if (a.rows, a.cols) == shape]
+                store.append(np.stack([a.as_int64() if int64 else a.as_array(exact) for a in same]))
+            traces[rows] = _trie_traces(walk[rows], length[rows], pos, store, exact)
+    return traces[inverse.reshape(-1)].tolist()
 
-    def stack(int64: bool, shape: tuple[int, int]) -> np.ndarray:
-        if (int64, shape) not in stacks:
-            views = [a.as_int64() if int64 else a.as_array(exact) for a in shaped[shape]]
-            stacks[int64, shape] = np.stack(views)
-        return stacks[int64, shape]
 
-    slot, neg = walk // 2, walk % 2 == 1
-    length = (walk < 2 * m).sum(axis=1)
-    rows = np.where(neg, dims[slot, 1], dims[slot, 0])
-    alias = np.zeros(len(walk), dtype=bool)
-    if walk.shape[1] > 1:
-        alias = (ident[slot[:, 0]] == ident[slot[:, 1]]) & (neg[:, 0] != neg[:, 1])
-    codes = _row_codes(np.column_stack([length, neg, rows, alias]))
-    order = np.argsort(codes, kind="stable")
-    for members in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
-        f, n = members[0], int(length[members[0]])
-        int64 = scale is not None and scale**n < 1 << 62
-        views = []
-        for j in range(n):
-            view = stack(int64, tuple(dims[slot[f, j]].tolist()))[where[slot[members, j]]]
-            views.append(view.transpose(0, 2, 1) if neg[f, j] else view)
-        if alias[f]:
-            views[1] = views[0].transpose(0, 2, 1)
-        prod = views[0]
-        for view in views[1:]:
-            prod = prod @ view
-        if exact:
-            traces = prod.trace(axis1=1, axis2=2).tolist()
-        else:
-            traces = [math.fsum(d) for d in prod.diagonal(axis1=1, axis2=2).tolist()]
-        for i, value in zip(members.tolist(), traces):
-            out[i] = value
-    return out
+def _trie_traces(
+    walk: np.ndarray, length: np.ndarray, pos: dict, store: list[np.ndarray], exact: bool
+) -> np.ndarray:
+    """The traces of the sorted distinct rows of ``walk``, read off their
+    prefix trie one level at a time.
+
+    A node at level j is a distinct prefix of j + 1 positions; since the
+    rows are sorted, a node's rows are adjacent.  Its product is its
+    parent's product @ the view at position j, the left fold
+    ``trace_along`` takes; at level 0 it is the view itself, a matrix of
+    ``store[kind][where]``, transposed for a negative position.  A level's
+    nodes are gathered in groups of one left product shape, left
+    transpose flag, view shape and view transpose flag, and each group is
+    one gather and one stacked ``@`` in which every matrix has the strides
+    ``trace_along`` gives it, so each trace has the same bits.  Where a
+    cycle's first two slots hold one matrix with opposite signs, the
+    second factor is the transposed view of the first stack, as
+    ``trace_along``'s are views of one array.  The products of a level are
+    kept in one stack per shape.
+    """
+    count = len(walk)
+    traces = np.empty(count, dtype=object)
+    # Per row, where its node at the current level keeps its product:
+    # prods[at_kind][at_where], transposed when at_neg.
+    prods, first = store, walk[:, 0]
+    at_kind, at_where, at_neg = pos["kind"][first], pos["where"][first], pos["neg"][first]
+    fresh = np.ones(count, dtype=bool)
+    fresh[1:] = first[1:] != first[:-1]
+    for j in range(int(length.max())):
+        if j:
+            x = walk[:, j]
+            fresh[1:] |= x[1:] != x[:-1]
+            new = fresh & (length > j)
+            s, node = np.flatnonzero(new), np.cumsum(new) - 1
+            x = x[s]
+            alias = np.zeros(len(s), dtype=bool)
+            if j == 1:
+                alias = (pos["ident"][first[s]] == pos["ident"][x]) & (at_neg[s] != pos["neg"][x])
+            key = np.column_stack([
+                pos["rows"][first[s]], pos["cols"][x], at_kind[s], at_neg[s],
+                pos["kind"][x], pos["neg"][x], alias,
+            ])
+            order = np.argsort(_row_codes(key), kind="stable")
+            key = key[order]
+            # The level's products, one stack per (rows, cols): sorted by
+            # the key, each shape's nodes and each group's are adjacent.
+            cut = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
+            shape_cut = np.flatnonzero((key[1:, :2] != key[:-1, :2]).any(axis=1)) + 1
+            kind = np.searchsorted(shape_cut, np.arange(len(s)), side="right")
+            starts, ends = np.concatenate([[0], shape_cut]), np.append(shape_cut, len(s))
+            where = np.arange(len(s)) - starts[kind]
+            level = [np.empty((e - a, *key[a, :2]), store[0].dtype) for a, e in zip(starts, ends)]
+            for a, b in zip([0, *cut.tolist()], [*cut.tolist(), len(s)]):
+                rows, k = s[order[a:b]], key[a]
+                left = prods[k[2]][at_where[rows]]
+                if k[3]:
+                    left = left.transpose(0, 2, 1)
+                if k[6]:
+                    right = left.transpose(0, 2, 1)
+                else:
+                    right = store[k[4]][pos["where"][walk[rows, j]]]
+                    if k[5]:
+                        right = right.transpose(0, 2, 1)
+                np.matmul(left, right, out=level[kind[a]][where[a] : where[a] + b - a])
+            prods = level
+            node_kind, node_where = np.empty((2, len(s)), dtype=np.intp)
+            node_kind[order], node_where[order] = kind, where
+            at_kind, at_where, at_neg = node_kind[node], node_where[node], np.zeros(count, bool)
+        ending = np.flatnonzero(length == j + 1)
+        for k in np.unique(at_kind[ending]).tolist():
+            rows = ending[at_kind[ending] == k]
+            diagonal = prods[k].diagonal(axis1=1, axis2=2)[at_where[rows]]
+            if exact:
+                traces[rows] = diagonal.sum(axis=1).tolist()
+            else:
+                traces[rows] = list(map(math.fsum, diagonal.tolist()))
+    return traces
 
 
 def _chunk_cycles(
     walk: np.ndarray, needed: np.ndarray, signed: list[int], mats: Sequence[Matrix], exact: bool
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Each walked cycle's tuple and trace.  Equal cycles of the walk share
-    one tuple, and the distinct cycles of the rows marked ``needed`` are
-    traced once each; a cycle that no needed row has reads 0."""
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The walk's distinct cycles as tuples, and per walked cycle the index
+    of its tuple and its trace.  The distinct cycles of the rows marked
+    ``needed`` are traced once each; a cycle that no needed row has reads
+    0."""
     _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
     distinct = walk[firsts]
@@ -560,7 +643,7 @@ def _chunk_cycles(
     need[inverse[needed]] = True
     values = np.zeros(len(distinct), dtype=object if exact else float)
     values[need] = _trace_walk(distinct[need], mats, exact)
-    return list(map(_letters(distinct, signed).__getitem__, inverse.tolist())), values[inverse]
+    return _letters(distinct, signed), inverse, values[inverse]
 
 
 @lru_cache(maxsize=64)
@@ -667,47 +750,51 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
             weight = np.array(kind_weights, dtype=float)
         weight = weight[kind].repeat(signs)
         zero = weight == 0
-        cycles, values = _chunk_cycles(walk, ~zero[term], plan.signed, spec.matrices, exact)
+        letters, cycle, values = _chunk_cycles(walk, ~zero[term], plan.signed, spec.matrices, exact)
 
         # trace_along(cycles) multiplies its cycles' traces in order from 1,
         # and so do the columns of the grid, padded with 1.  The mirror
         # checks in glue already rule out a slot repeated across a term's
         # cycles, which trace_along would refuse.
+        at = (term, np.arange(len(term)) - (np.cumsum(counts) - counts)[term])
         grid = np.ones((count, int(counts.max(initial=0))), dtype=values.dtype)
-        grid[term, np.arange(len(term)) - (np.cumsum(counts) - counts)[term]] = values
+        grid[at] = values
         product = np.ones(count, dtype=values.dtype)
         with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
             for column in grid.T:
                 product = product * column
             if exact:
                 # An untraced cycle reads 0, so a term of weight 0 has
-                # numerator 0.
+                # numerator 0; over a denominator of 1, Fraction(x) skips
+                # the gcd.
                 numerators = (weight * product).tolist()
                 chunk_sum = Fraction(sum(numerators), den)
-                values = (Fraction(x, den) for x in numerators)
+                if den == 1:
+                    values = list(map(Fraction, numerators))
+                else:
+                    values = [Fraction(x, den) for x in numerators]
             else:
                 chunk_sum = 0
-                values = iter(np.where(zero, weight, weight * product).tolist())
+                values = np.where(zero, weight, weight * product).tolist()
 
-        blocks = _block_rows(opens, closes)
-        cycles = iter(cycles)
-        out = []
-        counts = counts.reshape(-1, signs).tolist()
-        for i, k, n in zip(np.flatnonzero(kept).tolist(), kind.tolist(), counts):
-            for j, parts in enumerate(n):
-                surface = gluing.census[signs * i + j]
-                out.append(
-                    TermReport(
-                        index=first + i,
-                        blocks=blocks[i],
-                        weight=kind_weights[k],
-                        cycles=tuple(itertools.islice(cycles, parts)),
-                        surface=surface,
-                        order_exponent=surface.order_exponent,
-                        value=next(values),
-                        epsilon=epsilons[j],
-                    )
-                )
+        # The terms, built column by column: a term's cycles are one tuple
+        # of the chunk's shared cycle tuples, its blocks are its pairing's.
+        ids = np.zeros(grid.shape, dtype=np.intp)
+        ids[at] = cycle
+        rows = np.flatnonzero(kept)
+        pairing = np.arange(len(rows)).repeat(signs).tolist()
+        surfaces = list(map(gluing.census.__getitem__, term_rows.tolist()))
+        out = list(map(
+            TermReport,
+            (first + term_rows // signs).tolist(),
+            map(_block_rows(opens[rows], closes[rows]).__getitem__, pairing),
+            map(kind_weights.__getitem__, kind.repeat(signs).tolist()),
+            _tuples(ids, counts, letters),
+            surfaces,
+            [s.order_exponent for s in surfaces],
+            values,
+            epsilons * len(rows),
+        ))
         return out, chunk_sum
 
     # Odd m has no pairings: the sum is empty and the total is 0.

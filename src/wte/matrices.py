@@ -271,12 +271,15 @@ def slot_identity_fill(
 # Bindings-file support: lines "Dk = <path>", "Dk = I <dim>", "Dk = Dj".
 
 
-def parse_bindings(text: str, loader=load_matrix) -> dict[str, Matrix]:
+def parse_bindings(
+    text: str, loader=load_matrix, identity=Matrix.identity
+) -> dict[str, Matrix]:
     """Parse a bindings file into name -> Matrix, resolving aliases.
 
     Alias targets may reference names bound anywhere in the file, so a
     single token matching another bound name is an alias and anything
-    else is a file path.
+    else is a file path.  ``loader(path)`` reads a matrix file and
+    ``identity(n)`` builds the n x n identity of an ``I <dim>`` line.
     """
     entries: dict[str, str] = {}
     for lineno, ln in enumerate(text.splitlines(), start=1):
@@ -300,7 +303,7 @@ def parse_bindings(text: str, loader=load_matrix) -> dict[str, Matrix]:
             if tokens[0] == "I":
                 if len(tokens) != 2 or not tokens[1].isdigit():
                     raise MatrixFormatError(f"binding {name}: use 'I <dim>'")
-                resolved[name] = Matrix.identity(int(tokens[1]))
+                resolved[name] = identity(int(tokens[1]))
             elif len(tokens) == 1 and tokens[0] in entries:
                 chain[name] = None
                 name = tokens[0]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -5,12 +6,15 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import wte
 import wte.cli
 import wte.engine
 from wte.cli import main
+from wte.expr import build_shape, parse
+from wte.gluing import slot_dimensions
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -96,6 +100,40 @@ def q_half_args(tmp_path) -> tuple[str, ...]:
             "--q", "1/2", "--exact", "--terms", "--format", "json")
 
 
+# Words whose ``--terms --format json`` output, float and exact, is pinned by
+# the sha256 digests in ``data/terms_digests.json``: name -> (command,
+# expression, N, M, extra options).  The Wigner word has three Z letters,
+# which pair with X letters through a Gram entry of 1/2.
+GOLDEN = {
+    "alt10": ("moment", "E[ tr(" + " ".join(f"X' D{2 * k - 1} X D{2 * k}" for k in range(1, 6))
+              + ") ]", 4, 3, ()),
+    "cumulant4x6": ("cumulant", "k[ tr(X' D1 X D2 X' D3 X D4) "
+                    "tr(X' D5 X D6 X' D7 X D8 X' D9 X D10) ]", 4, 3, ()),
+    "wigner3": ("moment", "E[ tr(X' D1 Z D2 X D3 X' D4 Z D5 X D6 X' D7 X D8 Z D9 X D10) ]",
+                3, 3, ("--wigner", "Z", "--gram", "gram.txt")),
+}
+
+
+def golden_args(tmp_path, name, exact) -> tuple[str, ...]:
+    """``wte`` arguments for the golden word ``name``: slot matrices from
+    ``default_rng(7)`` with entries in [-3, 3], drawn in slot order."""
+    command, expr, n_dim, m_dim, extra = GOLDEN[name]
+    shape, slot_names = build_shape(parse(expr))
+    rng = np.random.default_rng(7)
+    lines = []
+    for name_k, (rows, cols) in zip(slot_names, slot_dimensions(shape, n_dim, m_dim)):
+        entries = rng.integers(-3, 4, size=(rows, cols))
+        mat = tmp_path / f"{name_k}.txt"
+        mat.write_text(f"{rows} {cols}\n" + "".join(" ".join(map(str, r)) + "\n" for r in entries))
+        lines.append(f"{name_k} = {mat}\n")
+    (tmp_path / "binds.txt").write_text("".join(lines))
+    (tmp_path / "gram.txt").write_text("X Z\n1 1/2\n1/2 1\n")
+    extra = tuple(str(tmp_path / x) if x.endswith(".txt") else x for x in extra)
+    return (command, "--expr", expr, "--bind", str(tmp_path / "binds.txt"),
+            "-N", str(n_dim), "-M", str(m_dim), *extra, *(("--exact",) if exact else ()),
+            "--terms", "--format", "json")
+
+
 class TestMomentCommand:
     def test_first_moment_value(self, capsys):
         payload = run_json(
@@ -170,6 +208,15 @@ class TestMomentCommand:
         assert code == 0, err
         with open(os.path.join(DATA, "q_half_m8_exact_terms.json"), encoding="utf-8") as fh:
             assert out == fh.read()
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_terms_json_digest(self, capsys, tmp_path, name, exact):
+        code, out, err = run(capsys, *golden_args(tmp_path, name, exact))
+        assert code == 0, err
+        with open(os.path.join(DATA, "terms_digests.json"), encoding="utf-8") as fh:
+            want = json.load(fh)[f"{name}-{'exact' if exact else 'float'}"]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
     def test_decimal_q_is_exact(self, capsys):
         args = ("moment", "--expr", "E[ tr(X' D1 X D2 X' D3 X D4) ]",
@@ -328,6 +375,35 @@ class TestExitCodes:
             capsys, "moment", "--expr", QUAD, "--bind-identity", "-N", "40", "-M", "40"
         )
         assert code == 4 and "identity fill" in err and out == ""
+
+    def test_identity_binding_past_budget_is_4(self, tmp_path):
+        # D1 = I 40 has 1,600 entries against a budget of 1,000: refused
+        # before the identity is built, with no traceback.
+        binds = tmp_path / "binds.txt"
+        binds.write_text("D1 = I 40\nD2 = D1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wte.cli", "moment", "--expr", QUAD, "--bind", str(binds),
+             "-N", "40", "-M", "40"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC, WTE_BUDGET="1000"),
+        )
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert "identity binding" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_identity_bindings_share_one_budget(self, capsys, monkeypatch, tmp_path):
+        # Two 20 x 20 identities fit one at a time (400 entries each) but
+        # not together against 700: the second is refused unbuilt.
+        built = []
+        identity = wte.cli.Matrix.identity
+        monkeypatch.setattr(wte.cli.Matrix, "identity", lambda n: built.append(n) or identity(n))
+        monkeypatch.setenv("WTE_BUDGET", "700")
+        binds = tmp_path / "binds.txt"
+        binds.write_text("D1 = I 20\nD2 = I 20\n")
+        code, out, err = run(
+            capsys, "moment", "--expr", QUAD, "--bind", str(binds), "-N", "20", "-M", "20"
+        )
+        assert code == 4 and "identity binding" in err and out == ""
+        assert built == [20]
 
     def test_long_alias_cycle_is_2(self, capsys, tmp_path):
         binds = tmp_path / "binds.txt"

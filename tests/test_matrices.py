@@ -315,6 +315,101 @@ class TestTraceCyclesInt64:
         assert [type(x) for x in got] == [int, Fraction, Fraction, Fraction, int]
 
 
+def assert_like_trace_along(cycles, mats, exact=False):
+    """``_trace_walk`` of the cycles is ``trace_along`` of each: the same
+    float bits, or the same exact value and type."""
+    got = trace_rows(cycles, mats, exact)
+    want = [trace_along((c,), mats, exact) for c in cycles]
+    assert [type(x) for x in got] == [type(x) for x in want]
+    if exact:
+        assert got == want
+    else:
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    return got
+
+
+class TestTraceTrie:
+    """The batched stage multiplies each distinct cycle prefix once, in a
+    trie over the sorted distinct rows; every trace is still
+    ``trace_along``'s."""
+
+    # Slots 1-6 are 3x2, 2x2, 2x3, 3x3, 2x2 and 3x3 (N != M); slot 7 holds
+    # slot 4's matrix.  (4, 6) is a cycle and a prefix of longer ones, and
+    # (1, 2, 5, 3) one of (1, 2, 5, 3, 4) and (1, 2, 5, 3, 4, 6).
+    DIMS = ((3, 2), (2, 2), (2, 3), (3, 3), (2, 2), (3, 3))
+    CYCLES = [
+        (4,), (-4,), (2,), (-5,), (1, 3), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 6),
+        (1, 2, 5, 3), (1, 2, 5, 3, 4), (1, 2, 5, 3, 4, 6), (1, 2, 5, 3, 6, 4),
+        (1, -2, 3), (1, -2, -5, 3, 4), (4, 6), (4, 6, 1, 3), (4, 6, 1, 2, 3), (4, -6),
+        (-6, -4), (-6, -4, 1, 2, 3), (-3, -1), (-3, -2, -1), (-3, -5, -2, -1, 4),
+        (6, 4, 1, 5, 2, 3),
+    ]
+
+    def matrices(self, rng, entry):
+        mats = [Matrix([[entry(rng) for _ in range(c)] for _ in range(r)]) for r, c in self.DIMS]
+        return tuple(mats) + (mats[3],)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_prefixes_shared_across_lengths(self, exact):
+        rng = random.Random(21)
+        entry = (lambda g: Fraction(g.randint(-9, 9), 7)) if exact else (lambda g: g.uniform(-1, 1))
+        assert_like_trace_along(self.CYCLES, self.matrices(rng, entry), exact)
+
+    def test_unsorted_and_repeated_rows(self):
+        rng = random.Random(22)
+        mats = self.matrices(rng, lambda g: g.uniform(-1, 1))
+        cycles = self.CYCLES + rng.choices(self.CYCLES, k=40)
+        rng.shuffle(cycles)
+        got = assert_like_trace_along(cycles, mats)
+        assert got != sorted(got)
+
+    def test_aliased_first_pair_beside_unaliased(self):
+        # Slots 1 and 3 hold one 3 x 32 matrix a.  (1, -3), (3, -1) and
+        # (-3, 1) read it with opposite signs, which trace_along multiplies
+        # as a @ a.T (or a.T @ a), a syrk whose bits can differ from gemm's
+        # from an inner dimension of 32; (1, -2) and (3, -2) start with the
+        # same slot or matrix but are no such pair.
+        rng = random.Random(23)
+        a, b, c, d = (Matrix([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(r)])
+                      for r, n in ((3, 32), (3, 32), (3, 3), (32, 32)))
+        mats = (a, b, a, c, d)
+        cycles = [(1, -3), (1, -3, 4), (3, -1), (-3, 1), (-3, 1, 5), (1, -2), (1, -2, 4),
+                  (3, -2), (-2, 1, 5), (4,), (-5,)]
+        assert_like_trace_along(cycles, mats)
+        assert_like_trace_along(cycles[::-1], mats)
+
+    def test_int64_and_past_the_bound_in_one_call(self, monkeypatch):
+        # (2^10 * 3)^L < 2^62 for L <= 5 only: the short cycles are one
+        # int64 trie, the cycles of 6 slots, whose traces leave int64, one
+        # of object arrays.
+        rng = random.Random(24)
+        read = set()
+        as_int64, as_array = Matrix.as_int64, Matrix.as_array
+        monkeypatch.setattr(Matrix, "as_int64", lambda a: read.add("int64") or as_int64(a))
+        monkeypatch.setattr(
+            Matrix, "as_array", lambda a, exact=False: read.add("object") or as_array(a, exact)
+        )
+        mats = self.matrices(rng, lambda g: g.randint(2**10 - 8, 2**10))
+        got = assert_like_trace_along(self.CYCLES, mats, exact=True)
+        assert read == {"int64", "object"}
+        assert all(type(x) is int for x in got) and max(map(abs, got)) >= 2**63
+
+    def test_int_and_fraction_slots(self):
+        rng = random.Random(25)
+        mats = list(self.matrices(rng, lambda g: g.randint(-9, 9)))
+        mats[1] = Matrix([[Fraction(rng.randint(-9, 9), 3) for _ in range(2)] for _ in range(2)])
+        got = assert_like_trace_along(self.CYCLES, mats, exact=True)
+        assert {int, Fraction} == set(map(type, got))
+
+    def test_length_one_cycles_only(self):
+        rng = random.Random(26)
+        mats = self.matrices(rng, lambda g: g.uniform(-1, 1))
+        assert_like_trace_along([(4,), (-4,), (2,), (6,), (-5,), (7,), (-7,)], mats)
+        assert_like_trace_along([(2,), (4,)], mats, exact=False)
+        int_mats = self.matrices(rng, lambda g: g.randint(-9, 9))
+        assert_like_trace_along([(-6,), (4,), (2,)], int_mats, exact=True)
+
+
 class TestBindMatrices:
     def test_profile_validation(self):
         shape = WordShape.alternating((2,))
