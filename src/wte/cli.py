@@ -8,7 +8,15 @@ byte-identical JSON.
 Each subcommand takes ``--expr``, ``--expr-file`` and ``--format`` and
 only the other options its handler reads; the table is in
 :func:`_build_parser`.  ``--threads`` exists on ``moment`` and
-``cumulant`` only, and has no effect.
+``cumulant`` only: that many forked worker processes compute the chunks
+of the pairing sum while this process builds the terms in canonical
+order, so the output is byte-identical at every value.  0, the default,
+means one worker per CPU the process may run on, 1 sums in this
+process, and a larger value is capped at the available CPUs.  A sum of
+fewer than 8 chunks of 4,096 terms (m <= 12 without Wigner letters) runs
+in this process, since the workers would cost more than they save.
+Workers ignore Ctrl-C, so an interrupt exits once, from this process,
+with code 130.
 
 Exit codes: 0 success, 1 failure or verification mismatch, 2 usage
 errors (among them an option the subcommand does not take, such as
@@ -22,7 +30,8 @@ or are not UTF-8, 3 dimension/binding errors, 4 work budget exceeded
 (the pairing sum of ``moment``, ``cumulant`` and ``census``, the Wick
 expansion of ``verify``, which is checked before the engine runs, the
 identities ``--bind-identity`` would build, checked before any is, or
-the ``I <dim>`` lines of a bindings file, checked before each is built).
+the ``I <dim>`` lines of a bindings file, checked before each is built),
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .engine import (
     MomentResult,
     MomentSpec,
     TermReport,
+    WorkerError,
     _enforce_budget,
     census_rows,
     clt_report,
@@ -111,8 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
     model.add_argument("--exact", action="store_true", help="exact rational arithmetic")
     model.add_argument("--wigner", default="", help="comma-separated Wigner families")
     terms.add_argument("--terms", action="store_true", help="emit the per-term table")
-    threads.add_argument("--threads", type=int, default=0, help="accepted for "
-                         "compatibility; has no effect (pairings are summed in one pass)")
+    threads.add_argument("--threads", type=_count(0), default=0,
+                         help="worker processes that share the pairing sum: 0 (the "
+                         "default) for one per available CPU, 1 to sum in this process; "
+                         "capped at the available CPUs; the output is the same at any value")
     monte_carlo.add_argument("--seed", type=_count(0, bits=128), default=0,
                              help="Monte Carlo seed, from 0 to 2**128 - 1")
     monte_carlo.add_argument("--samples", type=_count(2, zero=True), default=0,
@@ -333,7 +345,7 @@ def _cmd_moment(args) -> int:
     spec = _make_spec(args, ast)
     effective = "cumulant" if "cumulant" in (args.command, ast.kind) else "moment"
     fn = cumulant if effective == "cumulant" else moment
-    result = fn(spec, exact=args.exact)
+    result = fn(spec, exact=args.exact, threads=args.threads)
     if args.format == "csv":
         args.terms = True
     payload = _result_payload(args, ast, spec, result, effective)
@@ -570,9 +582,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
-    except ValueError as exc:
+    except (ValueError, WorkerError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ are averaged over both transpose signs with weight 1/2 per letter, which
 requires square X.
 
 Evaluation is one pass of a numpy kernel over contiguous chunks of the
-canonical pairing table (``_walk``, which the moment, the cumulant and
+canonical pairing table (``_chunk``, which the moment, the cumulant and
 the census share), refused up front, before any table is built, with
 :class:`BudgetError` when its work, (m-1)!! * m * 2^w for w Wigner
 letters, exceeds the budget it shares with the Wick oracle
@@ -31,18 +31,23 @@ vertex permutation in the closed form of ``gluing._vertex_image``,
 labels its cycles by pointer doubling (the smallest position on each
 cycle is its canonical lead) and joins sheet faces into components.  The
 per-pairing functions of ``gluing.py`` are the specification the kernel
-is tested against.  The chunk's terms are then assembled in numpy too:
-one weight per distinct crossing count and block family pairs, a
-lockstep walk of every particular cycle from its lead, one tuple per
-distinct cycle of the chunk (which the chunk's terms share), and the
-kernel's last stage, ``_trace_walk``, which traces the chunk's distinct
-walked cycles as a prefix trie: each distinct prefix is multiplied
-once, in stacks, and every trace has the bits of
-:func:`~wte.matrices.trace_along`.  The terms are built from columns,
-one ``TermReport`` call per term through ``map``, with every tuple
-(blocks, cycles, letters) zipped from columns of shared objects.
-Nothing but the terms and, in exact mode, the chunk's sum outlives a
-chunk, so a chunk depends only on its range of pairings.  A term's
+is tested against.
+
+A chunk of the sum is two steps (``_Sum``).  ``columns`` is the array
+work: the decode and the gluing, one weight per distinct crossing count
+and block family pairs, a lockstep walk of every particular cycle from
+its lead, and the kernel's last stage, ``_trace_walk``, which traces the
+chunk's distinct walked cycles as a prefix trie: each distinct prefix is
+multiplied once, in stacks, and every trace has the bits of
+:func:`~wte.matrices.trace_along`.  It returns arrays (``_Columns``): the
+distinct census keys and walked cycles, each term's indices into them,
+and the values.  ``assemble`` builds the chunk's terms from those
+columns, one ``TermReport`` call per term through ``map``, with every
+tuple (blocks, cycles, letters) zipped from columns of shared objects.
+A chunk depends only on its range of pairings, so ``columns`` may run in
+worker processes (``threads``; see ``_mapped``) while the calling
+process assembles the terms, in canonical order, from the columns it
+receives; every output bit is the same at any thread count.  A term's
 value is its weight times its cycles' traces, multiplied in cycle
 order; a term of weight 0 has value 0 and its cycles are not traced.
 A cumulant keeps a pairing when its surface has a single component (the
@@ -69,14 +74,18 @@ the rest are traced in two tries.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
 import itertools
 import math
 import os
+import signal
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -107,6 +116,10 @@ BUDGET_ENV_VAR = "WTE_BUDGET"
 
 class BudgetError(RuntimeError):
     """The requested evaluation exceeds the work budget."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process of a sharded pairing sum ended abruptly."""
 
 
 def _enforce_budget(work: int, what: str) -> None:
@@ -263,23 +276,27 @@ def _as_number(x: Number, exact: bool) -> Number:
     return float(x)
 
 
-def moment(spec: MomentSpec, *, exact: bool = False) -> MomentResult:
+def moment(spec: MomentSpec, *, exact: bool = False, threads: int = 1) -> MomentResult:
     """Expected value of the product of the word's normalized trace factors.
 
     Odd letter counts give exactly 0 with an empty term list.  Wigner
     families are averaged over both transpose signs per occurrence.
+    ``threads`` worker processes share the pairing sum (0: one per
+    available CPU; see ``_workers``); the result is the same at any
+    value.
     """
-    return _evaluate(spec, transitive_only=False, exact=exact)
+    return _evaluate(spec, transitive_only=False, exact=exact, threads=threads)
 
 
-def cumulant(spec: MomentSpec, *, exact: bool = False) -> MomentResult:
+def cumulant(spec: MomentSpec, *, exact: bool = False, threads: int = 1) -> MomentResult:
     """Joint cumulant of the word's factors: the pairing sum restricted to
     pairings connecting all factors, with the same global prefactor.
 
     A pairing connects all factors when its glued surface has a single
-    component; the empty word counts as connected.
+    component; the empty word counts as connected.  ``threads`` is as
+    in :func:`moment`.
     """
-    return _evaluate(spec, transitive_only=True, exact=exact)
+    return _evaluate(spec, transitive_only=True, exact=exact, threads=threads)
 
 
 def is_transitive(p: Pairing, shape: WordShape) -> bool:
@@ -447,23 +464,38 @@ class _Plan:
         )
         # One census per distinct key row, which the chunk's rows share.
         _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
-        reports = [
-            _assemble_surface(self.lengths, k[:r], k[r : 2 * r], k[2 * r :])
-            for k in key[firsts].tolist()
-        ]
-        kind = kind.reshape(-1).tolist()
-        return _Gluing(img, particular, [reports[i] for i in kind])
+        return _Gluing(img, particular, self.lengths, key[firsts], kind.reshape(-1))
 
 
 @dataclass(frozen=True)
 class _Gluing:
     """The kernel's output for one chunk: per row (a pairing under one sign
     assignment), the vertex image of each position, which positive letters
-    lead a particular cycle, and the surface census."""
+    lead a particular cycle, and the index of its census key in ``keys``,
+    the chunk's distinct keys (see ``_surfaces``)."""
 
     img: np.ndarray
     particular: np.ndarray
-    census: list[SurfaceReport]
+    lengths: tuple[int, ...]
+    keys: np.ndarray
+    kind: np.ndarray
+
+    @cached_property
+    def census(self) -> list[SurfaceReport]:
+        """Each row's surface census."""
+        return _surfaces(self.lengths, self.keys, self.kind)
+
+
+def _surfaces(lengths: tuple[int, ...], keys: np.ndarray, kind: np.ndarray) -> list[SurfaceReport]:
+    """The census of each row from the index ``kind`` of its key in
+    ``keys``, whose rows hold per factor its component, then per component
+    its orientability and its vertex count; the rows of one key share its
+    report."""
+    r = len(lengths)
+    reports = [
+        _assemble_surface(lengths, k[:r], k[r : 2 * r], k[2 * r :]) for k in keys.tolist()
+    ]
+    return list(map(reports.__getitem__, kind.tolist()))
 
 
 def _cycle_walk(img: np.ndarray, particular: np.ndarray) -> np.ndarray:
@@ -630,12 +662,11 @@ def _trie_traces(
 
 
 def _chunk_cycles(
-    walk: np.ndarray, needed: np.ndarray, signed: list[int], mats: Sequence[Matrix], exact: bool
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """The walk's distinct cycles as tuples, and per walked cycle the index
-    of its tuple and its trace.  The distinct cycles of the rows marked
-    ``needed`` are traced once each; a cycle that no needed row has reads
-    0."""
+    walk: np.ndarray, needed: np.ndarray, mats: Sequence[Matrix], exact: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk's distinct rows, and per walked cycle the index of its row
+    and its trace.  The distinct cycles of the rows marked ``needed`` are
+    traced once each; a cycle that no needed row has reads 0."""
     _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
     distinct = walk[firsts]
@@ -643,7 +674,7 @@ def _chunk_cycles(
     need[inverse[needed]] = True
     values = np.zeros(len(distinct), dtype=object if exact else float)
     values[need] = _trace_walk(distinct[need], mats, exact)
-    return _letters(distinct, signed), inverse, values[inverse]
+    return distinct, inverse, values[inverse]
 
 
 @lru_cache(maxsize=64)
@@ -654,16 +685,13 @@ def _combinatorics(lengths: tuple[int, ...]) -> _Plan:
     return _Plan(lengths)
 
 
-def _walk(plan: _Plan, eps: np.ndarray, rows: int) -> Iterator[tuple]:
-    """The pairing sum's one pass over the canonical pairings of the
-    plan's word, in chunks of ``rows``: per chunk, its first index, its
-    blocks' first and second letters, its crossings and the gluing of
-    every pairing under every sign row of ``eps``."""
-    m = plan.m
-    count = pairing_count(m)
-    for first in range(0, count, rows):
-        partner, opens, closes = _pairing_table(m, first, min(count, first + rows))
-        yield first, opens, closes, _crossings(opens, closes), plan.glue(partner, eps)
+def _chunk(plan: _Plan, eps: np.ndarray, first: int, rows: int) -> tuple:
+    """The chunk of at most ``rows`` canonical pairings from index
+    ``first``: its blocks' first and second letters, its crossings and the
+    gluing of every pairing under every sign row of ``eps``."""
+    stop = min(pairing_count(plan.m), first + rows)
+    partner, opens, closes = _pairing_table(plan.m, first, stop)
+    return opens, closes, _crossings(opens, closes), plan.glue(partner, eps)
 
 
 def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, int]]:
@@ -671,13 +699,252 @@ def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, i
     canonical order, for the transpose signs as written."""
     _check_budget(shape.m)
     plan, as_written = _combinatorics(shape.lengths), np.array([(0, *shape.epsilon)], dtype=np.int8)
-    for first, opens, closes, cross, gluing in _walk(plan, as_written, _CHUNK_TERMS):
+    for first in range(0, pairing_count(shape.m), _CHUNK_TERMS):
+        opens, closes, cross, gluing = _chunk(plan, as_written, first, _CHUNK_TERMS)
         rows = zip(_block_rows(opens, closes), gluing.census, cross.tolist())
         yield from ((first + i, *row) for i, row in enumerate(rows))
 
 
-def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentResult:
+@dataclass(frozen=True)
+class _Columns:
+    """One chunk's terms as arrays, made by ``_Sum.columns`` and turned
+    into ``TermReport``s by ``_Sum.assemble``.
+
+    Per kept pairing (``rows``: its offset in the chunk): its blocks'
+    first and second letters and the index of its weight in ``weights``.
+    Per term, in canonical order: the index of its census key in ``keys``
+    (see ``_surfaces``), the indices of its cycles in ``walk`` (the
+    chunk's distinct walked cycles), padded into a grid, its cycle count
+    and its value, a float64, or in exact mode an integer numerator over
+    ``den``.  ``total`` is the exact sum of the values, 0 in float mode.
+    """
+
+    first: int
+    rows: np.ndarray
+    opens: np.ndarray
+    closes: np.ndarray
+    weights: list
+    weight: np.ndarray
+    keys: np.ndarray
+    surface: np.ndarray
+    walk: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+    values: Union[np.ndarray, list]
+    den: int
+    total: Number
+
+
+class _Sum:
+    """One evaluation's pairing sum over the chunks that start at
+    ``firsts``.  Each chunk is ``columns``, its array work, which a worker
+    process may run since it reads nothing but its first index and this
+    object, and then ``assemble``, which builds its terms."""
+
+    def __init__(self, spec: MomentSpec, wigner_pos: list[int], transitive_only: bool, exact: bool):
+        shape, w = spec.shape, len(wigner_pos)
+        self.spec, self.transitive_only, self.exact = spec, transitive_only, exact
+        # One row of transpose signs per assignment to the Wigner letters, in
+        # itertools.product order; column k is letter k's sign.
+        self.eps = np.tile(np.array((0, *shape.epsilon), dtype=np.int8), (2**w, 1))
+        self.eps[:, wigner_pos] = list(itertools.product((1, -1), repeat=w))
+        self.epsilons = [tuple(row) for row in self.eps[:, 1:].tolist()] if w else [None]
+        self.share: Number = Fraction(1, 2**w) if exact else 0.5**w
+        self.plan = _combinatorics(shape.lengths)
+        self.families = tuple(dict.fromkeys(shape.labels))
+        self.family = np.array([self.families.index(lab) for lab in shape.labels], dtype=np.int64)
+        self.pairs = [(a, b) for a in self.families for b in self.families]  # by code of (a, b)
+        rows = max(1, _CHUNK_TERMS >> w)
+        self.rows, self.firsts = rows, range(0, pairing_count(shape.m), rows)
+
+    def columns(self, first: int) -> _Columns:
+        """The array work of the chunk from pairing ``first``: gluing,
+        weights, cycles, traces and values; its other arrays are freed
+        before the next chunk."""
+        spec, exact, signs = self.spec, self.exact, len(self.eps)
+        opens, closes, cross, gluing = _chunk(self.plan, self.eps, first, self.rows)
+        codes = self.family[opens - 1] * len(self.families) + self.family[closes - 1]
+        key = np.column_stack([cross, codes])
+        # One weight per distinct (crossings, block family pairs) row.
+        _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
+        weights = [
+            _block_weight(k[0], [self.pairs[c] for c in k[1:]], spec, exact) * self.share
+            for k in key[firsts].tolist()
+        ]
+        # The components of the letters do not depend on the transpose
+        # signs, so any sign row's census decides transitivity; the empty
+        # word has no components and counts as connected.
+        kept = np.ones(len(cross), dtype=bool)
+        if self.transitive_only and self.plan.r:
+            kept = np.array([c.connected for c in gluing.census[::signs]])
+        kind = kind.reshape(-1)[kept]
+        # Terms in canonical order: by pairing, then by sign assignment.
+        term_rows = np.flatnonzero(kept.repeat(signs))
+        count = len(term_rows)
+        particular = gluing.particular[term_rows]
+        walk = _cycle_walk(gluing.img[term_rows], particular)
+        counts = particular.sum(axis=1)
+        term = np.repeat(np.arange(count), counts)
+        den = 1
+        if exact:
+            # The distinct weights over one common denominator den: a term's
+            # value is its integer weight numerator times its traces, over den.
+            den = math.lcm(*(x.denominator for x in weights))
+            weight = np.array([x.numerator * (den // x.denominator) for x in weights], dtype=object)
+        else:
+            weight = np.array(weights, dtype=float)
+        weight = weight[kind].repeat(signs)
+        zero = weight == 0
+        walk, cycle, values = _chunk_cycles(walk, ~zero[term], spec.matrices, exact)
+
+        # trace_along(cycles) multiplies its cycles' traces in order from 1,
+        # and so do the columns of the grid, padded with 1.  The mirror
+        # checks in glue already rule out a slot repeated across a term's
+        # cycles, which trace_along would refuse.
+        at = (term, np.arange(len(term)) - (np.cumsum(counts) - counts)[term])
+        grid = np.ones((count, int(counts.max(initial=0))), dtype=values.dtype)
+        grid[at] = values
+        product = np.ones(count, dtype=values.dtype)
+        with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
+            for column in grid.T:
+                product = product * column
+            if exact:
+                # An untraced cycle reads 0, so a term of weight 0 has
+                # numerator 0.
+                values = (weight * product).tolist()
+                total: Number = Fraction(sum(values), den)
+            else:
+                values, total = np.where(zero, weight, weight * product), 0
+        ids = np.zeros(grid.shape, dtype=np.intp)
+        ids[at] = cycle
+        rows = np.flatnonzero(kept)
+        return _Columns(
+            first, rows, opens[rows], closes[rows], weights, kind, gluing.keys,
+            gluing.kind[term_rows], walk, ids, counts, values, den, total,
+        )
+
+    def assemble(self, c: _Columns) -> list[TermReport]:
+        """The chunk's terms, built column by column: a term's cycles are
+        one tuple of the chunk's shared cycle tuples, its blocks are its
+        pairing's."""
+        signs = len(self.eps)
+        surfaces = _surfaces(self.plan.lengths, c.keys, c.surface)
+        if not self.exact:
+            values = c.values.tolist()
+        elif c.den == 1:  # Fraction(x) skips the gcd
+            values = list(map(Fraction, c.values))
+        else:
+            values = [Fraction(x, c.den) for x in c.values]
+        pairing = np.arange(len(c.rows)).repeat(signs).tolist()
+        return list(map(
+            TermReport,
+            (c.first + c.rows).repeat(signs).tolist(),
+            map(_block_rows(c.opens, c.closes).__getitem__, pairing),
+            map(c.weights.__getitem__, c.weight.repeat(signs).tolist()),
+            _tuples(c.ids, c.counts, _letters(c.walk, self.plan.signed)),
+            surfaces,
+            [s.order_exponent for s in surfaces],
+            values,
+            self.epsilons * len(c.rows),
+        ))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Fewer chunks than this run in one process: starting the workers costs
+# about one chunk's work per worker, and on a 2-vCPU host sums of 3 and 6
+# chunks ran slower sharded than in one process, sums of 11 and 21 faster.
+_SHARD_CHUNKS = 8
+
+
+def _workers(threads: int, chunks: int) -> int:
+    """Worker processes for a sum of ``chunks`` chunks at ``threads``:
+    that many, or one per available CPU at 0, but never more than the
+    CPUs or the chunks.  One means the sum runs in this process, as it
+    always does below ``_SHARD_CHUNKS`` chunks and without ``os.fork``."""
+    if chunks < _SHARD_CHUNKS or not hasattr(os, "fork"):
+        return 1
+    cpus = _cpus()
+    return min(threads or cpus, cpus, chunks)
+
+
+# Python 3.12 and later warn at each fork of a process with more than one
+# thread, which numpy's BLAS has from import on; its pthread_atfork
+# handlers stop those threads around the fork.
+_FORK_WARNING = r"This process .* is multi-threaded"
+
+# The sum a worker process computes columns of, set as the worker starts.
+_WORKER_SUM: Optional[_Sum] = None
+
+
+def _start_worker(job: _Sum) -> None:
+    """Ready a forked worker: Ctrl-C interrupts the parent, which stops
+    the workers, so a worker ignores it."""
+    global _WORKER_SUM
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _WORKER_SUM = job
+
+
+def _worker_columns(first: int) -> _Columns:
+    return _WORKER_SUM.columns(first)
+
+
+@contextlib.contextmanager
+def _mapped(job: _Sum, threads: int) -> Iterator[Iterator[_Columns]]:
+    """``job.columns`` of each of the job's chunks, in canonical order.
+
+    With one worker (``_workers``) they run in this process.  Otherwise
+    that many worker processes, forked as the context is entered, so that
+    they inherit the job rather than unpickle it, compute them, at most two
+    chunks per worker ahead of the caller, so that finished columns do
+    not pile up.  A worker's exception is raised here with its type and
+    message, and a worker that dies raises :class:`WorkerError`.  On exit
+    the workers are stopped and reaped, after the chunks they are
+    computing.
+    """
+    workers = _workers(threads, len(job.firsts))
+    if workers == 1:
+        yield map(job.columns, job.firsts)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _start_worker, (job,)
+    )
+    todo = iter(job.firsts)
+    try:
+        with warnings.catch_warnings():  # the first submit forks every worker
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            window = collections.deque(
+                pool.submit(_worker_columns, first) for first in itertools.islice(todo, 2 * workers)
+            )
+
+        def ordered() -> Iterator[_Columns]:
+            while window:
+                done = window.popleft().result()
+                window.extend(pool.submit(_worker_columns, f) for f in itertools.islice(todo, 1))
+                yield done
+
+        yield ordered()
+    except BrokenProcessPool:
+        raise WorkerError(
+            "a worker process of the pairing sum ended abruptly (killed, perhaps for memory)"
+        ) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool, threads: int) -> MomentResult:
     start = time.perf_counter()
+    if threads < 0:
+        raise ValueError(f"threads must be 0 (one per CPU) or more, got {threads}")
     shape = spec.shape
     m, r = shape.m, shape.r
     prefactor_exp = -(m // 2) - r
@@ -702,107 +969,13 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool) -> MomentRes
         "spec_hash": spec.fingerprint(),
     }
 
-    # One row of transpose signs per assignment to the Wigner letters, in
-    # itertools.product order; column k is letter k's sign.
-    eps = np.tile(np.array((0, *shape.epsilon), dtype=np.int8), (2**w, 1))
-    eps[:, wigner_pos] = list(itertools.product((1, -1), repeat=w))
-    signs = len(eps)
-    epsilons = [tuple(row) for row in eps[:, 1:].tolist()] if w else [None]
-    share: Number = Fraction(1, 2**w) if exact else 0.5**w
-    plan = _combinatorics(shape.lengths)
-    families = tuple(dict.fromkeys(shape.labels))
-    family = np.array([families.index(lab) for lab in shape.labels], dtype=np.int64)
-    pairs = [(a, b) for a in families for b in families]  # pairs[code of (a, b)]
-
-    def chunk_terms(first, opens, closes, cross, gluing) -> tuple[list[TermReport], Number]:
-        """One chunk's terms and, in exact mode, the exact sum of their
-        values (0 in float mode); its arrays are freed before the next
-        chunk."""
-        key = np.column_stack([cross, family[opens - 1] * len(families) + family[closes - 1]])
-        # One weight per distinct (crossings, block family pairs) row.
-        _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
-        kind_weights = [
-            _block_weight(k[0], [pairs[c] for c in k[1:]], spec, exact) * share
-            for k in key[firsts].tolist()
-        ]
-        # The components of the letters do not depend on the transpose
-        # signs, so any sign row's census decides transitivity; the empty
-        # word has no components and counts as connected.
-        kept = np.ones(len(cross), dtype=bool)
-        if transitive_only and r:
-            kept = np.array([c.connected for c in gluing.census[::signs]])
-        kind = kind.reshape(-1)[kept]
-        # Terms in canonical order: by pairing, then by sign assignment.
-        term_rows = np.flatnonzero(kept.repeat(signs))
-        count = len(term_rows)
-        particular = gluing.particular[term_rows]
-        walk = _cycle_walk(gluing.img[term_rows], particular)
-        counts = particular.sum(axis=1)
-        term = np.repeat(np.arange(count), counts)
-        if exact:
-            # The distinct weights over one common denominator den: a term's
-            # value is its integer weight numerator times its traces, over den.
-            den = math.lcm(*(x.denominator for x in kind_weights))
-            weight = np.array(
-                [x.numerator * (den // x.denominator) for x in kind_weights], dtype=object
-            )
-        else:
-            weight = np.array(kind_weights, dtype=float)
-        weight = weight[kind].repeat(signs)
-        zero = weight == 0
-        letters, cycle, values = _chunk_cycles(walk, ~zero[term], plan.signed, spec.matrices, exact)
-
-        # trace_along(cycles) multiplies its cycles' traces in order from 1,
-        # and so do the columns of the grid, padded with 1.  The mirror
-        # checks in glue already rule out a slot repeated across a term's
-        # cycles, which trace_along would refuse.
-        at = (term, np.arange(len(term)) - (np.cumsum(counts) - counts)[term])
-        grid = np.ones((count, int(counts.max(initial=0))), dtype=values.dtype)
-        grid[at] = values
-        product = np.ones(count, dtype=values.dtype)
-        with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
-            for column in grid.T:
-                product = product * column
-            if exact:
-                # An untraced cycle reads 0, so a term of weight 0 has
-                # numerator 0; over a denominator of 1, Fraction(x) skips
-                # the gcd.
-                numerators = (weight * product).tolist()
-                chunk_sum = Fraction(sum(numerators), den)
-                if den == 1:
-                    values = list(map(Fraction, numerators))
-                else:
-                    values = [Fraction(x, den) for x in numerators]
-            else:
-                chunk_sum = 0
-                values = np.where(zero, weight, weight * product).tolist()
-
-        # The terms, built column by column: a term's cycles are one tuple
-        # of the chunk's shared cycle tuples, its blocks are its pairing's.
-        ids = np.zeros(grid.shape, dtype=np.intp)
-        ids[at] = cycle
-        rows = np.flatnonzero(kept)
-        pairing = np.arange(len(rows)).repeat(signs).tolist()
-        surfaces = list(map(gluing.census.__getitem__, term_rows.tolist()))
-        out = list(map(
-            TermReport,
-            (first + term_rows // signs).tolist(),
-            map(_block_rows(opens[rows], closes[rows]).__getitem__, pairing),
-            map(kind_weights.__getitem__, kind.repeat(signs).tolist()),
-            _tuples(ids, counts, letters),
-            surfaces,
-            [s.order_exponent for s in surfaces],
-            values,
-            epsilons * len(rows),
-        ))
-        return out, chunk_sum
-
     # Odd m has no pairings: the sum is empty and the total is 0.
+    job = _Sum(spec, wigner_pos, transitive_only, exact)
     terms, chunk_sums = [], []
-    for chunk in _walk(plan, eps, max(1, _CHUNK_TERMS >> w)):
-        out, chunk_sum = chunk_terms(*chunk)
-        terms += out
-        chunk_sums.append(chunk_sum)
+    with _mapped(job, threads) as chunks:
+        for columns in chunks:
+            terms += job.assemble(columns)
+            chunk_sums.append(columns.total)
 
     if exact:
         prefactor: Number = Fraction(1, spec.n_dim ** (m // 2 + r))

@@ -1,7 +1,10 @@
+import concurrent.futures
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
@@ -14,7 +17,7 @@ import wte.cli
 import wte.engine
 from wte.cli import main
 from wte.expr import build_shape, parse
-from wte.gluing import slot_dimensions
+from wte.gluing import MirrorPropertyError, slot_dimensions
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -115,9 +118,15 @@ GOLDEN = {
 
 
 def golden_args(tmp_path, name, exact) -> tuple[str, ...]:
-    """``wte`` arguments for the golden word ``name``: slot matrices from
-    ``default_rng(7)`` with entries in [-3, 3], drawn in slot order."""
-    command, expr, n_dim, m_dim, extra = GOLDEN[name]
+    """``wte`` arguments for the golden word ``name``."""
+    return (*bound_args(tmp_path, *GOLDEN[name]), *(("--exact",) if exact else ()),
+            "--terms", "--format", "json")
+
+
+def bound_args(tmp_path, command, expr, n_dim, m_dim, extra=()) -> tuple[str, ...]:
+    """``wte`` arguments for ``expr`` with slot matrices from
+    ``default_rng(7)`` with entries in [-3, 3], drawn in slot order, and
+    the Gram matrix of X and Z in ``gram.txt``."""
     shape, slot_names = build_shape(parse(expr))
     rng = np.random.default_rng(7)
     lines = []
@@ -130,8 +139,7 @@ def golden_args(tmp_path, name, exact) -> tuple[str, ...]:
     (tmp_path / "gram.txt").write_text("X Z\n1 1/2\n1/2 1\n")
     extra = tuple(str(tmp_path / x) if x.endswith(".txt") else x for x in extra)
     return (command, "--expr", expr, "--bind", str(tmp_path / "binds.txt"),
-            "-N", str(n_dim), "-M", str(m_dim), *extra, *(("--exact",) if exact else ()),
-            "--terms", "--format", "json")
+            "-N", str(n_dim), "-M", str(m_dim), *extra)
 
 
 class TestMomentCommand:
@@ -293,6 +301,124 @@ class TestCumulantCommand:
         assert m["normalized_total"] == k["normalized_total"]
 
 
+ALT12 = "E[ tr(" + " ".join(f"X' D{2 * k - 1} X D{2 * k}" for k in range(1, 7)) + ") ]"
+ALT12_ARGS = ("moment", "--expr", ALT12, "--bind-identity", "-N", "3", "-M", "2")
+# Words that the threads tests shard: name -> (wte arguments, terms per
+# chunk), the chunks small enough that every word has at least 15.
+SHARDED = {
+    "alt12": (lambda tmp: bound_args(tmp, "moment", ALT12, 3, 2), 512),
+    "q-half-exact": (lambda tmp: q_half_args(tmp)[:-2], 7),
+    "wigner3": (lambda tmp: bound_args(tmp, *GOLDEN["wigner3"]), 64),
+    "cumulant6x6": (lambda tmp: bound_args(
+        tmp, "cumulant", "k[ tr(X' D1 X D2 X' D3 X D4 X' D5 X D6) "
+        "tr(X' D7 X D8 X' D9 X D10 X' D11 X D12) ]", 3, 2, ("--exact",)), 512),
+}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every pool the engine starts.  Two CPUs are
+    available, so that the default threads and ``--threads 2`` shard on
+    any host; no worker is left running after the test."""
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, *args):
+            started.append(workers)
+            super().__init__(workers, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(wte.engine, "_cpus", lambda: 2)
+    yield started
+    assert multiprocessing.active_children() == []
+
+
+class TestThreads:
+    def test_worker_count_is_capped(self):
+        # Picking the count starts no process.
+        cpus, many = wte.engine._cpus(), 10**18
+        assert wte.engine._workers(many, many) == cpus
+        assert wte.engine._workers(0, many) == cpus
+        assert wte.engine._workers(1, many) == 1
+        assert wte.engine._workers(many, wte.engine._SHARD_CHUNKS - 1) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    @pytest.mark.parametrize("word", sorted(SHARDED))
+    def test_output_identical_across_threads(self, capsys, tmp_path, monkeypatch, pools,
+                                             word, fmt):
+        make_args, chunk = SHARDED[word]
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", chunk)
+        args = (*make_args(tmp_path), "--terms", "--format", fmt)
+        outs = []
+        for threads in (("--threads", "1"), ("--threads", "2"), ()):
+            code, out, err = run(capsys, *args, *threads)
+            assert code == 0, err
+            outs.append([line for line in out.splitlines() if not line.startswith("elapsed:")])
+        assert outs[0] == outs[1] == outs[2]
+        assert pools == [2, 2]
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_terms_json_digest_sharded(self, capsys, tmp_path, monkeypatch, pools, name, exact):
+        # At the default threads, in chunks of 32 terms: 30 to 119 chunks.
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 32)
+        code, out, err = run(capsys, *golden_args(tmp_path, name, exact))
+        assert code == 0, err
+        with open(os.path.join(DATA, "terms_digests.json"), encoding="utf-8") as fh:
+            want = json.load(fh)[f"{name}-{'exact' if exact else 'float'}"]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+        assert pools == [2]
+
+    def test_worker_error_is_the_in_process_error(self, capsys, monkeypatch, pools):
+        # Patched before the workers fork, so they glue with it too.
+        def glue(self, partner, eps):
+            raise MirrorPropertyError("the cycle through 3 has no mirror partner")
+
+        monkeypatch.setattr(wte.engine._Plan, "glue", glue)
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 512)
+        single = run(capsys, *ALT12_ARGS, "--threads", "1")
+        sharded = run(capsys, *ALT12_ARGS, "--threads", "2")
+        assert single == sharded == (1, "", "error: the cycle through 3 has no mirror partner\n")
+        assert pools == [2]
+
+    def test_workers_ignore_ctrl_c(self, capsys, monkeypatch, pools):
+        # Each process reports its SIGINT handler: the workers ignore it,
+        # so an interrupt reaches only the process that started them.
+        def columns(self, first):
+            raise ValueError(f"SIGINT: {signal.getsignal(signal.SIGINT)!r}")
+
+        monkeypatch.setattr(wte.engine._Sum, "columns", columns)
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 512)
+        _, _, single = run(capsys, *ALT12_ARGS, "--threads", "1")
+        _, _, sharded = run(capsys, *ALT12_ARGS, "--threads", "2")
+        assert "SIG_IGN" not in single and "SIG_IGN" in sharded
+        assert pools == [2]
+
+    def test_killed_worker_is_an_error_line(self, capsys, monkeypatch, pools):
+        parent = os.getpid()
+
+        def columns(self, first):
+            assert os.getpid() != parent, "the sum ran in the test's process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(wte.engine._Sum, "columns", columns)
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 512)
+        code, out, err = run(capsys, *ALT12_ARGS, "--threads", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a worker process of the pairing sum ended abruptly")
+        assert pools == [2]
+
+    def test_interrupt_exits_130_once(self, capsys, monkeypatch, pools):
+        def assemble(self, columns):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(wte.engine._Sum, "assemble", assemble)
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 512)
+        assert run(capsys, *ALT12_ARGS, "--threads", "2") == (130, "", "interrupted\n")
+        assert pools == [2]
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
         code, _, err = run(capsys, "moment", "--expr", "E[ tr() ]", "--bind-identity")
@@ -443,6 +569,7 @@ class TestExitCodes:
             ("moment", "-M", "0"),
             ("clt", "-N", "-2"),
             ("moment", "--q", "abc"),
+            ("moment", "--threads", "-1"),
         ],
     )
     def test_bad_option_value_is_2(self, capsys, command, option, value):
@@ -467,6 +594,8 @@ class TestExitCodes:
             ("verify", "--samples", "two", "0 or an integer of at least 2"),
             ("verify", "--seed", "-1", "an integer of at least 0 and below 2**128"),
             ("verify", "--seed", "2.5", "an integer of at least 0 and below 2**128"),
+            ("cumulant", "--threads", "-1", "an integer of at least 0"),
+            ("moment", "--threads", "two", "an integer of at least 0"),
         ],
     )
     def test_bad_option_value_says_what_the_option_takes(
