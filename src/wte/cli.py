@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -561,6 +562,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     if args.command == "verify" and args.samples and args.q != 1:
         args.usage_error("verify --samples needs --q 1: Monte Carlo sampling requires q = 1")
+    # A command builds only acyclic data (tuples, terms, numbers, arrays),
+    # so the cyclic collector would only walk the growing term list again
+    # and again; forked workers inherit the pause.  The caller's setting
+    # comes back once the command's results are freed.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command; its exit code."""
     try:
         code = _COMMANDS[args.command](args)
         # Flush here so that a closed pipe raises inside this try, not

@@ -26,12 +26,13 @@ rotation and its inverse, the sheet face of every signed letter and the
 cycle order key.  The transpose signs are an input: one int8 row per sign
 assignment of the Wigner letters.  Per chunk, the decode gives each
 pairing's partner row and blocks, crossings are counted over block
-pairs, and one gluing of every pairing under every sign row gathers the
-vertex permutation in the closed form of ``gluing._vertex_image``,
-labels its cycles by pointer doubling (the smallest position on each
-cycle is its canonical lead) and joins sheet faces into components.  The
-per-pairing functions of ``gluing.py`` are the specification the kernel
-is tested against.
+pairs, and one gluing of every pairing under every sign row reads the
+vertex permutation, the closed form of ``gluing._vertex_image``, from a
+table of each position's image per sign row and partner letter (one
+gather per row), labels its cycles by pointer doubling (the smallest
+position on each cycle is its canonical lead) and joins sheet faces into
+components.  The per-pairing functions of ``gluing.py`` are the
+specification the kernel is tested against.
 
 A chunk of the sum is two steps (``_Sum``).  ``columns`` is the array
 work: the decode and the gluing, one weight per distinct crossing count
@@ -39,11 +40,15 @@ and block family pairs, a lockstep walk of every particular cycle from
 its lead, and the kernel's last stage, ``_trace_walk``, which traces the
 chunk's distinct walked cycles as a prefix trie: each distinct prefix is
 multiplied once, in stacks, and every trace has the bits of
-:func:`~wte.matrices.trace_along`.  It returns arrays (``_Columns``): the
-distinct census keys and walked cycles, each term's indices into them,
-and the values.  ``assemble`` builds the chunk's terms from those
-columns, one ``TermReport`` call per term through ``map``, with every
-tuple (blocks, cycles, letters) zipped from columns of shared objects.
+:func:`~wte.matrices.trace_along`; a float trace's diagonal is summed
+across the rows at once, by error-free transformations that certify
+``fsum``'s result, and by ``fsum`` where they cannot (``_fsum_rows``).
+It returns arrays (``_Columns``): the distinct census keys and walked
+cycles, each term's indices into them, and the values.  ``assemble``
+builds the chunk's terms from those columns, one ``TermReport`` call per
+term through ``map``, with every tuple (blocks, cycles, letters) zipped
+from columns of shared objects; ``TermReport`` sets its slots through
+their descriptors.
 A chunk depends only on its range of pairings, so ``columns`` may run in
 worker processes (``threads``; see ``_mapped``) while the calling
 process assembles the terms, in canonical order, from the columns it
@@ -51,14 +56,14 @@ receives; every output bit is the same at any thread count.  A term's
 value is its weight times its cycles' traces, multiplied in cycle
 order; a term of weight 0 has value 0 and its cycles are not traced.
 A cumulant keeps a pairing when its surface has a single component (the
-empty word counts as connected).  Float evaluation reduces the term
-values with error-free summation in canonical pairing order, so the
-same configuration gives the same bits on every run.  Exact mode puts
-each chunk's distinct weights over one common denominator: a term's
-value is the ``Fraction`` of its integer numerator (the weight's
-numerator times the trace product), a chunk's numerators are summed as
-plain ints once, and the total is the prefactor times the sum of the
-chunks' fractions.  Over a denominator of 1 the values are
+empty word counts as connected).  Float evaluation reduces the chunks'
+float64 values with one correctly rounded ``fsum`` in canonical pairing
+order, so the same configuration gives the same bits on every run.
+Exact mode puts each chunk's distinct weights over one common
+denominator: a term's value is the ``Fraction`` of its integer numerator
+(the weight's numerator times the trace product), a chunk's numerators
+are summed as plain ints once, and the total is the prefactor times the
+sum of the chunks' fractions.  Over a denominator of 1 the values are
 ``Fraction(x)``, which skips the gcd.
 
 Exact mode needs integer or rational entries in every slot of an even
@@ -83,7 +88,7 @@ import os
 import signal
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence, Union
@@ -230,6 +235,30 @@ class TermReport:
     order_exponent: int
     value: Number
     epsilon: Optional[tuple[int, ...]] = None
+
+
+def _term_init():
+    """``TermReport.__init__``: each field set through its slot
+    descriptor's ``__set__``, not the frozen dataclass's
+    ``object.__setattr__``, which builds a term in about half the time."""
+    (set_index, set_blocks, set_weight, set_cycles, set_surface, set_order,
+     set_value, set_epsilon) = (getattr(TermReport, f.name).__set__ for f in fields(TermReport))
+
+    def __init__(self, index, blocks, weight, cycles, surface, order_exponent, value, epsilon=None):
+        set_index(self, index)
+        set_blocks(self, blocks)
+        set_weight(self, weight)
+        set_cycles(self, cycles)
+        set_surface(self, surface)
+        set_order(self, order_exponent)
+        set_value(self, value)
+        set_epsilon(self, epsilon)
+
+    __init__.__qualname__ = "TermReport.__init__"
+    return __init__
+
+
+TermReport.__init__ = _term_init()
 
 
 @dataclass(frozen=True)
@@ -422,11 +451,13 @@ class _Plan:
         m, r = self.m, self.r
         count = len(partner) * len(eps)
         rows = np.arange(count)[:, None]
-        pairing, sign = np.divmod(rows, len(eps))
         pos = np.arange(2 * m)
-        l = partner[pairing, self.letter]
-        turn = self.turn * eps[sign, self.letter + 1] * eps[sign, l]
-        img = np.where(turn > 0, self.plain[l], self.flipped[l])
+        # lut[s, x, l]: the image of position x under sign row s when the
+        # letter ``letter[x]`` has partner l, read by one gather per row.
+        turn = (self.turn * eps[:, self.letter + 1])[:, :, None] * eps[:, None, :]
+        lut = np.where(turn > 0, self.plain, self.flipped)
+        at = pos * (m + 1) + 2 * m * (m + 1) * np.arange(len(eps))[:, None]
+        img = lut.reshape(-1)[(partner[:, self.letter][:, None] + at).reshape(count, 2 * m)]
         base = 2 * m * rows  # flat index of each row's position 0
 
         # Pointer doubling: after j steps, lead[x] is the smallest position
@@ -654,11 +685,43 @@ def _trie_traces(
         for k in np.unique(at_kind[ending]).tolist():
             rows = ending[at_kind[ending] == k]
             diagonal = prods[k].diagonal(axis1=1, axis2=2)[at_where[rows]]
-            if exact:
-                traces[rows] = diagonal.sum(axis=1).tolist()
-            else:
-                traces[rows] = list(map(math.fsum, diagonal.tolist()))
+            traces[rows] = diagonal.sum(axis=1).tolist() if exact else _fsum_rows(diagonal)
     return traces
+
+
+def _fsum_rows(a: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of the float64 array ``a``, bit for bit,
+    computed across the rows at once.
+
+    A TwoSum cascade (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6),
+    2005) over the columns leaves each row's float sum s and its rounding
+    errors, whose sum is exact; a second cascade adds the errors into e
+    and keeps each of its own rounding errors, the residuals.  Where every
+    residual is 0, s + e is the row's exact sum, so fl(s + e) is its
+    correctly rounded sum, which is ``fsum``'s.  That needs no overflow:
+    a row whose sum of magnitudes reaches 2^1020, so also a row with an
+    inf or nan, is summed by ``fsum``, which raises or not as it would;
+    so is a row with a residual and a row whose sum is 0, which
+    ``fsum`` gives as +0.0.
+    """
+    s = a[:, 0] if a.shape[1] else np.zeros(len(a))
+    e = np.zeros(len(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = np.abs(a).sum(axis=1) < 2.0**1020
+        for b in a.T[1:]:
+            t = s + b
+            d = t - s
+            err = (s - (t - d)) + (b - d)
+            u = e + err
+            d = u - e
+            exact &= (e - (u - d)) + (err - d) == 0
+            s, e = t, u
+        total = s + e
+    exact &= total != 0
+    out = total.tolist()
+    for i in np.flatnonzero(~exact).tolist():
+        out[i] = math.fsum(a[i].tolist())
+    return out
 
 
 def _chunk_cycles(
@@ -971,17 +1034,20 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool, threads: int
 
     # Odd m has no pairings: the sum is empty and the total is 0.
     job = _Sum(spec, wigner_pos, transitive_only, exact)
-    terms, chunk_sums = [], []
+    # Per chunk, its exact total, or in float mode its float64 values,
+    # which one fsum adds.
+    terms, sums = [], []
     with _mapped(job, threads) as chunks:
         for columns in chunks:
             terms += job.assemble(columns)
-            chunk_sums.append(columns.total)
+            sums.append(columns.total if exact else columns.values)
 
     if exact:
         prefactor: Number = Fraction(1, spec.n_dim ** (m // 2 + r))
-        total: Number = prefactor * sum(chunk_sums)
+        total: Number = prefactor * sum(sums)
     else:
-        total = float(spec.n_dim) ** prefactor_exp * math.fsum(t.value for t in terms)
+        values = itertools.chain.from_iterable(sums)
+        total = float(spec.n_dim) ** prefactor_exp * math.fsum(values)
 
     metadata["elapsed_s"] = time.perf_counter() - start
     return MomentResult(

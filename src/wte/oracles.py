@@ -134,46 +134,49 @@ def wick_oracle(spec: MomentSpec, *, exact: bool = True) -> Number:
     count = math.prod(radix)
     total: Number = Fraction(0) if exact else 0.0
 
-    for p in enumerate_pairings(m):
-        blocks = p.blocks()
-        weight: Number = q ** _local_crossings(blocks)
-        for a, b in blocks:
-            g = spec.gram.value(labels[a - 1], labels[b - 1])
-            weight = weight * (g if exact else float(g))
-        if weight == 0:
-            continue
-        block_of = [0] * (m + 1)
-        for bi, (a, b) in enumerate(blocks):
-            block_of[a] = block_of[b] = bi
+    # Float products and sums overflow to inf (and inf - inf to nan)
+    # silently, as Python floats do in the scalar reference.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in enumerate_pairings(m):
+            blocks = p.blocks()
+            weight: Number = q ** _local_crossings(blocks)
+            for a, b in blocks:
+                g = spec.gram.value(labels[a - 1], labels[b - 1])
+                weight = weight * (g if exact else float(g))
+            if weight == 0:
+                continue
+            block_of = [0] * (m + 1)
+            for bi, (a, b) in enumerate(blocks):
+                block_of[a] = block_of[b] = bi
 
-        for assign in assignments:
-            eps = eps_for(assign)
-            # Per letter: its slot's entries and the digits that index
-            # them: the row (2b) or the column (2b + 1) of the block b
-            # that holds the letter, then of the block that holds the
-            # next letter of its factor.
-            plan = [
-                (
-                    entries[k - 1],
-                    2 * block_of[k] + (eps[k] != -1),
-                    2 * block_of[gamma[k]] + (eps[gamma[k]] != 1),
-                )
-                for k in range(1, m + 1)
-            ]
-            acc: Number = 0 if exact else 0.0
-            for start in range(0, count, _WICK_SLICE):
-                index = np.arange(start, min(count, start + _WICK_SLICE))
-                digits = np.unravel_index(index, radix) if m else ()
-                prod = np.ones(len(index), dtype=dtype)
-                for ent, first, second in plan:
-                    prod *= ent[digits[first], digits[second]]
-                if exact:
-                    acc = acc + prod.sum()
-                else:
-                    # A left fold in assignment order, carried across
-                    # slices: the bits of the scalar loop's sum.
-                    acc = float(np.add.accumulate(np.concatenate(([acc], prod)))[-1])
-            total = total + weight * share * acc
+            for assign in assignments:
+                eps = eps_for(assign)
+                # Per letter: its slot's entries and the digits that index
+                # them: the row (2b) or the column (2b + 1) of the block b
+                # that holds the letter, then of the block that holds the
+                # next letter of its factor.
+                plan = [
+                    (
+                        entries[k - 1],
+                        2 * block_of[k] + (eps[k] != -1),
+                        2 * block_of[gamma[k]] + (eps[gamma[k]] != 1),
+                    )
+                    for k in range(1, m + 1)
+                ]
+                acc: Number = 0 if exact else 0.0
+                for start in range(0, count, _WICK_SLICE):
+                    index = np.arange(start, min(count, start + _WICK_SLICE))
+                    digits = np.unravel_index(index, radix) if m else ()
+                    prod = np.ones(len(index), dtype=dtype)
+                    for ent, first, second in plan:
+                        prod *= ent[digits[first], digits[second]]
+                    if exact:
+                        acc = acc + prod.sum()
+                    else:
+                        # A left fold in assignment order, carried across
+                        # slices: the bits of the scalar loop's sum.
+                        acc = float(np.add.accumulate(np.concatenate(([acc], prod)))[-1])
+                total = total + weight * share * acc
 
     if exact:
         return Fraction(total) / Fraction(spec.n_dim ** (m // 2 + r))

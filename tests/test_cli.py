@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import hashlib
 import io
 import json
@@ -419,6 +420,53 @@ class TestThreads:
         assert pools == [2]
 
 
+ALT6_ARGS = ("moment", "--expr", ALT6, "--bind-identity", "-N", "3", "-M", "2")
+
+
+def exiting_with(code, monkeypatch, tmp_path):
+    """Arguments of a command that exits with ``code``."""
+    if code == 1:
+        monkeypatch.setenv("WTE_BUDGET", "abc")
+    elif code == 2:
+        return ("moment", "--expr", "E[ tr() ]", "--bind-identity")
+    elif code == 3:
+        (tmp_path / "binds.txt").write_text("D1 = I 3\n")
+        return ("moment", "--expr", QUAD, "--bind", str(tmp_path / "binds.txt"), "-N", "4")
+    elif code == 4:
+        monkeypatch.setenv("WTE_BUDGET", "5")
+    elif code == 130:
+        def assemble(self, columns):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(wte.engine._Sum, "assemble", assemble)
+    return ALT6_ARGS
+
+
+class TestCollector:
+    """A command runs with the cyclic collector off and leaves it as the
+    caller had it, whichever way it exits."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def enabled(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 4, 130])
+    def test_state_is_restored(self, capsys, monkeypatch, tmp_path, enabled, code):
+        seen, parse = [], wte.cli.parse
+        monkeypatch.setattr(wte.cli, "parse", lambda t: seen.append(gc.isenabled()) or parse(t))
+        args = exiting_with(code, monkeypatch, tmp_path)
+        assert run(capsys, *args)[0] == code
+        assert gc.isenabled() is enabled and seen == [False]
+
+    def test_usage_error_leaves_it(self, capsys, enabled):
+        with pytest.raises(SystemExit) as info:
+            main(["moment", "--expr", QUAD, "-N", "0"])
+        assert info.value.code == 2 and gc.isenabled() is enabled
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
         code, _, err = run(capsys, "moment", "--expr", "E[ tr() ]", "--bind-identity")
@@ -724,6 +772,22 @@ class TestVerifyCommand:
         payload = json.loads(out)
         names = [c["name"] for c in payload["checks"]]
         assert "monte-carlo" in names and payload["pass"]
+
+    def test_overflowing_float_word_warns_nothing(self, tmp_path):
+        # The Wick products of slot 1's entries with 10 overflow to inf and
+        # their sum is nan, as with Python floats; the oracle says nothing
+        # of it on stderr.  The engine's traces of D1 and D2 are 0 and 20.
+        (tmp_path / "d1.txt").write_text("2 2\n1e308 0\n0 -1e308\n")
+        (tmp_path / "d2.txt").write_text("2 2\n10 0\n0 10\n")
+        (tmp_path / "b.txt").write_text(f"D1 = {tmp_path / 'd1.txt'}\nD2 = {tmp_path / 'd2.txt'}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wte.cli", "verify", "--expr", QUAD, "--bind",
+             str(tmp_path / "b.txt"), "-N", "2", "-M", "2", "--format", "json"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert "Warning" not in proc.stderr and proc.stderr == ""
+        (check,) = json.loads(proc.stdout)["checks"]
+        assert proc.returncode == 1 and (check["engine"], check["oracle"]) == ("0.0", "nan")
 
     def test_rejects_cumulant_expression(self, capsys):
         code, _, err = run(

@@ -1,4 +1,9 @@
+import dataclasses
+import gc
+import inspect
 import math
+import multiprocessing
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +15,7 @@ from wte.engine import (
     BudgetError,
     Gram,
     MomentSpec,
+    TermReport,
     clt_report,
     cumulant,
     is_transitive,
@@ -515,3 +521,85 @@ class TestBudget:
         with pytest.raises(ValueError) as info:
             moment(identity_spec((2,), 2))
         assert str(info.value) == f"WTE_BUDGET takes an integer, got {value!r}"
+
+
+class TestTermReport:
+    """``TermReport`` sets its slots through their descriptors and keeps
+    the frozen dataclass's behaviour."""
+
+    def term(self):
+        return moment(make_spec((2, 2), (1, -1, -1, 1), 3, 2), exact=True).terms[1]
+
+    def test_frozen(self):
+        t = self.term()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.value = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del t.weight
+
+    def test_fields_replace_and_astuple(self):
+        t = self.term()
+        names = [f.name for f in dataclasses.fields(TermReport)]
+        assert names == ["index", "blocks", "weight", "cycles", "surface", "order_exponent",
+                         "value", "epsilon"]
+        assert dataclasses.astuple(t)[0] == t.index and t.epsilon is None
+        u = dataclasses.replace(t, value=Fraction(1, 3), epsilon=(1, -1, -1, 1))
+        assert (u.value, u.epsilon, u.cycles) == (Fraction(1, 3), (1, -1, -1, 1), t.cycles)
+        assert TermReport(*(getattr(t, name) for name in names)) == t
+
+    def test_equality_hash_and_pickle(self):
+        t, again = self.term(), self.term()
+        assert t == again and hash(t) == hash(again) and t is not again
+        assert t != dataclasses.replace(t, index=t.index + 1)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and type(back) is TermReport
+        assert repr(back) == repr(t) and repr(t).startswith("TermReport(index=")
+
+    def test_signature(self):
+        params = inspect.signature(TermReport).parameters
+        assert list(params)[-1] == "epsilon" and params["epsilon"].default is None
+        assert all(p.default is inspect.Parameter.empty for p in list(params.values())[:-1])
+
+    def test_wrong_argument_count(self):
+        t = self.term()
+        fields = dataclasses.astuple(t)
+        with pytest.raises(TypeError):
+            TermReport(*fields[:6])
+        with pytest.raises(TypeError):
+            TermReport(*fields, None)
+        with pytest.raises(TypeError):
+            TermReport(*fields[:7], colour=1)
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    before = gc.isenabled()
+    yield
+    if before:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollector:
+    """The library leaves the cyclic collector as the caller set it."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("fn", [moment, cumulant])
+    def test_state_is_the_callers(self, monkeypatch, collector, fn, enabled, threads):
+        # 945 pairings in chunks of 32 are 30 chunks, which two workers share.
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 32)
+        monkeypatch.setattr(wte.engine, "_cpus", lambda: 2)
+        seen, assemble = [], wte.engine._Sum.assemble
+        monkeypatch.setattr(
+            wte.engine._Sum, "assemble",
+            lambda job, c: seen.append(gc.isenabled()) or assemble(job, c),
+        )
+        (gc.enable if enabled else gc.disable)()
+        res = fn(make_spec((4, 6), (1, -1) * 5, 3, 2), threads=threads)
+        assert wte.engine._workers(threads, 30) == threads
+        assert res.terms and gc.isenabled() is enabled
+        assert len(seen) == 30 and set(seen) == {enabled}
+        assert multiprocessing.active_children() == []

@@ -1,10 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from wte.engine import _fsum_rows
 from wte.gluing import WordShape
 from wte.matrices import (
     DimensionError,
@@ -315,6 +317,75 @@ class TestTraceCyclesInt64:
         assert [type(x) for x in got] == [int, Fraction, Fraction, Fraction, int]
 
 
+def fsum_or_error(row):
+    """``math.fsum`` of the row, or the type and message it raises."""
+    try:
+        return math.fsum(row).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFsumRows:
+    """``engine._fsum_rows`` is ``math.fsum`` of each row, to the bit, and
+    raises what ``fsum`` raises."""
+
+    def rows(self, width):
+        rng = np.random.default_rng(width)
+        n = 400
+        normal = rng.normal(size=(n, width))
+        # Magnitudes from subnormal to just under the largest double.
+        spread = np.ldexp(rng.uniform(-1, 1, (n, width)), rng.integers(-1073, 1025, (n, width)))
+        # Cancellation: the last entry takes back the rest's sum, exactly
+        # where it can be, and leaves 0, a tiny residue or its rounding.
+        cancel = rng.normal(size=(n, width)) * 2.0 ** rng.integers(-40, 40, size=(n, width))
+        cancel[:, -1] = -cancel[:, :-1].sum(axis=1) + rng.choice([0, 0, 5e-324, 1e-300], size=n)
+        # Half-way ties: 2^53 + odd / 2 rounds to even.
+        ties = rng.choice([-1.5, -0.5, 0.5, 1.5, 0.25, -0.25], size=(n, width))
+        ties[:, 0] = rng.choice([2.0**53, 2.0**53 + 2, -(2.0**54)], size=n)
+        subnormal = rng.integers(-3, 4, size=(n, width)) * 5e-324
+        tiny = rng.integers(-2**20, 2**20, size=(n, width)) * 2.0**-1074
+        special = rng.choice(
+            [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1.7e308, 2.0**-1074, np.inf, -np.inf, np.nan],
+            size=(n, width),
+        )
+        return np.concatenate([
+            normal, spread, cancel, ties, subnormal, tiny, special,
+            np.full((3, width), -0.0), np.zeros((1, width)),
+            np.tile([[np.inf], [-np.inf], [np.nan]], (1, width)),
+        ])
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_like_fsum(self, width):
+        a = self.rows(width)
+        want = [fsum_or_error(row) for row in a.tolist()]
+        fine = np.array([isinstance(w, str) for w in want])
+        assert [x.hex() for x in _fsum_rows(a[fine])] == [w for w in want if isinstance(w, str)]
+        for i in np.flatnonzero(~fine).tolist():
+            with pytest.raises(want[i][0], match=re.escape(want[i][1])):
+                _fsum_rows(a[i : i + 1])
+        assert fine.sum() > 2000 and (~fine).any() == (width > 1)
+
+    def test_all_negative_zero_is_positive_zero(self):
+        assert [x.hex() for x in _fsum_rows(np.full((2, 3), -0.0))] == ["0x0.0p+0"] * 2
+        assert _fsum_rows(np.zeros((3, 0))) == [0.0, 0.0, 0.0]
+
+    def test_inf_and_nan(self):
+        got = _fsum_rows(np.array([[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [np.inf, np.nan]]))
+        assert got[:2] == [math.inf, -math.inf] and all(map(math.isnan, got[2:]))
+        with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+            _fsum_rows(np.array([[1.0, 2.0], [np.inf, -np.inf]]))
+
+    @pytest.mark.parametrize("row", [[1.7e308, 1.7e308, -1.7e308], [1e308, -1e307, 1e308, -1e308]])
+    def test_running_sum_overflow(self, row):
+        # Each entry is finite and so is the sum, but fsum's running sum
+        # overflows, and the rows' function raises as fsum does.
+        with pytest.raises(OverflowError) as want:
+            math.fsum(row)
+        with pytest.raises(OverflowError) as got:
+            _fsum_rows(np.array([[1.0] * len(row), row]))
+        assert str(got.value) == str(want.value) == "intermediate overflow in fsum"
+
+
 def assert_like_trace_along(cycles, mats, exact=False):
     """``_trace_walk`` of the cycles is ``trace_along`` of each: the same
     float bits, or the same exact value and type."""
@@ -400,6 +471,28 @@ class TestTraceTrie:
         mats[1] = Matrix([[Fraction(rng.randint(-9, 9), 3) for _ in range(2)] for _ in range(2)])
         got = assert_like_trace_along(self.CYCLES, mats, exact=True)
         assert {int, Fraction} == set(map(type, got))
+
+    def test_traces_that_cancel(self, monkeypatch):
+        # Scaled Pauli matrices: a product's diagonal is exactly (p, -p) or
+        # (0, 0) unless the product is a multiple of the identity, so many
+        # traces cancel to 0 and are summed by fsum, beside the rest.  Slot
+        # 5's diagonal passes 2^1020 in magnitude, so its trace is fsum's
+        # too; it is read alone, since its products would overflow.
+        rng = random.Random(27)
+        paulis = ([[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]], [[1, 0], [0, 1]])
+        mats = [Matrix([[rng.uniform(0.1, 3) * x for x in row] for row in rng.choice(paulis)])
+                for _ in range(6)]
+        mats[4] = Matrix([[1.5e307, 0.0], [0.0, -1e307]])
+        mats.append(mats[3])
+        cycles = [c for c in self.CYCLES if len(c) == 1 or 5 not in map(abs, c)]
+        want = [trace_along((c,), mats) for c in cycles]
+        fsum, summed = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda xs: summed.append(list(xs)) or fsum(xs))
+        got = trace_rows(cycles, mats)
+        monkeypatch.undo()
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert got.count(0.0) >= 5 and len(summed) < len(cycles)
+        assert [1.5e307, -1e307] in summed and [0.0, 0.0] in summed
 
     def test_length_one_cycles_only(self):
         rng = random.Random(26)
