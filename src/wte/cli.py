@@ -598,7 +598,7 @@ def _run(args: argparse.Namespace) -> int:
     except BudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
-    except (ValueError, WorkerError) as exc:
+    except (ValueError, OverflowError, WorkerError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except KeyboardInterrupt:

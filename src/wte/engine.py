@@ -682,7 +682,7 @@ def _trie_traces(
             node_kind[order], node_where[order] = kind, where
             at_kind, at_where, at_neg = node_kind[node], node_where[node], np.zeros(count, bool)
         ending = np.flatnonzero(length == j + 1)
-        for k in np.unique(at_kind[ending]).tolist():
+        for k in np.flatnonzero(np.bincount(at_kind[ending])).tolist():
             rows = ending[at_kind[ending] == k]
             diagonal = prods[k].diagonal(axis1=1, axis2=2)[at_where[rows]]
             traces[rows] = diagonal.sum(axis=1).tolist() if exact else _fsum_rows(diagonal)

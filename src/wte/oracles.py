@@ -24,8 +24,13 @@ the trace-word product.  Sampling is counter-based (Philox keyed by the
 seed) in a fixed draw order, and the reductions are exactly rounded, so
 a given (seed, samples) pair reproduces the same estimate bit for bit no
 matter how the evaluation is scheduled.  The draws are made in chunks
-sized by a byte budget; Philox draws do not depend on how they are
-chunked, so the chunk size bounds memory without changing any estimate.
+of at most 4 MiB; Philox draws do not depend on how they are chunked,
+so the chunk size bounds memory without changing any estimate.  One
+background thread, the only code that touches the generator, draws
+and correlates chunk k + 1 while the calling thread multiplies chunk k
+through the word, so two chunks are in flight.  Both stages are numpy
+calls that release the GIL, and the chunks are taken in draw order;
+the serial loop that ``tests/mc.py`` keeps gives the same bits.
 """
 
 from __future__ import annotations
@@ -200,7 +205,7 @@ class McReport:
         return abs(self.estimate - exact_value) / self.stderr
 
 
-_MC_CHUNK_BYTES = 8 << 20  # 8 MiB budget for the raw draw of one chunk
+_MC_CHUNK_BYTES = 4 << 20  # 4 MiB budget for the raw draw of one chunk; two are in flight
 
 
 def _gram_factor(spec: MomentSpec, families: Sequence[str]) -> np.ndarray:
@@ -214,6 +219,15 @@ def _gram_factor(spec: MomentSpec, families: Sequence[str]) -> np.ndarray:
         if w.min() < -1e-9 * max(w.max(), 1.0):
             raise ValueError("gram matrix is not positive semi-definite") from None
         return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+
+
+def _mc_draw(
+    rng: np.random.Generator, chol: np.ndarray, count: int, m_dim: int, n_dim: int
+) -> np.ndarray:
+    """The next ``count`` samples of every family, correlated by ``chol``
+    and scaled by 1/sqrt(n_dim): shape (count, families, m_dim, n_dim)."""
+    raw = rng.standard_normal((count, len(chol), m_dim, n_dim))
+    return np.einsum("gh,shmn->sgmn", chol, raw) / math.sqrt(n_dim)
 
 
 def mc_oracle(
@@ -251,28 +265,41 @@ def mc_oracle(
     rng = np.random.Generator(np.random.Philox(key=seed))
     factor_vals = [np.empty(samples) for _ in range(r)]
     chunk = max(1, _MC_CHUNK_BYTES // (8 * len(families) * m_dim * n_dim))
-    done = 0
-    while done < samples:
-        count = min(chunk, samples - done)
-        raw = rng.standard_normal((count, len(families), m_dim, n_dim))
-        correlated = np.einsum("gh,shmn->sgmn", chol, raw) / math.sqrt(n_dim)
-        letter_mats = {}
-        for fam, gi in fam_index.items():
-            x = correlated[:, gi]
-            if fam in spec.wigner:
-                x = 0.5 * (x + np.swapaxes(x, -1, -2))
-            letter_mats[fam] = x
-        for fi, (a, b) in enumerate(ranges):
-            prod = None
-            for k in range(a, b + 1):
-                x = letter_mats[shape.labels[k - 1]]
-                if shape.labels[k - 1] not in spec.wigner and eps[k - 1] == -1:
-                    x = np.swapaxes(x, -1, -2)
-                prod = x if prod is None else prod @ x
-                prod = prod @ const[k - 1]
-            traces = np.einsum("sii->s", prod) / n_dim
-            factor_vals[fi][done : done + count] = traces
-        done += count
+    counts = [min(chunk, samples - done) for done in range(0, samples, chunk)]
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    # One thread, the only code that touches rng, draws chunk k + 1 while
+    # this one multiplies chunk k; both stages run in numpy with the GIL
+    # released.  The chunks are taken in order, so the stream is the same.
+    drawer = ThreadPoolExecutor(1)
+    try:
+        pending = drawer.submit(_mc_draw, rng, chol, counts[0], m_dim, n_dim)
+        done = 0
+        for i, count in enumerate(counts):
+            correlated = pending.result()
+            if i + 1 < len(counts):
+                pending = drawer.submit(_mc_draw, rng, chol, counts[i + 1], m_dim, n_dim)
+            letter_mats = {}
+            for fam, gi in fam_index.items():
+                x = correlated[:, gi]
+                if fam in spec.wigner:
+                    x = 0.5 * (x + np.swapaxes(x, -1, -2))
+                letter_mats[fam] = x
+            for fi, (a, b) in enumerate(ranges):
+                prod = None
+                for k in range(a, b + 1):
+                    x = letter_mats[shape.labels[k - 1]]
+                    if shape.labels[k - 1] not in spec.wigner and eps[k - 1] == -1:
+                        x = np.swapaxes(x, -1, -2)
+                    prod = x if prod is None else prod @ x
+                    prod = prod @ const[k - 1]
+                traces = np.einsum("sii->s", prod) / n_dim
+                factor_vals[fi][done : done + count] = traces
+            done += count
+    finally:
+        # Waits for a draw in flight, so no thread outlives the call.
+        drawer.shutdown(cancel_futures=True)
 
     if r == 0:
         values = np.ones(samples)

@@ -507,6 +507,26 @@ class TestExitCodes:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"error: slot 3 entry {entry}: matrix entries must be finite\n"
 
+    @pytest.mark.parametrize("command", ["moment", "verify"])
+    def test_fsum_overflow_is_1(self, tmp_path, command):
+        # tr(D1) = 3.4e308: the fsum of the trace's diagonal overflows.
+        (tmp_path / "d1.txt").write_text("2 2\n1.7e308 0\n0 1.7e308\n")
+        (tmp_path / "d2.txt").write_text("2 2\n10 0\n0 10\n")
+        binds = tmp_path / "b.txt"
+        binds.write_text(f"D1 = {tmp_path / 'd1.txt'}\nD2 = {tmp_path / 'd2.txt'}\n")
+        argv = [sys.executable, "-m", "wte.cli", command, "--expr", QUAD, "--bind", str(binds),
+                "-N", "2", "-M", "2"]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: intermediate overflow in fsum\n"
+        if command == "verify":
+            proc = subprocess.run(
+                [*argv, "--exact"], capture_output=True, text=True, timeout=120, env=env
+            )
+            assert proc.returncode == 0 and "VERIFY: PASS" in proc.stdout
+            assert proc.stderr == ""
+
     def test_budget_error_is_4(self, capsys, monkeypatch):
         monkeypatch.setenv("WTE_BUDGET", "5")
         code, _, err = run(
@@ -788,6 +808,30 @@ class TestVerifyCommand:
         assert "Warning" not in proc.stderr and proc.stderr == ""
         (check,) = json.loads(proc.stdout)["checks"]
         assert proc.returncode == 1 and (check["engine"], check["oracle"]) == ("0.0", "nan")
+
+    def test_interrupt_while_sampling_exits_130(self):
+        # 2,000 one-sample chunks; the second draw sends this process
+        # SIGINT, which the calling thread raises as KeyboardInterrupt
+        # while it samples.
+        script = (
+            "import os, signal, sys\n"
+            "import wte.cli, wte.oracles\n"
+            "draw, calls = wte.oracles._mc_draw, []\n"
+            "def interrupting(*args):\n"
+            "    calls.append(1)\n"
+            "    if len(calls) == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGINT)\n"
+            "    return draw(*args)\n"
+            "wte.oracles._mc_draw = interrupting\n"
+            "wte.oracles._MC_CHUNK_BYTES = 8 * 2 * 2\n"
+            f"sys.exit(wte.cli.main(['verify', '--expr', {QUAD!r}, '--bind-identity', "
+            "'-N', '2', '-M', '2', '--samples', '2000']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "interrupted\n")
 
     def test_rejects_cumulant_expression(self, capsys):
         code, _, err = run(

@@ -3,8 +3,11 @@ import gc
 import inspect
 import math
 import multiprocessing
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -580,6 +583,30 @@ def collector():
         gc.enable()
     else:
         gc.disable()
+
+
+class TestImports:
+    def test_float_trace_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs every tracing process (and each worker) an import.
+        def loaded(code):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys\n{code}\nprint('numpy.ma' in sys.modules)"],
+                capture_output=True, text=True, timeout=120, check=True,
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wte.__file__))),
+            )
+            return proc.stdout.split()[-1]
+
+        if loaded("import numpy") == "True":
+            pytest.skip("import numpy loads numpy.ma on this numpy")
+        code = (
+            "from wte.engine import MomentSpec, moment\n"
+            "from wte.gluing import WordShape\n"
+            "from wte.matrices import Matrix\n"
+            "d = Matrix([[1, 2, 0], [0, 1, 3], [2, 0, 1]])\n"
+            "spec = MomentSpec(WordShape.alternating((4, 6)), (d,) * 10, 3, 3)\n"
+            "print(len(moment(spec, threads=1).terms))"
+        )
+        assert loaded(code) == "False"
 
 
 class TestCollector:

@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from wte.gluing import WordShape, slot_dimensions
 from wte.matrices import Matrix
 from wte.oracles import is_noncrossing, mc_oracle, wick_oracle
 from wte.perm import crossings, enumerate_pairings, pairing_count
+from mc import mc_reference
 from wick import wick_reference
 
 
@@ -284,6 +288,36 @@ class TestNoncrossing:
         assert counts == [1, 2, 5, 14]
 
 
+MC_WORDS = ["one_family", "gram", "wigner"]
+
+
+def mc_word(word):
+    """A one-family moment, a Gram cumulant or a Wigner moment, and its
+    statistic."""
+    gram = Gram(("G", "H"), ((1, Fraction(1, 2)), (Fraction(1, 2), 1)))
+    return {
+        "one_family": (make_spec((4,), (-1, 1, -1, 1), 3, 2, seed=14), "moment"),
+        "gram": (
+            make_spec((2, 2), (-1, 1, -1, 1), 3, 3, seed=15,
+                      labels=("G", "H", "H", "G"), gram=gram),
+            "cumulant",
+        ),
+        "wigner": (
+            make_spec((4,), (1, -1, 1, 1), 3, 3, seed=16,
+                      labels=("Z", "X", "X", "Z"), wigner=frozenset({"Z"})),
+            "moment",
+        ),
+    }[word]
+
+
+def set_chunk(monkeypatch, spec, samples):
+    """Size the oracle's chunks to ``samples`` samples of ``spec``."""
+    families = len(set(spec.shape.labels))
+    monkeypatch.setattr(
+        wte.oracles, "_MC_CHUNK_BYTES", samples * 8 * families * spec.n_dim * spec.m_dim
+    )
+
+
 class TestMcOracle:
     def test_deterministic_replay(self):
         spec = make_spec((2,), (-1, 1), 4, 4, seed=10)
@@ -358,27 +392,11 @@ class TestMcOracle:
         assert all(abs(fm - 1.0) < 0.2 for fm in rep.factor_means)
 
     @pytest.mark.parametrize("chunk", [1, 7])
-    @pytest.mark.parametrize("word", ["one_family", "gram", "wigner"])
+    @pytest.mark.parametrize("word", MC_WORDS)
     def test_chunk_size_does_not_change_the_report(self, monkeypatch, word, chunk):
-        gram = Gram(("G", "H"), ((1, Fraction(1, 2)), (Fraction(1, 2), 1)))
-        spec, statistic = {
-            "one_family": (make_spec((4,), (-1, 1, -1, 1), 3, 2, seed=14), "moment"),
-            "gram": (
-                make_spec((2, 2), (-1, 1, -1, 1), 3, 3, seed=15,
-                          labels=("G", "H", "H", "G"), gram=gram),
-                "cumulant",
-            ),
-            "wigner": (
-                make_spec((4,), (1, -1, 1, 1), 3, 3, seed=16,
-                          labels=("Z", "X", "X", "Z"), wigner=frozenset({"Z"})),
-                "moment",
-            ),
-        }[word]
+        spec, statistic = mc_word(word)
         whole = mc_oracle(spec, 400, seed=17, statistic=statistic)
-        families = len(set(spec.shape.labels))
-        monkeypatch.setattr(
-            wte.oracles, "_MC_CHUNK_BYTES", chunk * 8 * families * spec.n_dim * spec.m_dim
-        )
+        set_chunk(monkeypatch, spec, chunk)
         assert mc_oracle(spec, 400, seed=17, statistic=statistic) == whole
 
     def test_rejects_q_not_one(self):
@@ -421,3 +439,93 @@ class TestMcOracle:
         )
         with pytest.raises(ValueError, match="r = 2"):
             mc_oracle(spec, 100, statistic="cumulant")
+
+
+def report_bits(rep):
+    return (
+        rep.estimate.hex(), rep.stderr.hex(), [x.hex() for x in rep.factor_means],
+        rep.samples, rep.seed, rep.statistic,
+    )
+
+
+class TestMcDrawThread:
+    """The draws run on one background thread, a chunk ahead of the
+    products; the report is the serial loop's, bit for bit, and no thread
+    outlives the call."""
+
+    @pytest.mark.parametrize("chunk", [400, 200, 150], ids=["one", "two", "ragged"])
+    @pytest.mark.parametrize("word", MC_WORDS)
+    def test_matches_the_serial_loop(self, monkeypatch, word, chunk):
+        spec, statistic = mc_word(word)
+        want = mc_reference(spec, 400, seed=17, statistic=statistic)
+        set_chunk(monkeypatch, spec, chunk)
+        before = threading.active_count()
+        got = mc_oracle(spec, 400, seed=17, statistic=statistic)
+        assert report_bits(got) == report_bits(want)
+        assert threading.active_count() == before
+
+    def test_matches_the_serial_loop_at_the_default_budget(self):
+        # 4 MiB chunks hold 512 samples of one 32 x 32 family: three chunks,
+        # the last ragged, against the serial loop's two 8 MiB chunks.
+        spec = make_spec((4,), (-1, 1, -1, 1), 32, 32, seed=18)
+        want = mc_reference(spec, 1200, seed=19)
+        assert report_bits(mc_oracle(spec, 1200, seed=19)) == report_bits(want)
+
+    def test_one_sample_chunks_under_a_short_switch_interval(self, monkeypatch):
+        # 300 chunks, with the threads switching as often as they can.
+        spec, statistic = mc_word("gram")
+        want = mc_reference(spec, 300, seed=23, statistic=statistic)
+        set_chunk(monkeypatch, spec, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = mc_oracle(spec, 300, seed=23, statistic=statistic)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report_bits(got) == report_bits(want)
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        spec, _ = mc_word("one_family")
+        set_chunk(monkeypatch, spec, 100)
+        draw, calls = wte.oracles._mc_draw, []
+
+        def failing(*args):
+            calls.append(args[2])
+            if len(calls) == 3:
+                raise DrawError("the third draw failed")
+            return draw(*args)
+
+        monkeypatch.setattr(wte.oracles, "_mc_draw", failing)
+        before = threading.active_count()
+        with pytest.raises(DrawError, match="^the third draw failed$"):
+            mc_oracle(spec, 400, seed=17)
+        assert calls == [100, 100, 100] and threading.active_count() == before
+
+    def test_product_error_waits_for_the_draw_in_flight(self, monkeypatch):
+        # The first chunk has one row too few, so its product fails in the
+        # calling thread once the second chunk is submitted.  A draw that
+        # has started is finished before the error leaves the call, and
+        # one still queued is cancelled.
+        spec, _ = mc_word("one_family")
+        set_chunk(monkeypatch, spec, 100)
+        draw, started, finished = wte.oracles._mc_draw, [], []
+
+        def short(*args):
+            started.append(args[2])
+            if len(started) == 1:
+                chunk = draw(*args)[..., 1:, :]
+            else:
+                time.sleep(0.05)
+                chunk = draw(*args)
+            finished.append(args[2])
+            return chunk
+
+        monkeypatch.setattr(wte.oracles, "_mc_draw", short)
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            mc_oracle(spec, 400, seed=17)
+        assert started == finished and started in ([100], [100, 100])
+        assert threading.active_count() == before
