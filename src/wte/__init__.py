@@ -6,6 +6,11 @@ a product of traces of the constant matrices, weighted by q^crossings
 and family inner products, with a global N^(-m/2 - r) prefactor.  Two
 independent oracles (a brute-force Wick index sum and a Monte Carlo
 sampler) back every number the engine produces.
+
+This namespace is the library API: the statistics, their specs and
+results, the parser and bindings, and the two oracles.  The per-pairing
+specification (``wte.perm``, ``wte.gluing``) and the other helpers are
+imported from their modules.
 """
 
 from .engine import (
@@ -16,53 +21,23 @@ from .engine import (
     TermReport,
     clt_report,
     cumulant,
-    is_transitive,
     leading_terms,
     moment,
-    pairing_weight,
     subspec,
 )
-from .expr import ParseError, TraceWordAst, build_shape, elaborate, parse, pretty
-from .gluing import (
-    ComponentSurface,
-    MirrorPropertyError,
-    SurfaceReport,
-    WordShape,
-    back_rotation,
-    front_rotation,
-    lift_pairing,
-    particular_cycles,
-    sign_flip,
-    slot_dimensions,
-    surface_census,
-    transpose_flip,
-    vertex_permutation,
-)
+from .expr import ParseError, TraceWordAst, elaborate, parse, pretty
+from .gluing import ComponentSurface, SurfaceReport, WordShape
 from .matrices import (
     DimensionError,
     Gram,
     Matrix,
     MatrixFormatError,
     UnboundSlotError,
-    bind_matrices,
     load_matrix,
     parse_bindings,
     parse_matrix,
-    trace_along,
 )
-from .oracles import McReport, is_noncrossing, mc_oracle, wick_oracle
-from .perm import (
-    Pairing,
-    SignedPermutation,
-    compose,
-    crossings,
-    cycle_string,
-    cycles,
-    enumerate_pairings,
-    inverse,
-    orbits,
-    pairing_count,
-)
+from .oracles import McReport, mc_oracle, wick_oracle
 
 __version__ = "0.1.0"
 
@@ -75,51 +50,25 @@ __all__ = [
     "Matrix",
     "MatrixFormatError",
     "McReport",
-    "MirrorPropertyError",
     "MomentResult",
     "MomentSpec",
-    "Pairing",
     "ParseError",
-    "SignedPermutation",
     "SurfaceReport",
     "TermReport",
     "TraceWordAst",
     "UnboundSlotError",
     "WordShape",
-    "back_rotation",
-    "bind_matrices",
-    "build_shape",
     "clt_report",
-    "compose",
-    "crossings",
     "cumulant",
-    "cycle_string",
-    "cycles",
     "elaborate",
-    "enumerate_pairings",
-    "front_rotation",
-    "inverse",
-    "is_noncrossing",
-    "is_transitive",
     "leading_terms",
-    "lift_pairing",
     "load_matrix",
     "mc_oracle",
     "moment",
-    "orbits",
-    "pairing_count",
-    "pairing_weight",
     "parse",
     "parse_bindings",
     "parse_matrix",
-    "particular_cycles",
     "pretty",
-    "sign_flip",
-    "slot_dimensions",
     "subspec",
-    "surface_census",
-    "trace_along",
-    "transpose_flip",
-    "vertex_permutation",
     "wick_oracle",
 ]

@@ -199,14 +199,23 @@ def _exact_str(x) -> str:
     return str(Fraction(x)) if not isinstance(x, float) else repr(x)
 
 
+def _float(x) -> float:
+    """``float(x)``, or inf with the sign of ``x`` where an exact ``x`` lies
+    past the largest double, as float mode's arithmetic gives there."""
+    try:
+        return float(x)
+    except OverflowError:
+        return float("inf") if x > 0 else float("-inf")
+
+
 def _term_record(t: TermReport, exact: bool) -> dict:
     rec = {
         "index": t.index,
         "blocks": [list(b) for b in t.blocks],
-        "weight": float(t.weight),
+        "weight": _float(t.weight),
         "order_exponent": t.order_exponent,
         "cycles": cycle_string(t.cycles),
-        "value": float(t.value),
+        "value": _float(t.value),
         "surface": {
             "components": [
                 {
@@ -245,8 +254,8 @@ def _result_payload(args, ast, spec, result: MomentResult, statistic: str) -> di
         "m_dim": spec.m_dim,
         "q": float(spec.q),
         "exact": args.exact,
-        "normalized_total": float(result.total),
-        "unnormalized_total": float(result.total) * spec.n_dim**r,
+        "normalized_total": _float(result.total),
+        "unnormalized_total": _float(result.total) * spec.n_dim**r,
         "prefactor_exponent": result.prefactor_exponent,
         "unnormalized_prefactor_exponent": result.prefactor_exponent + r,
         "term_count": len(result.terms),
@@ -516,7 +525,7 @@ def _cmd_clt(args) -> int:
     report = clt_report(spec, exact=args.exact)
     n = spec.shape.r
     gap = [
-        [abs(float(report.full[i][j]) - float(report.leading[i][j])) for j in range(n)]
+        [abs(_float(report.full[i][j]) - _float(report.leading[i][j])) for j in range(n)]
         for i in range(n)
     ]
     payload = {
@@ -524,8 +533,8 @@ def _cmd_clt(args) -> int:
         "expression": pretty(ast),
         "n_dim": spec.n_dim,
         "m_dim": spec.m_dim,
-        "full": [[float(x) for x in row] for row in report.full],
-        "leading": [[float(x) for x in row] for row in report.leading],
+        "full": [[_float(x) for x in row] for row in report.full],
+        "leading": [[_float(x) for x in row] for row in report.leading],
         "gap": gap,
     }
     if args.format == "json":

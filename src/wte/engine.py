@@ -40,11 +40,9 @@ and block family pairs, a lockstep walk of every particular cycle from
 its lead, and the kernel's last stage, ``_trace_walk``, which traces the
 chunk's distinct walked cycles as a prefix trie: each distinct prefix is
 multiplied once, in stacks, and every trace has the bits of
-:func:`~wte.matrices.trace_along`; a float trace's diagonal is summed
-across the rows at once, by error-free transformations that certify
-``fsum``'s result, and by ``fsum`` where they cannot (``_fsum_rows``).
-It returns arrays (``_Columns``): the distinct census keys and walked
-cycles, each term's indices into them, and the values.  ``assemble``
+:func:`~wte.matrices.trace_along`, whose ``math.fsum`` sums a float
+trace's diagonal.  It returns arrays (``_Columns``): the distinct census
+keys and walked cycles, each term's indices into them, and the values.  ``assemble``
 builds the chunk's terms from those columns, one ``TermReport`` call per
 term through ``map``, with every tuple (blocks, cycles, letters) zipped
 from columns of shared objects; ``TermReport`` sets its slots through
@@ -56,9 +54,11 @@ receives; every output bit is the same at any thread count.  A term's
 value is its weight times its cycles' traces, multiplied in cycle
 order; a term of weight 0 has value 0 and its cycles are not traced.
 A cumulant keeps a pairing when its surface has a single component (the
-empty word counts as connected).  Float evaluation reduces the chunks'
-float64 values with one correctly rounded ``fsum`` in canonical pairing
-order, so the same configuration gives the same bits on every run.
+empty word counts as connected), which is read off the census key table:
+every factor's component label is 0, the label of factor 1.  Float
+evaluation reduces the chunks' float64 values with one correctly rounded
+``fsum`` in canonical pairing order, so the same configuration gives the
+same bits on every run.
 Exact mode puts each chunk's distinct weights over one common
 denominator: a term's value is the ``Fraction`` of its integer numerator
 (the weight's numerator times the trace product), a chunk's numerators
@@ -90,7 +90,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -495,7 +495,7 @@ class _Plan:
         )
         # One census per distinct key row, which the chunk's rows share.
         _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
-        return _Gluing(img, particular, self.lengths, key[firsts], kind.reshape(-1))
+        return _Gluing(img, particular, key[firsts], kind.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -507,14 +507,8 @@ class _Gluing:
 
     img: np.ndarray
     particular: np.ndarray
-    lengths: tuple[int, ...]
     keys: np.ndarray
     kind: np.ndarray
-
-    @cached_property
-    def census(self) -> list[SurfaceReport]:
-        """Each row's surface census."""
-        return _surfaces(self.lengths, self.keys, self.kind)
 
 
 def _surfaces(lengths: tuple[int, ...], keys: np.ndarray, kind: np.ndarray) -> list[SurfaceReport]:
@@ -561,18 +555,17 @@ def _trace_walk(walk: np.ndarray, mats: Sequence[Matrix], exact: bool) -> list[N
 
     The kernel's cycles need no checks: their slots lie in 1..m and none
     repeats (the mirror checks in ``glue``), and they chain (``MomentSpec``
-    checks the profile).  The distinct rows form a prefix trie (see
-    ``_trie_traces``), which multiplies each shared prefix once.  An exact
-    cycle of length L is traced in int64 when every slot holds ``int``
-    entries and ``(amax * d)^L < 2^62`` (see the module docstring), and in
-    object arrays otherwise, so the cycles that fit and the rest are two
-    tries.
+    checks the profile).  The rows form a prefix trie (see
+    ``_trie_traces``), which multiplies a prefix that adjacent rows share
+    once, so sorted distinct rows (as ``_chunk_cycles`` passes) share the
+    most.  An exact cycle of length L is traced in int64 when every slot
+    holds ``int`` entries and ``(amax * d)^L < 2^62`` (see the module
+    docstring), and in object arrays otherwise, so the cycles that fit and
+    the rest are two tries.
     """
     if not len(walk):
         return []
     m = len(mats)
-    _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
-    walk = walk[firsts]  # sorted, so rows that share a prefix are adjacent
     length = (walk < 2 * m).sum(axis=1)
     # Per position (2m the pad, read as slot m: a 0 x 0 matrix aliasing no
     # slot): its slot, transpose flag, view rows and cols, storage shape
@@ -610,19 +603,19 @@ def _trace_walk(walk: np.ndarray, mats: Sequence[Matrix], exact: bool) -> list[N
                 same = [a for a in mats if (a.rows, a.cols) == shape]
                 store.append(np.stack([a.as_int64() if int64 else a.as_array(exact) for a in same]))
             traces[rows] = _trie_traces(walk[rows], length[rows], pos, store, exact)
-    return traces[inverse.reshape(-1)].tolist()
+    return traces.tolist()
 
 
 def _trie_traces(
     walk: np.ndarray, length: np.ndarray, pos: dict, store: list[np.ndarray], exact: bool
 ) -> np.ndarray:
-    """The traces of the sorted distinct rows of ``walk``, read off their
-    prefix trie one level at a time.
+    """The traces of the rows of ``walk``, read off their prefix trie one
+    level at a time.
 
-    A node at level j is a distinct prefix of j + 1 positions; since the
-    rows are sorted, a node's rows are adjacent.  Its product is its
-    parent's product @ the view at position j, the left fold
-    ``trace_along`` takes; at level 0 it is the view itself, a matrix of
+    A node at level j is a run of adjacent rows that share a prefix of
+    j + 1 positions; in sorted rows, every distinct prefix is one node.
+    Its product is its parent's product @ the view at position j, the left
+    fold ``trace_along`` takes; at level 0 it is the view itself, a matrix of
     ``store[kind][where]``, transposed for a negative position.  A level's
     nodes are gathered in groups of one left product shape, left
     transpose flag, view shape and view transpose flag, and each group is
@@ -685,43 +678,9 @@ def _trie_traces(
         for k in np.flatnonzero(np.bincount(at_kind[ending])).tolist():
             rows = ending[at_kind[ending] == k]
             diagonal = prods[k].diagonal(axis1=1, axis2=2)[at_where[rows]]
-            traces[rows] = diagonal.sum(axis=1).tolist() if exact else _fsum_rows(diagonal)
+            sums = diagonal.sum(axis=1).tolist() if exact else map(math.fsum, diagonal.tolist())
+            traces[rows] = list(sums)
     return traces
-
-
-def _fsum_rows(a: np.ndarray) -> list[float]:
-    """``math.fsum`` of each row of the float64 array ``a``, bit for bit,
-    computed across the rows at once.
-
-    A TwoSum cascade (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6),
-    2005) over the columns leaves each row's float sum s and its rounding
-    errors, whose sum is exact; a second cascade adds the errors into e
-    and keeps each of its own rounding errors, the residuals.  Where every
-    residual is 0, s + e is the row's exact sum, so fl(s + e) is its
-    correctly rounded sum, which is ``fsum``'s.  That needs no overflow:
-    a row whose sum of magnitudes reaches 2^1020, so also a row with an
-    inf or nan, is summed by ``fsum``, which raises or not as it would;
-    so is a row with a residual and a row whose sum is 0, which
-    ``fsum`` gives as +0.0.
-    """
-    s = a[:, 0] if a.shape[1] else np.zeros(len(a))
-    e = np.zeros(len(a))
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = np.abs(a).sum(axis=1) < 2.0**1020
-        for b in a.T[1:]:
-            t = s + b
-            d = t - s
-            err = (s - (t - d)) + (b - d)
-            u = e + err
-            d = u - e
-            exact &= (e - (u - d)) + (err - d) == 0
-            s, e = t, u
-        total = s + e
-    exact &= total != 0
-    out = total.tolist()
-    for i in np.flatnonzero(~exact).tolist():
-        out[i] = math.fsum(a[i].tolist())
-    return out
 
 
 def _chunk_cycles(
@@ -764,7 +723,8 @@ def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, i
     plan, as_written = _combinatorics(shape.lengths), np.array([(0, *shape.epsilon)], dtype=np.int8)
     for first in range(0, pairing_count(shape.m), _CHUNK_TERMS):
         opens, closes, cross, gluing = _chunk(plan, as_written, first, _CHUNK_TERMS)
-        rows = zip(_block_rows(opens, closes), gluing.census, cross.tolist())
+        census = _surfaces(plan.lengths, gluing.keys, gluing.kind)
+        rows = zip(_block_rows(opens, closes), census, cross.tolist())
         yield from ((first + i, *row) for i, row in enumerate(rows))
 
 
@@ -835,11 +795,13 @@ class _Sum:
             for k in key[firsts].tolist()
         ]
         # The components of the letters do not depend on the transpose
-        # signs, so any sign row's census decides transitivity; the empty
-        # word has no components and counts as connected.
+        # signs, so any sign row's census key decides transitivity: a
+        # factor's component is labelled by its smallest factor, so every
+        # label is 0 exactly when the surface is connected (the empty word
+        # has no labels and counts as connected).
         kept = np.ones(len(cross), dtype=bool)
-        if self.transitive_only and self.plan.r:
-            kept = np.array([c.connected for c in gluing.census[::signs]])
+        if self.transitive_only:
+            kept = (gluing.keys[gluing.kind[::signs], : self.plan.r] == 0).all(axis=1)
         kind = kind.reshape(-1)[kept]
         # Terms in canonical order: by pairing, then by sign assignment.
         term_rows = np.flatnonzero(kept.repeat(signs))

@@ -80,9 +80,6 @@ class SignedPermutation:
     def domain(self) -> tuple[int, ...]:
         return signed_domain(self.m)
 
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        return compose(self, other)
-
 
 def compose(s: SignedPermutation, t: SignedPermutation) -> SignedPermutation:
     """Right-to-left product: (s*t)(k) = s(t(k)).

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -18,7 +19,8 @@ import wte.cli
 import wte.engine
 from wte.cli import main
 from wte.expr import build_shape, parse
-from wte.gluing import MirrorPropertyError, slot_dimensions
+from wte.gluing import MirrorPropertyError, slot_dimensions, surface_census
+from wte.perm import crossings, enumerate_pairings
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -527,6 +529,62 @@ class TestExitCodes:
             assert proc.returncode == 0 and "VERIFY: PASS" in proc.stdout
             assert proc.stderr == ""
 
+    def past_the_largest_double(self, tmp_path, command, expr, *options):
+        """Run ``command`` with D1 = D3 = (1e308) and D2 = D4 = (10) at
+        N = M = 1, so each factor's exact value is 10^309."""
+        (tmp_path / "big.txt").write_text("1 1\n1e308\n")
+        (tmp_path / "ten.txt").write_text("1 1\n10\n")
+        binds = tmp_path / "b.txt"
+        binds.write_text("".join(
+            f"D{k} = {tmp_path / ('big.txt' if k % 2 else 'ten.txt')}\n" for k in range(1, 5)
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wte.cli", command, "--expr", expr, "--bind", str(binds),
+             "-N", "1", "-M", "1", *options],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    BIG = "1" + "0" * 309
+
+    def test_exact_total_past_the_largest_double_json(self, tmp_path):
+        # The exact fields keep the exact strings; the float fields read
+        # inf, as float mode prints them.
+        out = self.past_the_largest_double(tmp_path, "moment", QUAD, "--exact", "--terms",
+                                           "--format", "json")
+        payload = json.loads(out)
+        assert payload["normalized_total_exact"] == payload["unnormalized_total_exact"] == self.BIG
+        assert payload["normalized_total"] == payload["unnormalized_total"] == math.inf
+        assert '"normalized_total":Infinity' in out
+        [term] = payload["terms"]
+        assert (term["value"], term["value_exact"], term["weight"]) == (math.inf, self.BIG, 1.0)
+        floats = json.loads(self.past_the_largest_double(tmp_path, "moment", QUAD, "--terms",
+                                                         "--format", "json"))
+        for key in ("normalized_total", "unnormalized_total", "term_count"):
+            assert payload[key] == floats[key]
+        assert payload["terms"][0]["value"] == floats["terms"][0]["value"]
+
+    def test_exact_total_past_the_largest_double_text_and_csv(self, tmp_path):
+        text = self.past_the_largest_double(tmp_path, "moment", QUAD, "--exact", "--terms")
+        assert f"normalized total   = {self.BIG} (= inf)\n" in text
+        assert f"unnormalized total = {self.BIG} (= inf)\n" in text
+        assert text.endswith(f" {self.BIG}\n")
+        rows = self.past_the_largest_double(tmp_path, "moment", QUAD, "--exact", "--terms",
+                                            "--format", "csv").splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",(1)(2),inf")
+
+    def test_exact_clt_past_the_largest_double(self, tmp_path):
+        expr = "E[ tr(X' D1 X D2) tr(X' D3 X D4) ]"
+        payload = json.loads(self.past_the_largest_double(tmp_path, "clt", expr, "--exact",
+                                                          "--format", "json"))
+        assert payload["full"] == payload["leading"] == [[math.inf] * 2] * 2
+        assert all(math.isnan(x) for row in payload["gap"] for x in row)
+        rows = self.past_the_largest_double(tmp_path, "clt", expr, "--exact",
+                                            "--format", "csv").splitlines()
+        assert rows[1:] == [f"{i},{j},inf,inf,nan" for i in (1, 2) for j in (1, 2)]
+
     def test_budget_error_is_4(self, capsys, monkeypatch):
         monkeypatch.setenv("WTE_BUDGET", "5")
         code, _, err = run(
@@ -919,14 +977,14 @@ class TestCensusCommand:
         # Every pairing's record equals surface_census and crossings.
         expr = "E[ tr(X' D1 X D2 X D3) tr(X' D4 X D5 X' D6) ]"
         payload = run_json(capsys, "census", "--expr", expr, "--terms")
-        shape, _ = wte.build_shape(wte.parse(expr))
-        for rec, p in zip(payload["pairings"], wte.enumerate_pairings(6), strict=True):
-            census = wte.surface_census(p, shape)
+        shape, _ = build_shape(parse(expr))
+        for rec, p in zip(payload["pairings"], enumerate_pairings(6), strict=True):
+            census = surface_census(p, shape)
             assert rec["blocks"] == [list(b) for b in p.blocks()]
             assert rec["chi"] == list(census.chi_list)
             assert rec["orientable"] == [c.orientable for c in census.components]
             assert rec["transitive"] == census.connected
-            assert rec["crossings"] == wte.crossings(p)
+            assert rec["crossings"] == crossings(p)
 
 
 MODEL_OPTIONS = ("--bind", "--bind-identity", "-N", "-M", "--q", "--gram", "--exact", "--wigner")

@@ -19,6 +19,7 @@ from wte.engine import (
     _cycle_walk,
     _letters,
     _pairing_table,
+    _surfaces,
     census_rows,
     cumulant,
     is_transitive,
@@ -131,15 +132,18 @@ class TestKernelMatchesSpecification:
         gluing = plan.glue(partner, as_written(shape))
         cross = _crossings(opens, closes).tolist()
         walked = iter(_letters(_cycle_walk(gluing.img, gluing.particular), plan.signed))
+        surfaces = _surfaces(shape.lengths, gluing.keys, gluing.kind)
+        # The cumulant's rule: connected iff every factor's component label is 0.
+        connected = (gluing.keys[gluing.kind, : shape.r] == 0).all(axis=1)
         for i, p in enumerate(enumerate_pairings(shape.m)):
             parts = particular_cycles(vertex_permutation(p, shape))
             census = surface_census(p, shape)
             assert tuple(itertools.islice(walked, int(gluing.particular[i].sum()))) == parts
             # Per component: factors, vertices, edges, faces, orientability
             # (so chi); and the order exponent.
-            assert gluing.census[i] == census
-            assert gluing.census[i].vertex_count == len(parts)
-            assert gluing.census[i].connected == is_transitive(p, shape)
+            assert surfaces[i] == census
+            assert surfaces[i].vertex_count == len(parts)
+            assert surfaces[i].connected == connected[i] == is_transitive(p, shape)
             assert cross[i] == crossings(p)
         assert next(walked, None) is None
 
