@@ -524,10 +524,10 @@ def _cmd_clt(args) -> int:
     spec = _make_spec(args, ast)
     report = clt_report(spec, exact=args.exact)
     n = spec.shape.r
-    gap = [
-        [abs(_float(report.full[i][j]) - _float(report.leading[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
+    # One rounding of the difference: exact where the entries are exact,
+    # so two entries past the largest double give their true gap, not NaN.
+    gap = [[_float(abs(report.full[i][j] - report.leading[i][j])) for j in range(n)]
+           for i in range(n)]
     payload = {
         "schema": "wte.clt.v1",
         "expression": pretty(ast),

@@ -15,8 +15,8 @@ are averaged over both transpose signs with weight 1/2 per letter, which
 requires square X.
 
 Evaluation is one pass of a numpy kernel over contiguous chunks of the
-canonical pairing table (``_chunk``, which the moment, the cumulant and
-the census share), refused up front, before any table is built, with
+canonical pairing table (``_Skeleton``, which the moment, the cumulant
+and the census share), refused up front, before any table is built, with
 :class:`BudgetError` when its work, (m-1)!! * m * 2^w for w Wigner
 letters, exceeds the budget it shares with the Wick oracle
 (``WTE_BUDGET``).  Each list of factor lengths compiles once into a
@@ -34,23 +34,37 @@ position on each cycle is its canonical lead) and joins sheet faces into
 components.  The per-pairing functions of ``gluing.py`` are the
 specification the kernel is tested against.
 
-A chunk of the sum is two steps (``_Sum``).  ``columns`` is the array
-work: the decode and the gluing, one weight per distinct crossing count
-and block family pairs, a lockstep walk of every particular cycle from
-its lead, and the kernel's last stage, ``_trace_walk``, which traces the
-chunk's distinct walked cycles as a prefix trie: each distinct prefix is
-multiplied once, in stacks, and every trace has the bits of
-:func:`~wte.matrices.trace_along`, whose ``math.fsum`` sums a float
-trace's diagonal.  It returns arrays (``_Columns``): the distinct census
-keys and walked cycles, each term's indices into them, and the values.  ``assemble``
-builds the chunk's terms from those columns, one ``TermReport`` call per
-term through ``map``, with every tuple (blocks, cycles, letters) zipped
-from columns of shared objects; ``TermReport`` sets its slots through
-their descriptors.
+A chunk has two halves.  Its skeleton (``_Skeleton``) is what the factor
+lengths and the sign rows fix, as the Euler-characteristic expansion
+says the word alone fixes the glued surfaces: the decode and the
+gluing, the blocks and crossings, the census keys and connectivity, a
+lockstep walk of every particular cycle from its lead, and the chunk's
+distinct walked cycles with each row's indices into them; with it, built
+on first use, the objects that terms share (block tuples, letter tuples,
+each row's tuple of cycles and ``SurfaceReport``s).  The rest, per call
+(``_Sum.columns``), is one weight per distinct crossing count and block
+family pairs, and the kernel's last stage, ``_trace_walk``, which traces
+the distinct cycles of nonzero-weight terms as a prefix trie: each
+distinct prefix is multiplied once, in stacks, and every trace has the
+bits of :func:`~wte.matrices.trace_along`, whose ``math.fsum`` sums a
+float trace's diagonal.  It returns arrays (``_Columns``), from which
+``assemble`` builds the chunk's terms, one ``TermReport`` call per term
+through ``map`` over the skeleton's shared objects; ``TermReport`` sets
+its slots through their descriptors.
+Skeletons are memoised (``_skeleton``), keyed by the factor lengths, the
+sign rows' bytes, the chunk's first pairing and its pairings per chunk,
+and bounded by ``_SKELETON_ROWS`` = 2 * 7 * 4,096 rows, least recently
+used out first.  A row holds about 370 bytes at m=12, so the memo holds
+at most about 22 MB.  Only sums of fewer than ``_SHARD_CHUNKS`` chunks
+enter, which always run in one process (m <= 12 without Wigner letters);
+so a sweep over N, a moment and then the cumulant of one spec, and
+``clt_report`` over factors of equal lengths reuse them, while ``wte
+moment``, ``cumulant`` and ``census``, one sum a process, never do.
 A chunk depends only on its range of pairings, so ``columns`` may run in
-worker processes (``threads``; see ``_mapped``) while the calling
-process assembles the terms, in canonical order, from the columns it
-receives; every output bit is the same at any thread count.  A term's
+worker processes (``threads``; see ``_mapped``), which return arrays
+only, while the calling process builds the shared objects and assembles
+the terms, in canonical order; every output bit is the same at any
+thread count.  A term's
 value is its weight times its cycles' traces, multiplied in cycle
 order; a term of weight 0 has value 0 and its cycles are not traced.
 A cumulant keeps a pairing when its surface has a single component (the
@@ -90,7 +104,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -374,7 +388,7 @@ def _block_rows(opens: np.ndarray, closes: np.ndarray) -> list[tuple[tuple[int, 
     """Per row, ``Pairing.blocks``; rows share their (a, b) tuples."""
     m = 2 * opens.shape[1]
     pairs = [(a, b) for a in range(m + 1) for b in range(m + 1)]
-    return _tuples(opens * (m + 1) + closes, np.full(len(opens), m // 2), pairs)
+    return _tuples(opens.astype(np.intp) * (m + 1) + closes, np.full(len(opens), m // 2), pairs)
 
 
 def _tuples(table: np.ndarray, length: np.ndarray, items: list) -> list[tuple]:
@@ -557,11 +571,11 @@ def _trace_walk(walk: np.ndarray, mats: Sequence[Matrix], exact: bool) -> list[N
     repeats (the mirror checks in ``glue``), and they chain (``MomentSpec``
     checks the profile).  The rows form a prefix trie (see
     ``_trie_traces``), which multiplies a prefix that adjacent rows share
-    once, so sorted distinct rows (as ``_chunk_cycles`` passes) share the
-    most.  An exact cycle of length L is traced in int64 when every slot
-    holds ``int`` entries and ``(amax * d)^L < 2^62`` (see the module
-    docstring), and in object arrays otherwise, so the cycles that fit and
-    the rest are two tries.
+    once, so sorted distinct rows (as a ``_Skeleton``'s ``walk`` holds)
+    share the most.  An exact cycle of length L is traced in int64 when
+    every slot holds ``int`` entries and ``(amax * d)^L < 2^62`` (see the
+    module docstring), and in object arrays otherwise, so the cycles that
+    fit and the rest are two tries.
     """
     if not len(walk):
         return []
@@ -624,7 +638,8 @@ def _trie_traces(
     cycle's first two slots hold one matrix with opposite signs, the
     second factor is the transposed view of the first stack, as
     ``trace_along``'s are views of one array.  The products of a level are
-    kept in one stack per shape.
+    kept in one stack per shape.  A float product that overflows is inf or
+    nan without a warning, as ``trace_along``'s Python products are.
     """
     count = len(walk)
     traces = np.empty(count, dtype=object)
@@ -669,7 +684,8 @@ def _trie_traces(
                     right = store[k[4]][pos["where"][walk[rows, j]]]
                     if k[5]:
                         right = right.transpose(0, 2, 1)
-                np.matmul(left, right, out=level[kind[a]][where[a] : where[a] + b - a])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.matmul(left, right, out=level[kind[a]][where[a] : where[a] + b - a])
             prods = level
             node_kind, node_where = np.empty((2, len(s)), dtype=np.intp)
             node_kind[order], node_where[order] = kind, where
@@ -683,22 +699,6 @@ def _trie_traces(
     return traces
 
 
-def _chunk_cycles(
-    walk: np.ndarray, needed: np.ndarray, mats: Sequence[Matrix], exact: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The walk's distinct rows, and per walked cycle the index of its row
-    and its trace.  The distinct cycles of the rows marked ``needed`` are
-    traced once each; a cycle that no needed row has reads 0."""
-    _, firsts, inverse = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    distinct = walk[firsts]
-    need = np.zeros(len(distinct), dtype=bool)
-    need[inverse[needed]] = True
-    values = np.zeros(len(distinct), dtype=object if exact else float)
-    values[need] = _trace_walk(distinct[need], mats, exact)
-    return distinct, inverse, values[inverse]
-
-
 @lru_cache(maxsize=64)
 def _combinatorics(lengths: tuple[int, ...]) -> _Plan:
     """The kernel's plan for the words with these factor lengths:
@@ -707,13 +707,120 @@ def _combinatorics(lengths: tuple[int, ...]) -> _Plan:
     return _Plan(lengths)
 
 
-def _chunk(plan: _Plan, eps: np.ndarray, first: int, rows: int) -> tuple:
-    """The chunk of at most ``rows`` canonical pairings from index
-    ``first``: its blocks' first and second letters, its crossings and the
-    gluing of every pairing under every sign row of ``eps``."""
-    stop = min(pairing_count(plan.m), first + rows)
-    partner, opens, closes = _pairing_table(plan.m, first, stop)
-    return opens, closes, _crossings(opens, closes), plan.glue(partner, eps)
+class _Skeleton:
+    """The half of one chunk of the pairing sum that the factor lengths and
+    the sign rows fix, whatever the labels, q, Gram, matrices and
+    dimensions: the chunk of at most ``rows`` canonical pairings from index
+    ``first``, each glued under every sign row of ``eps``, so that row
+    i * len(eps) + j is pairing i under ``eps[j]``, as in ``_Plan.glue``.
+
+    Per pairing: its blocks' first and second letters (``opens``,
+    ``closes``), its crossings and whether its surface is connected.  Per
+    row: the index of its census key in ``keys`` (see ``_surfaces``) and
+    its particular-cycle count.  ``walk`` holds the chunk's distinct walked
+    cycles, sorted, and ``ids`` per row the indices of its cycles in
+    ``walk``, in lead order, padded with ``len(walk)``.  The arrays are
+    read-only.  The objects that terms share, one per row (``blocks``,
+    ``cycles``, ``surfaces``, ``orders``), are built on first use, so a
+    worker process, which returns the arrays, builds none.
+    """
+
+    def __init__(self, plan: _Plan, eps: np.ndarray, first: int, rows: int):
+        self.first, self.signs = first, len(eps)
+        self.lengths, self.signed = plan.lengths, plan.signed
+        stop = min(pairing_count(plan.m), first + rows)
+        partner, opens, closes = _pairing_table(plan.m, first, stop)
+        self.cross = _crossings(opens, closes)
+        # Letters fit in uint8: the decode's int64 pairing indices stop at m = 34.
+        self.opens, self.closes = opens.astype(np.uint8), closes.astype(np.uint8)
+        gluing = plan.glue(partner, eps)
+        self.keys, self.kind = gluing.keys, gluing.kind
+        # The components of the letters do not depend on the transpose
+        # signs, so any sign row's census key decides connectivity: a
+        # factor's component is labelled by its smallest factor, so every
+        # label is 0 exactly when the surface is connected (the empty word
+        # has no labels and counts as connected).
+        self.connected = (self.keys[self.kind[:: self.signs], : plan.r] == 0).all(axis=1)
+        walk = _cycle_walk(gluing.img, gluing.particular)
+        self.counts = gluing.particular.sum(axis=1)
+        _, firsts, cycle = np.unique(_row_codes(walk), return_index=True, return_inverse=True)
+        self.walk = walk[firsts]
+        self.ids = np.full(
+            (len(self.counts), int(self.counts.max(initial=0))), len(firsts),
+            dtype=np.min_scalar_type(len(firsts)),
+        )
+        row = np.repeat(np.arange(len(self.counts)), self.counts)
+        at = np.arange(len(row)) - (np.cumsum(self.counts) - self.counts)[row]
+        self.ids[row, at] = cycle.reshape(-1)
+        for a in (self.opens, self.closes, self.cross, self.connected, self.keys, self.kind,
+                  self.counts, self.walk, self.ids):
+            a.flags.writeable = False
+
+    @property
+    def size(self) -> int:
+        """The chunk's rows: its pairings times its sign rows."""
+        return len(self.kind)
+
+    @cached_property
+    def blocks(self) -> list[tuple[tuple[int, int], ...]]:
+        """Per row, ``Pairing.blocks`` of its pairing."""
+        pairings = _block_rows(self.opens, self.closes)
+        if self.signs == 1:
+            return pairings
+        return list(map(pairings.__getitem__, np.arange(len(pairings)).repeat(self.signs).tolist()))
+
+    @cached_property
+    def cycles(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Per row, its particular cycles as tuples of signed letters; equal
+        cycles are one tuple."""
+        return _tuples(self.ids, self.counts, _letters(self.walk, self.signed))
+
+    @cached_property
+    def surfaces(self) -> list[SurfaceReport]:
+        """Per row, its census; the rows of one key share one report."""
+        return _surfaces(self.lengths, self.keys, self.kind)
+
+    @cached_property
+    def orders(self) -> list[int]:
+        """Per row, its census's order exponent."""
+        return [s.order_exponent for s in self.surfaces]
+
+
+# Fewer chunks than this run in one process: starting the workers costs
+# about one chunk's work per worker, and on a 2-vCPU host sums of 3 and 6
+# chunks ran slower sharded than in one process, sums of 11 and 21 faster.
+_SHARD_CHUNKS = 8
+
+# The memo's bound, in rows: two of the largest sums it admits.
+_SKELETON_ROWS = 2 * (_SHARD_CHUNKS - 1) * _CHUNK_TERMS
+
+# The skeletons of recent sums, least recently used first, keyed by
+# (factor lengths, sign-row bytes, first pairing, pairings per chunk).
+_SKELETONS: dict[tuple, _Skeleton] = {}
+
+
+def _skeleton(plan: _Plan, eps: np.ndarray, first: int, rows: int, chunks: int) -> _Skeleton:
+    """The skeleton of one chunk of a sum of ``chunks`` chunks (see
+    ``_Skeleton``).  A sum of fewer than ``_SHARD_CHUNKS`` chunks, which
+    always runs in one process, reads it from the memo and keeps it there;
+    past ``_SKELETON_ROWS`` rows the least recently used skeletons go.
+    Each step is one dict operation, which the GIL makes atomic, so threads
+    share the memo without a lock: two that miss one key at once build
+    equal skeletons and keep one."""
+    if chunks >= _SHARD_CHUNKS:
+        return _Skeleton(plan, eps, first, rows)
+    key = (plan.lengths, eps.tobytes(), first, rows)
+    skeleton = _SKELETONS.pop(key, None)
+    if skeleton is None:
+        skeleton = _Skeleton(plan, eps, first, rows)
+    _SKELETONS[key] = skeleton  # now the most recently used
+    held = sum(s.size for s in list(_SKELETONS.values()))
+    for old in list(_SKELETONS):
+        if held <= _SKELETON_ROWS:
+            break
+        gone = _SKELETONS.pop(old, None)
+        held -= gone.size if gone is not None else 0
+    return skeleton
 
 
 def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, int]]:
@@ -721,38 +828,26 @@ def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, i
     canonical order, for the transpose signs as written."""
     _check_budget(shape.m)
     plan, as_written = _combinatorics(shape.lengths), np.array([(0, *shape.epsilon)], dtype=np.int8)
-    for first in range(0, pairing_count(shape.m), _CHUNK_TERMS):
-        opens, closes, cross, gluing = _chunk(plan, as_written, first, _CHUNK_TERMS)
-        census = _surfaces(plan.lengths, gluing.keys, gluing.kind)
-        rows = zip(_block_rows(opens, closes), census, cross.tolist())
-        yield from ((first + i, *row) for i, row in enumerate(rows))
+    firsts = range(0, pairing_count(shape.m), _CHUNK_TERMS)
+    for first in firsts:
+        s = _skeleton(plan, as_written, first, _CHUNK_TERMS, len(firsts))
+        yield from zip(itertools.count(first), s.blocks, s.surfaces, s.cross.tolist())
 
 
 @dataclass(frozen=True)
 class _Columns:
     """One chunk's terms as arrays, made by ``_Sum.columns`` and turned
-    into ``TermReport``s by ``_Sum.assemble``.
-
-    Per kept pairing (``rows``: its offset in the chunk): its blocks'
-    first and second letters and the index of its weight in ``weights``.
-    Per term, in canonical order: the index of its census key in ``keys``
-    (see ``_surfaces``), the indices of its cycles in ``walk`` (the
-    chunk's distinct walked cycles), padded into a grid, its cycle count
-    and its value, a float64, or in exact mode an integer numerator over
-    ``den``.  ``total`` is the exact sum of the values, 0 in float mode.
+    into ``TermReport``s by ``_Sum.assemble``: the chunk's skeleton, the
+    rows of it that are terms, in canonical order, and per term the index
+    of its weight in ``weights`` and its value, a float64, or in exact mode
+    an integer numerator over ``den``.  ``total`` is the exact sum of the
+    values, 0 in float mode.
     """
 
-    first: int
+    skeleton: _Skeleton
     rows: np.ndarray
-    opens: np.ndarray
-    closes: np.ndarray
     weights: list
     weight: np.ndarray
-    keys: np.ndarray
-    surface: np.ndarray
-    walk: np.ndarray
-    ids: np.ndarray
-    counts: np.ndarray
     values: Union[np.ndarray, list]
     den: int
     total: Number
@@ -781,35 +876,23 @@ class _Sum:
         self.rows, self.firsts = rows, range(0, pairing_count(shape.m), rows)
 
     def columns(self, first: int) -> _Columns:
-        """The array work of the chunk from pairing ``first``: gluing,
-        weights, cycles, traces and values; its other arrays are freed
-        before the next chunk."""
+        """The per-call work of the chunk from pairing ``first`` on its
+        skeleton: weights, traces and values."""
         spec, exact, signs = self.spec, self.exact, len(self.eps)
-        opens, closes, cross, gluing = _chunk(self.plan, self.eps, first, self.rows)
-        codes = self.family[opens - 1] * len(self.families) + self.family[closes - 1]
-        key = np.column_stack([cross, codes])
+        s = _skeleton(self.plan, self.eps, first, self.rows, len(self.firsts))
+        codes = self.family[s.opens - 1] * len(self.families) + self.family[s.closes - 1]
+        key = np.column_stack([s.cross, codes])
         # One weight per distinct (crossings, block family pairs) row.
         _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
         weights = [
             _block_weight(k[0], [self.pairs[c] for c in k[1:]], spec, exact) * self.share
             for k in key[firsts].tolist()
         ]
-        # The components of the letters do not depend on the transpose
-        # signs, so any sign row's census key decides transitivity: a
-        # factor's component is labelled by its smallest factor, so every
-        # label is 0 exactly when the surface is connected (the empty word
-        # has no labels and counts as connected).
-        kept = np.ones(len(cross), dtype=bool)
-        if self.transitive_only:
-            kept = (gluing.keys[gluing.kind[::signs], : self.plan.r] == 0).all(axis=1)
-        kind = kind.reshape(-1)[kept]
         # Terms in canonical order: by pairing, then by sign assignment.
-        term_rows = np.flatnonzero(kept.repeat(signs))
-        count = len(term_rows)
-        particular = gluing.particular[term_rows]
-        walk = _cycle_walk(gluing.img[term_rows], particular)
-        counts = particular.sum(axis=1)
-        term = np.repeat(np.arange(count), counts)
+        rows = np.arange(s.size)
+        if self.transitive_only:
+            rows = np.flatnonzero(s.connected.repeat(signs))
+        kind = kind.reshape(-1).repeat(signs)[rows]
         den = 1
         if exact:
             # The distinct weights over one common denominator den: a term's
@@ -818,20 +901,25 @@ class _Sum:
             weight = np.array([x.numerator * (den // x.denominator) for x in weights], dtype=object)
         else:
             weight = np.array(weights, dtype=float)
-        weight = weight[kind].repeat(signs)
+        weight = weight[kind]
         zero = weight == 0
-        walk, cycle, values = _chunk_cycles(walk, ~zero[term], spec.matrices, exact)
+        ids = s.ids[rows]
+        # The distinct cycles' traces, then 1 for the pad: a cycle that no
+        # term of nonzero weight has reads 0 and is not traced.
+        need = np.zeros(len(s.walk) + 1, dtype=bool)
+        need[ids[~zero]] = True
+        need[-1] = False
+        traces = np.zeros(len(need), dtype=object if exact else float)
+        traces[need] = _trace_walk(s.walk[need[:-1]], spec.matrices, exact)
+        traces[-1] = 1
 
         # trace_along(cycles) multiplies its cycles' traces in order from 1,
         # and so do the columns of the grid, padded with 1.  The mirror
         # checks in glue already rule out a slot repeated across a term's
         # cycles, which trace_along would refuse.
-        at = (term, np.arange(len(term)) - (np.cumsum(counts) - counts)[term])
-        grid = np.ones((count, int(counts.max(initial=0))), dtype=values.dtype)
-        grid[at] = values
-        product = np.ones(count, dtype=values.dtype)
+        product = np.ones(len(rows), dtype=traces.dtype)
         with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
-            for column in grid.T:
+            for column in traces[ids].T:
                 product = product * column
             if exact:
                 # An untraced cycle reads 0, so a term of weight 0 has
@@ -840,37 +928,34 @@ class _Sum:
                 total: Number = Fraction(sum(values), den)
             else:
                 values, total = np.where(zero, weight, weight * product), 0
-        ids = np.zeros(grid.shape, dtype=np.intp)
-        ids[at] = cycle
-        rows = np.flatnonzero(kept)
-        return _Columns(
-            first, rows, opens[rows], closes[rows], weights, kind, gluing.keys,
-            gluing.kind[term_rows], walk, ids, counts, values, den, total,
-        )
+        return _Columns(s, rows, weights, kind, values, den, total)
 
     def assemble(self, c: _Columns) -> list[TermReport]:
-        """The chunk's terms, built column by column: a term's cycles are
-        one tuple of the chunk's shared cycle tuples, its blocks are its
-        pairing's."""
-        signs = len(self.eps)
-        surfaces = _surfaces(self.plan.lengths, c.keys, c.surface)
+        """The chunk's terms, built column by column from the objects of its
+        skeleton, which its terms and every call that shares the skeleton
+        share."""
+        s = c.skeleton
         if not self.exact:
             values = c.values.tolist()
         elif c.den == 1:  # Fraction(x) skips the gcd
             values = list(map(Fraction, c.values))
         else:
             values = [Fraction(x, c.den) for x in c.values]
-        pairing = np.arange(len(c.rows)).repeat(signs).tolist()
+        shared = [s.blocks, s.cycles, s.surfaces, s.orders]
+        if len(c.rows) < s.size:
+            rows = c.rows.tolist()
+            shared = [map(column.__getitem__, rows) for column in shared]
+        blocks, cycles, surfaces, orders = shared
         return list(map(
             TermReport,
-            (c.first + c.rows).repeat(signs).tolist(),
-            map(_block_rows(c.opens, c.closes).__getitem__, pairing),
-            map(c.weights.__getitem__, c.weight.repeat(signs).tolist()),
-            _tuples(c.ids, c.counts, _letters(c.walk, self.plan.signed)),
+            (s.first + c.rows // s.signs).tolist(),
+            blocks,
+            map(c.weights.__getitem__, c.weight.tolist()),
+            cycles,
             surfaces,
-            [s.order_exponent for s in surfaces],
+            orders,
             values,
-            self.epsilons * len(c.rows),
+            self.epsilons * (len(c.rows) // len(self.eps)),
         ))
 
 
@@ -879,12 +964,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-# Fewer chunks than this run in one process: starting the workers costs
-# about one chunk's work per worker, and on a 2-vCPU host sums of 3 and 6
-# chunks ran slower sharded than in one process, sums of 11 and 21 faster.
-_SHARD_CHUNKS = 8
 
 
 def _workers(threads: int, chunks: int) -> int:

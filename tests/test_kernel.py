@@ -5,6 +5,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -454,3 +456,143 @@ class TestSharedCycles:
         # The letters are the plan's int objects, not ints read back from
         # an array, which would be new objects for |x| > 5.
         assert len({id(x) for t in res.terms for c in t.cycles for x in c}) <= 2 * shape.m
+
+
+def int_matrices(rng, shape, n_dim, m_dim):
+    """Slot matrices with small int entries, which exact mode traces in int64."""
+    return tuple(
+        Matrix([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
+        for r, c in slot_dimensions(shape, n_dim, m_dim)
+    )
+
+
+class TestSkeletonMemo:
+    """The N-independent half of a chunk (``_Skeleton``) is memoised across
+    calls for sums of fewer than ``_SHARD_CHUNKS`` chunks, with the same
+    terms and bits as a fresh evaluation."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s.lengths}{s.epsilon}")
+    def test_sweep_matches_fresh_calls(self, shape, exact):
+        rng = random.Random(repr(shape))
+        make = int_matrices if exact else float_matrices
+        calls = [
+            (fn, MomentSpec(shape, make(rng, shape, n, n - 1), n, n - 1))
+            for n in (3, 5)
+            for fn in (moment, cumulant, moment)
+        ]
+        reused = [fn(spec, exact=exact) for fn, spec in calls]
+        assert wte.engine._SKELETONS
+        fresh = []
+        for fn, spec in calls:
+            wte.engine._SKELETONS.clear()
+            fresh.append(fn(spec, exact=exact))
+        for a, b in zip(reused, fresh):
+            if exact:
+                assert a.total == b.total and type(a.total) is type(b.total)
+            else:
+                assert a.total.hex() == b.total.hex()
+                assert [t.value.hex() for t in a.terms] == [t.value.hex() for t in b.terms]
+            assert a.terms == b.terms
+
+    def test_one_entry_per_lengths_and_signs(self):
+        rng = random.Random(20)
+        eps = (-1, 1, -1, 1, 1, -1)
+        plain = WordShape((4, 2), eps)
+        labelled = WordShape((4, 2), eps, ("X", "Y", "X", "Y", "Y", "X"))
+        gram = Gram(("X", "Y"), ((1, Fraction(1, 3)), (Fraction(1, 3), 2)))
+        for shape, kw in [(plain, {}), (plain, {"q": Fraction(1, 2)}),
+                          (labelled, {}), (labelled, {"gram": gram})]:
+            moment(MomentSpec(shape, fraction_matrices(rng, shape, 3, 3), 3, 3, **kw))
+            cumulant(MomentSpec(shape, fraction_matrices(rng, shape, 2, 2), 2, 2, **kw))
+            assert len(wte.engine._SKELETONS) == 1
+        # Other transpose signs, and a Wigner family (four sign rows), are
+        # other skeletons.
+        flipped = WordShape((4, 2), (1, 1, -1, 1, 1, -1))
+        moment(MomentSpec(flipped, fraction_matrices(rng, flipped, 3, 3), 3, 3))
+        assert len(wte.engine._SKELETONS) == 2
+        moment(MomentSpec(labelled, fraction_matrices(rng, labelled, 3, 3), 3, 3,
+                          wigner=frozenset({"Y"})))
+        assert len(wte.engine._SKELETONS) == 3
+        # The census of the signs as written reads the moment's skeleton.
+        assert len(list(census_rows(plain))) == pairing_count(6)
+        assert len(wte.engine._SKELETONS) == 3
+
+    @pytest.mark.parametrize("rows, chunks", [(15, 7), (14, 8), (13, 9)])
+    def test_only_sums_of_few_chunks_enter(self, monkeypatch, rows, chunks):
+        # 105 pairings in chunks of 15, 14 and 13: 7 chunks enter the memo,
+        # 8 and 9 (as many as _SHARD_CHUNKS, or more) never do, also in one
+        # process.
+        assert wte.engine._SHARD_CHUNKS == 8
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", rows)
+        rng = random.Random(21)
+        shape = random_shape(rng, 8)
+        spec = MomentSpec(shape, fraction_matrices(rng, shape, 2, 3), 2, 3)
+        want = as_rows(moment(spec, threads=1))
+        assert as_rows(cumulant(spec, threads=1)) == as_rows(cumulant(spec, threads=1))
+        list(census_rows(shape))
+        assert len(wte.engine._SKELETONS) == (chunks if chunks < 8 else 0)
+        assert as_rows(moment(spec, threads=1)) == want
+
+    def test_row_bound_evicts_the_least_recently_used(self, monkeypatch):
+        assert wte.engine._SKELETON_ROWS == 2 * 7 * 4096
+        # Three words of one 105-row chunk each, under a bound of two.
+        monkeypatch.setattr(wte.engine, "_SKELETON_ROWS", 210)
+        rng = random.Random(22)
+        specs = {}
+        for name, eps in zip("abc", [(1, -1) * 4, (-1, 1) * 4, (1, 1, -1, -1) * 2]):
+            shape = WordShape((8,), eps)
+            specs[name] = MomentSpec(shape, fraction_matrices(rng, shape, 2, 2), 2, 2)
+        signs = {k: np.array([(0, *s.shape.epsilon)], np.int8).tobytes() for k, s in specs.items()}
+        order = []
+        for name in "abac":
+            moment(specs[name])
+            order.append([key[1] for key in wte.engine._SKELETONS])  # oldest first
+            assert sum(s.size for s in wte.engine._SKELETONS.values()) <= 210
+        a, b, c = signs["a"], signs["b"], signs["c"]
+        assert order == [[a], [a, b], [b, a], [a, c]]
+
+    def test_memoised_arrays_are_read_only(self):
+        rng = random.Random(23)
+        shape = random_shape(rng, 10)
+        cumulant(MomentSpec(shape, fraction_matrices(rng, shape, 2, 3), 2, 3))
+        [skeleton] = wte.engine._SKELETONS.values()
+        arrays = [a for a in vars(skeleton).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 9
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_two_threads_share_one_shape(self, exact):
+        rng = random.Random(24)
+        shape = WordShape((6, 4), tuple(rng.choice((1, -1)) for _ in range(10)))
+        make = int_matrices if exact else float_matrices
+        specs = [MomentSpec(shape, make(rng, shape, n, n), n, n) for n in (2, 3)]
+        want = [as_rows(fn(spec, exact=exact)) for spec in specs for fn in (moment, cumulant)]
+        got, errors = [[], []], []
+        start = threading.Barrier(2)
+
+        def run(out):
+            try:
+                start.wait()
+                for _ in range(3):
+                    wte.engine._SKELETONS.clear()
+                    out.append([as_rows(fn(spec, exact=exact))
+                                for spec in specs for fn in (moment, cumulant)])
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(out,)) for out in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert got[0] == got[1] == [want] * 3
