@@ -43,7 +43,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .engine import (
     BudgetError,
@@ -266,20 +266,32 @@ def _result_payload(args, ast, spec, result: MomentResult, statistic: str) -> di
         payload["unnormalized_total_exact"] = _exact_str(
             Fraction(result.total) * spec.n_dim**r
         )
-    if args.terms:
-        payload["terms"] = [_term_record(t, args.exact) for t in result.terms]
     return payload
 
 
-def _json_text(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` with the encoder
+# built once, not once per streamed record.
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(_json_text(payload) + "\n")
+def _emit_json(payload: dict, key: Optional[str] = None, records: Iterable[dict] = ()) -> None:
+    """Write ``payload`` as one line of JSON.  With ``key``, ``payload[key]``
+    is the list of ``records``, each written as it is made: the text of the
+    payload with an empty list there, the records written into it."""
+    if key is None:
+        sys.stdout.write(_json_text(payload) + "\n")
+        return
+    head, _, tail = _json_text({**payload, key: []}).partition(f'"{key}":[]')
+    sys.stdout.write(head + f'"{key}":[')
+    for i, rec in enumerate(records):
+        sys.stdout.write(("," if i else "") + _json_text(rec))
+    sys.stdout.write("]" + tail + "\n")
 
 
-def _emit_result_text(payload: dict, result: MomentResult) -> None:
+def _emit_result_text(payload: dict, result: MomentResult,
+                      records: Optional[Iterable[dict]]) -> None:
+    """The result's summary, then with ``records`` the term table, one row
+    written per record as it is made."""
     out = sys.stdout
     out.write(f"statistic: {payload['statistic']} ({result.metadata['mode']})\n")
     out.write(f"expression: {payload['expression']}\n")
@@ -305,12 +317,12 @@ def _emit_result_text(payload: dict, result: MomentResult) -> None:
     out.write(f"terms: {payload['term_count']}\n")
     out.write(f"spec: {payload['spec_hash'][:16]}\n")
     out.write(f"elapsed: {result.metadata['elapsed_s']:.3f}s\n")
-    if "terms" in payload:
+    if records is not None:
         out.write(
             f"{'idx':>5} {'blocks':<18} {'weight':>10} {'exp':>4} "
             f"{'chi':<8} {'class':<22} {'cycles':<26} value\n"
         )
-        for t in payload["terms"]:
+        for t in records:
             blocks = _blocks_str(t["blocks"])
             chis = ",".join(str(c["chi"]) for c in t["surface"]["components"])
             cls = ",".join(c["classification"] for c in t["surface"]["components"])
@@ -328,7 +340,7 @@ def _emit_csv(header: Sequence[str], rows) -> None:
     writer.writerows(rows)
 
 
-def _emit_result_csv(payload: dict) -> None:
+def _emit_result_csv(records: Iterable[dict]) -> None:
     def row(t: dict) -> list:
         comps = t["surface"]["components"]
         return [
@@ -346,7 +358,7 @@ def _emit_result_csv(payload: dict) -> None:
     _emit_csv(
         ["index", "blocks", "weight", "order_exponent", "chi", "orientable",
          "classification", "cycles", "value"],
-        map(row, payload.get("terms", [])),
+        map(row, records),
     )
 
 
@@ -356,15 +368,15 @@ def _cmd_moment(args) -> int:
     effective = "cumulant" if "cumulant" in (args.command, ast.kind) else "moment"
     fn = cumulant if effective == "cumulant" else moment
     result = fn(spec, exact=args.exact, threads=args.threads)
-    if args.format == "csv":
-        args.terms = True
     payload = _result_payload(args, ast, spec, result, effective)
+    # Each record is made as it is written; csv always writes the term table.
+    records = (_term_record(t, args.exact) for t in result.terms)
     if args.format == "json":
-        _emit_json(payload)
+        _emit_json(payload, "terms" if args.terms else None, records)
     elif args.format == "csv":
-        _emit_result_csv(payload)
+        _emit_result_csv(records)
     else:
-        _emit_result_text(payload, result)
+        _emit_result_text(payload, result, records if args.terms else None)
     return 0
 
 
@@ -465,17 +477,8 @@ def _cmd_census(args) -> int:
         }
         for idx, blocks, report, cross in (census_rows(shape) if args.terms else ())
     )
-    if args.format == "json" and args.terms:
-        # json.dumps of the full payload, one record at a time: the text of
-        # the payload with an empty list, the records written into it.
-        payload["pairings"] = []
-        head, _, tail = _json_text(payload).partition('"pairings":[]')
-        sys.stdout.write(head + '"pairings":[')
-        for i, rec in enumerate(records):
-            sys.stdout.write(("," if i else "") + _json_text(rec))
-        sys.stdout.write("]" + tail + "\n")
-    elif args.format == "json":
-        _emit_json(payload)
+    if args.format == "json":
+        _emit_json(payload, "pairings" if args.terms else None, records)
     elif args.format == "csv":
         _emit_csv(
             ["order_exponent", "chi", "orientable", "transitive", "crossings", "count"],

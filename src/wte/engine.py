@@ -15,8 +15,7 @@ are averaged over both transpose signs with weight 1/2 per letter, which
 requires square X.
 
 Evaluation is one pass of a numpy kernel over contiguous chunks of the
-canonical pairing table (``_Skeleton``, which the moment, the cumulant
-and the census share), refused up front, before any table is built, with
+canonical pairing table, refused up front, before any table is built, with
 :class:`BudgetError` when its work, (m-1)!! * m * 2^w for w Wigner
 letters, exceeds the budget it shares with the Wick oracle
 (``WTE_BUDGET``).  Each list of factor lengths compiles once into a
@@ -51,15 +50,20 @@ float trace's diagonal.  It returns arrays (``_Columns``), from which
 ``assemble`` builds the chunk's terms, one ``TermReport`` call per term
 through ``map`` over the skeleton's shared objects; ``TermReport`` sets
 its slots through their descriptors.
-Skeletons are memoised (``_skeleton``), keyed by the factor lengths, the
-sign rows' bytes, the chunk's first pairing and its pairings per chunk,
-and bounded by ``_SKELETON_ROWS`` = 2 * 7 * 4,096 rows, least recently
-used out first.  A row holds about 370 bytes at m=12, so the memo holds
-at most about 22 MB.  Only sums of fewer than ``_SHARD_CHUNKS`` chunks
-enter, which always run in one process (m <= 12 without Wigner letters);
-so a sweep over N, a moment and then the cumulant of one spec, and
+Skeletons are memoised (``_skeleton``, an ``lru_cache``), keyed by the
+plan, the sign rows' bytes, the chunk's first pairing and its pairings
+per chunk, and bounded by 2 * (``_SHARD_CHUNKS`` - 1) = 14 entries,
+least recently used out first.  Only sums of fewer than
+``_SHARD_CHUNKS`` chunks enter, which always run in one process (m <= 12
+without Wigner letters), and such a chunk holds at most ``_CHUNK_TERMS``
+rows: with w <= 12 Wigner letters it is (4,096 >> w) pairings under 2^w
+sign rows, and w >= 13 needs m >= 14, which is 8 chunks or more.  A row
+holds about 370 bytes at m=12, so the memo holds at most about 22 MB.
+So a sweep over N, a moment and then the cumulant of one spec, and
 ``clt_report`` over factors of equal lengths reuse them, while ``wte
-moment``, ``cumulant`` and ``census``, one sum a process, never do.
+moment`` and ``cumulant``, one sum a process, never do.  The census
+reads no cycles and builds no skeleton: per chunk it decodes the
+pairings and glues them once (``census_rows``).
 A chunk depends only on its range of pairings, so ``columns`` may run in
 worker processes (``threads``; see ``_mapped``), which return arrays
 only, while the calling process builds the shared objects and assembles
@@ -711,8 +715,10 @@ class _Skeleton:
     """The half of one chunk of the pairing sum that the factor lengths and
     the sign rows fix, whatever the labels, q, Gram, matrices and
     dimensions: the chunk of at most ``rows`` canonical pairings from index
-    ``first``, each glued under every sign row of ``eps``, so that row
-    i * len(eps) + j is pairing i under ``eps[j]``, as in ``_Plan.glue``.
+    ``first``, each glued under every row of the int8 sign table ``eps``
+    whose bytes are ``signs`` (bytes, so that the arguments are a memo key),
+    so that row i * len(eps) + j is pairing i under ``eps[j]``, as in
+    ``_Plan.glue``.
 
     Per pairing: its blocks' first and second letters (``opens``,
     ``closes``), its crossings and whether its surface is connected.  Per
@@ -725,7 +731,8 @@ class _Skeleton:
     worker process, which returns the arrays, builds none.
     """
 
-    def __init__(self, plan: _Plan, eps: np.ndarray, first: int, rows: int):
+    def __init__(self, plan: _Plan, signs: bytes, first: int, rows: int):
+        eps = np.frombuffer(signs, dtype=np.int8).reshape(-1, plan.m + 1)
         self.first, self.signs = first, len(eps)
         self.lengths, self.signed = plan.lengths, plan.signed
         stop = min(pairing_count(plan.m), first + rows)
@@ -791,47 +798,25 @@ class _Skeleton:
 # chunks ran slower sharded than in one process, sums of 11 and 21 faster.
 _SHARD_CHUNKS = 8
 
-# The memo's bound, in rows: two of the largest sums it admits.
-_SKELETON_ROWS = 2 * (_SHARD_CHUNKS - 1) * _CHUNK_TERMS
-
-# The skeletons of recent sums, least recently used first, keyed by
-# (factor lengths, sign-row bytes, first pairing, pairings per chunk).
-_SKELETONS: dict[tuple, _Skeleton] = {}
-
-
-def _skeleton(plan: _Plan, eps: np.ndarray, first: int, rows: int, chunks: int) -> _Skeleton:
-    """The skeleton of one chunk of a sum of ``chunks`` chunks (see
-    ``_Skeleton``).  A sum of fewer than ``_SHARD_CHUNKS`` chunks, which
-    always runs in one process, reads it from the memo and keeps it there;
-    past ``_SKELETON_ROWS`` rows the least recently used skeletons go.
-    Each step is one dict operation, which the GIL makes atomic, so threads
-    share the memo without a lock: two that miss one key at once build
-    equal skeletons and keep one."""
-    if chunks >= _SHARD_CHUNKS:
-        return _Skeleton(plan, eps, first, rows)
-    key = (plan.lengths, eps.tobytes(), first, rows)
-    skeleton = _SKELETONS.pop(key, None)
-    if skeleton is None:
-        skeleton = _Skeleton(plan, eps, first, rows)
-    _SKELETONS[key] = skeleton  # now the most recently used
-    held = sum(s.size for s in list(_SKELETONS.values()))
-    for old in list(_SKELETONS):
-        if held <= _SKELETON_ROWS:
-            break
-        gone = _SKELETONS.pop(old, None)
-        held -= gone.size if gone is not None else 0
-    return skeleton
+# The skeletons of the sums of fewer than ``_SHARD_CHUNKS`` chunks, which
+# always run in one process: two of the largest such sums, least recently
+# used out first (see the module docstring).
+_skeleton = lru_cache(maxsize=2 * (_SHARD_CHUNKS - 1))(_Skeleton)
 
 
 def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, int]]:
     """Every pairing's (index, blocks, surface census, crossings), in
-    canonical order, for the transpose signs as written."""
+    canonical order, for the transpose signs as written: per chunk, one
+    decode and one gluing, and no cycle walk."""
     _check_budget(shape.m)
     plan, as_written = _combinatorics(shape.lengths), np.array([(0, *shape.epsilon)], dtype=np.int8)
-    firsts = range(0, pairing_count(shape.m), _CHUNK_TERMS)
-    for first in firsts:
-        s = _skeleton(plan, as_written, first, _CHUNK_TERMS, len(firsts))
-        yield from zip(itertools.count(first), s.blocks, s.surfaces, s.cross.tolist())
+    total = pairing_count(shape.m)
+    for first in range(0, total, _CHUNK_TERMS):
+        partner, opens, closes = _pairing_table(shape.m, first, min(total, first + _CHUNK_TERMS))
+        gluing = plan.glue(partner, as_written)
+        yield from zip(itertools.count(first), _block_rows(opens, closes),
+                       _surfaces(plan.lengths, gluing.keys, gluing.kind),
+                       _crossings(opens, closes).tolist())
 
 
 @dataclass(frozen=True)
@@ -874,12 +859,14 @@ class _Sum:
         self.pairs = [(a, b) for a in self.families for b in self.families]  # by code of (a, b)
         rows = max(1, _CHUNK_TERMS >> w)
         self.rows, self.firsts = rows, range(0, pairing_count(shape.m), rows)
+        self.skeleton = _skeleton if len(self.firsts) < _SHARD_CHUNKS else _Skeleton
+        self.signs = self.eps.tobytes()
 
     def columns(self, first: int) -> _Columns:
         """The per-call work of the chunk from pairing ``first`` on its
         skeleton: weights, traces and values."""
         spec, exact, signs = self.spec, self.exact, len(self.eps)
-        s = _skeleton(self.plan, self.eps, first, self.rows, len(self.firsts))
+        s = self.skeleton(self.plan, self.signs, first, self.rows)
         codes = self.family[s.opens - 1] * len(self.families) + self.family[s.closes - 1]
         key = np.column_stack([s.cross, codes])
         # One weight per distinct (crossings, block family pairs) row.

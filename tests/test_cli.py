@@ -106,10 +106,11 @@ def q_half_args(tmp_path) -> tuple[str, ...]:
             "--q", "1/2", "--exact", "--terms", "--format", "json")
 
 
-# Words whose ``--terms --format json`` output, float and exact, is pinned by
-# the sha256 digests in ``data/terms_digests.json``: name -> (command,
-# expression, N, M, extra options).  The Wigner word has three Z letters,
-# which pair with X letters through a Gram entry of 1/2.
+# Words whose ``--terms`` output in every format, float and exact, is pinned
+# by the sha256 digests in ``data/terms_digests.json`` (text without its
+# ``elapsed:`` line): name -> (command, expression, N, M, extra options).
+# The Wigner word has three Z letters, which pair with X letters through a
+# Gram entry of 1/2.
 GOLDEN = {
     "alt10": ("moment", "E[ tr(" + " ".join(f"X' D{2 * k - 1} X D{2 * k}" for k in range(1, 6))
               + ") ]", 4, 3, ()),
@@ -120,10 +121,23 @@ GOLDEN = {
 }
 
 
-def golden_args(tmp_path, name, exact) -> tuple[str, ...]:
+def golden_args(tmp_path, name, exact, fmt="json") -> tuple[str, ...]:
     """``wte`` arguments for the golden word ``name``."""
     return (*bound_args(tmp_path, *GOLDEN[name]), *(("--exact",) if exact else ()),
-            "--terms", "--format", "json")
+            "--terms", "--format", fmt)
+
+
+def golden_digest(name, exact, fmt="json") -> str:
+    """The pinned sha256 digest of the golden word's output."""
+    key = f"{name}-{'exact' if exact else 'float'}" + ("" if fmt == "json" else f"-{fmt}")
+    with open(os.path.join(DATA, "terms_digests.json"), encoding="utf-8") as fh:
+        return json.load(fh)[key]
+
+
+def digest(out: str) -> str:
+    """The sha256 digest of ``out`` without its ``elapsed:`` line."""
+    kept = [line for line in out.splitlines(keepends=True) if not line.startswith("elapsed:")]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
 def bound_args(tmp_path, command, expr, n_dim, m_dim, extra=()) -> tuple[str, ...]:
@@ -225,9 +239,37 @@ class TestMomentCommand:
     def test_terms_json_digest(self, capsys, tmp_path, name, exact):
         code, out, err = run(capsys, *golden_args(tmp_path, name, exact))
         assert code == 0, err
-        with open(os.path.join(DATA, "terms_digests.json"), encoding="utf-8") as fh:
-            want = json.load(fh)[f"{name}-{'exact' if exact else 'float'}"]
-        assert hashlib.sha256(out.encode()).hexdigest() == want
+        assert hashlib.sha256(out.encode()).hexdigest() == golden_digest(name, exact)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_terms_text_and_csv_digest(self, capsys, tmp_path, name, exact, fmt):
+        code, out, err = run(capsys, *golden_args(tmp_path, name, exact, fmt))
+        assert code == 0, err
+        assert digest(out) == golden_digest(name, exact, fmt)
+
+    @pytest.mark.parametrize(
+        "fmt, first",
+        [("json", '"index":0,'), ("text", "\n    0 1-2;3-4;5-6 "), ("csv", "\n0,1-2;3-4;5-6,")],
+        ids=["json", "text", "csv"],
+    )
+    def test_records_written_as_they_are_made(self, monkeypatch, fmt, first):
+        # No format holds every term's record before writing: term 0's is on
+        # stdout before the record of term 2 reads its cycles.
+        out, seen = io.StringIO(), []
+        real = wte.cli.cycle_string
+
+        def cycle_string(cycles):
+            seen.append(out.getvalue())
+            return real(cycles)
+
+        monkeypatch.setattr(wte.cli, "cycle_string", cycle_string)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([*ALT6_ARGS, "--terms", "--format", fmt]) == 0
+        assert len(seen) == 15
+        assert first not in seen[0] and first in seen[2]
+        assert out.getvalue().count(first) == 1
 
     def test_decimal_q_is_exact(self, capsys):
         args = ("moment", "--expr", "E[ tr(X' D1 X D2 X' D3 X D4) ]",
@@ -368,9 +410,18 @@ class TestThreads:
         monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 32)
         code, out, err = run(capsys, *golden_args(tmp_path, name, exact))
         assert code == 0, err
-        with open(os.path.join(DATA, "terms_digests.json"), encoding="utf-8") as fh:
-            want = json.load(fh)[f"{name}-{'exact' if exact else 'float'}"]
-        assert hashlib.sha256(out.encode()).hexdigest() == want
+        assert hashlib.sha256(out.encode()).hexdigest() == golden_digest(name, exact)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_terms_text_and_csv_digest_sharded(self, capsys, tmp_path, monkeypatch, pools,
+                                                name, exact, fmt):
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 32)
+        code, out, err = run(capsys, *golden_args(tmp_path, name, exact, fmt))
+        assert code == 0, err
+        assert digest(out) == golden_digest(name, exact, fmt)
         assert pools == [2]
 
     def test_worker_error_is_the_in_process_error(self, capsys, monkeypatch, pools):
@@ -387,14 +438,20 @@ class TestThreads:
 
     def test_workers_ignore_ctrl_c(self, capsys, monkeypatch, pools):
         # Each process reports its SIGINT handler: the workers ignore it,
-        # so an interrupt reaches only the process that started them.
+        # so an interrupt reaches only the process that started them.  The
+        # test process takes Python's handler for the test's duration, also
+        # where it was started with SIGINT ignored (a background job).
         def columns(self, first):
             raise ValueError(f"SIGINT: {signal.getsignal(signal.SIGINT)!r}")
 
         monkeypatch.setattr(wte.engine._Sum, "columns", columns)
         monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 512)
-        _, _, single = run(capsys, *ALT12_ARGS, "--threads", "1")
-        _, _, sharded = run(capsys, *ALT12_ARGS, "--threads", "2")
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            _, _, single = run(capsys, *ALT12_ARGS, "--threads", "1")
+            _, _, sharded = run(capsys, *ALT12_ARGS, "--threads", "2")
+        finally:
+            signal.signal(signal.SIGINT, handler)
         assert "SIG_IGN" not in single and "SIG_IGN" in sharded
         assert pools == [2]
 

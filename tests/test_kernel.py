@@ -482,10 +482,11 @@ class TestSkeletonMemo:
             for fn in (moment, cumulant, moment)
         ]
         reused = [fn(spec, exact=exact) for fn, spec in calls]
-        assert wte.engine._SKELETONS
+        info = wte.engine._skeleton.cache_info()
+        assert info.hits and info.currsize
         fresh = []
         for fn, spec in calls:
-            wte.engine._SKELETONS.clear()
+            wte.engine._skeleton.cache_clear()
             fresh.append(fn(spec, exact=exact))
         for a, b in zip(reused, fresh):
             if exact:
@@ -505,18 +506,20 @@ class TestSkeletonMemo:
                           (labelled, {}), (labelled, {"gram": gram})]:
             moment(MomentSpec(shape, fraction_matrices(rng, shape, 3, 3), 3, 3, **kw))
             cumulant(MomentSpec(shape, fraction_matrices(rng, shape, 2, 2), 2, 2, **kw))
-            assert len(wte.engine._SKELETONS) == 1
+            assert wte.engine._skeleton.cache_info().currsize == 1
         # Other transpose signs, and a Wigner family (four sign rows), are
         # other skeletons.
         flipped = WordShape((4, 2), (1, 1, -1, 1, 1, -1))
         moment(MomentSpec(flipped, fraction_matrices(rng, flipped, 3, 3), 3, 3))
-        assert len(wte.engine._SKELETONS) == 2
+        assert wte.engine._skeleton.cache_info().currsize == 2
         moment(MomentSpec(labelled, fraction_matrices(rng, labelled, 3, 3), 3, 3,
                           wigner=frozenset({"Y"})))
-        assert len(wte.engine._SKELETONS) == 3
-        # The census of the signs as written reads the moment's skeleton.
+        assert wte.engine._skeleton.cache_info().currsize == 3
+        # The census reads no cycles and builds no skeleton: it neither
+        # adds an entry nor reads one.
+        info = wte.engine._skeleton.cache_info()
         assert len(list(census_rows(plain))) == pairing_count(6)
-        assert len(wte.engine._SKELETONS) == 3
+        assert wte.engine._skeleton.cache_info() == info
 
     @pytest.mark.parametrize("rows, chunks", [(15, 7), (14, 8), (13, 9)])
     def test_only_sums_of_few_chunks_enter(self, monkeypatch, rows, chunks):
@@ -531,32 +534,38 @@ class TestSkeletonMemo:
         want = as_rows(moment(spec, threads=1))
         assert as_rows(cumulant(spec, threads=1)) == as_rows(cumulant(spec, threads=1))
         list(census_rows(shape))
-        assert len(wte.engine._SKELETONS) == (chunks if chunks < 8 else 0)
+        assert wte.engine._skeleton.cache_info().currsize == (chunks if chunks < 8 else 0)
         assert as_rows(moment(spec, threads=1)) == want
 
-    def test_row_bound_evicts_the_least_recently_used(self, monkeypatch):
-        assert wte.engine._SKELETON_ROWS == 2 * 7 * 4096
-        # Three words of one 105-row chunk each, under a bound of two.
-        monkeypatch.setattr(wte.engine, "_SKELETON_ROWS", 210)
+    def test_entry_bound_evicts_the_least_recently_used(self):
+        info = wte.engine._skeleton.cache_info
+        assert info().maxsize == 2 * (wte.engine._SHARD_CHUNKS - 1) == 14
+        # Fifteen words of one 105-row chunk each, which differ in their
+        # transpose signs, under a bound of fourteen.
         rng = random.Random(22)
-        specs = {}
-        for name, eps in zip("abc", [(1, -1) * 4, (-1, 1) * 4, (1, 1, -1, -1) * 2]):
+        specs = []
+        for eps in itertools.islice(itertools.product((1, -1), repeat=8), 15):
             shape = WordShape((8,), eps)
-            specs[name] = MomentSpec(shape, fraction_matrices(rng, shape, 2, 2), 2, 2)
-        signs = {k: np.array([(0, *s.shape.epsilon)], np.int8).tobytes() for k, s in specs.items()}
-        order = []
-        for name in "abac":
-            moment(specs[name])
-            order.append([key[1] for key in wte.engine._SKELETONS])  # oldest first
-            assert sum(s.size for s in wte.engine._SKELETONS.values()) <= 210
-        a, b, c = signs["a"], signs["b"], signs["c"]
-        assert order == [[a], [a, b], [b, a], [a, c]]
+            specs.append(MomentSpec(shape, fraction_matrices(rng, shape, 2, 2), 2, 2))
+        want = [as_rows(moment(spec)) for spec in specs[:14]]
+        assert info()[:2] == (0, 14)  # (hits, misses)
+        assert as_rows(moment(specs[0])) == want[0]  # now the most recently used
+        assert info()[:2] == (1, 14)
+        moment(specs[14])  # the least recently used, word 1, goes
+        assert info()[:2] == (1, 15) and info().currsize == 14
+        assert as_rows(moment(specs[0])) == want[0]
+        assert info()[:2] == (2, 15)
+        assert as_rows(moment(specs[1])) == want[1]
+        assert info()[:2] == (2, 16)
 
     def test_memoised_arrays_are_read_only(self):
         rng = random.Random(23)
         shape = random_shape(rng, 10)
         cumulant(MomentSpec(shape, fraction_matrices(rng, shape, 2, 3), 2, 3))
-        [skeleton] = wte.engine._SKELETONS.values()
+        plan = _combinatorics(shape.lengths)
+        signs, rows = as_written(shape).tobytes(), wte.engine._CHUNK_TERMS
+        skeleton = wte.engine._skeleton(plan, signs, 0, rows)
+        assert wte.engine._skeleton.cache_info()[:2] == (1, 1)  # the memoised one
         arrays = [a for a in vars(skeleton).values() if isinstance(a, np.ndarray)]
         assert len(arrays) == 9
         for a in arrays:
@@ -578,7 +587,7 @@ class TestSkeletonMemo:
             try:
                 start.wait()
                 for _ in range(3):
-                    wte.engine._SKELETONS.clear()
+                    wte.engine._skeleton.cache_clear()
                     out.append([as_rows(fn(spec, exact=exact))
                                 for spec in specs for fn in (moment, cumulant)])
             except Exception as exc:
