@@ -3,35 +3,18 @@
 Output is reproducible by construction: float reductions are exactly
 rounded, term order is the canonical pairing order, and the JSON
 renderer sorts keys and omits wall-clock timing, so identical runs give
-byte-identical JSON.
+byte-identical JSON, at every ``--threads`` value.
 
 Each subcommand takes ``--expr``, ``--expr-file`` and ``--format`` and
 only the other options its handler reads; the table is in
 :func:`_build_parser`.  ``--threads`` exists on ``moment`` and
-``cumulant`` only: that many forked worker processes compute the chunks
-of the pairing sum while this process builds the terms in canonical
-order, so the output is byte-identical at every value.  0, the default,
-means one worker per CPU the process may run on, 1 sums in this
-process, and a larger value is capped at the available CPUs.  A sum of
-fewer than 8 chunks of 4,096 terms (m <= 12 without Wigner letters) runs
-in this process, since the workers would cost more than they save.
-Workers ignore Ctrl-C, so an interrupt exits once, from this process,
-with code 130.
+``cumulant`` only (see ``engine._mapped``); its workers ignore Ctrl-C,
+so an interrupt exits once, from this process.
 
-Exit codes: 0 success, 1 failure or verification mismatch, 2 usage
-errors (among them an option the subcommand does not take, such as
-``census --wigner``: the census classifies the transpose signs as
-written; ``census --terms --format csv``: csv writes the group table;
-``verify --samples`` at ``--q`` other than 1, which has no sampling
-model; and a value an option does not take, such as ``-N 0``,
-``--samples 1``, ``--q 2`` or a ``--seed`` outside [0, 2**128)), parse
-errors (expression or input files) and input files that cannot be read
-or are not UTF-8, 3 dimension/binding errors, 4 work budget exceeded
-(the pairing sum of ``moment``, ``cumulant`` and ``census``, the Wick
-expansion of ``verify``, which is checked before the engine runs, the
-identities ``--bind-identity`` would build, checked before any is, or
-the ``I <dim>`` lines of a bindings file, checked before each is built),
-130 interrupted.
+Exit codes (README's "Exit codes" lists the cases): 0 success, 1 failure
+or verification mismatch, 2 usage errors, faults in the expression or an
+input file, and input files that cannot be read, 3 dimension or binding
+errors, 4 work budget exceeded, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -208,13 +191,24 @@ def _float(x) -> float:
         return float("inf") if x > 0 else float("-inf")
 
 
-def _term_record(t: TermReport, exact: bool) -> dict:
+class _CycleText(dict):
+    """Each cycle's ``(a,b,...)`` text, rendered on first use; emptied at
+    2^14 cycles, so it stays near 2 MB (m=14 has 166,066 distinct cycles)."""
+
+    def __missing__(self, cycle: tuple) -> str:
+        if len(self) >= 1 << 14:
+            self.clear()
+        text = self[cycle] = cycle_string((cycle,))
+        return text
+
+
+def _term_record(t: TermReport, exact: bool, cycle_text: _CycleText) -> dict:
     rec = {
         "index": t.index,
         "blocks": [list(b) for b in t.blocks],
         "weight": _float(t.weight),
         "order_exponent": t.order_exponent,
-        "cycles": cycle_string(t.cycles),
+        "cycles": "".join(map(cycle_text.__getitem__, t.cycles)),
         "value": _float(t.value),
         "surface": {
             "components": [
@@ -370,7 +364,8 @@ def _cmd_moment(args) -> int:
     result = fn(spec, exact=args.exact, threads=args.threads)
     payload = _result_payload(args, ast, spec, result, effective)
     # Each record is made as it is written; csv always writes the term table.
-    records = (_term_record(t, args.exact) for t in result.terms)
+    cycle_text = _CycleText()
+    records = (_term_record(t, args.exact, cycle_text) for t in result.terms)
     if args.format == "json":
         _emit_json(payload, "terms" if args.terms else None, records)
     elif args.format == "csv":

@@ -1,98 +1,51 @@
 """Pairing-sum evaluation of trace-word moments and cumulants.
 
-The moment of a product of normalized trace factors is the sum, over all
-pairings of the word's letters, of a per-pairing weight times the trace
-product read off the particular vertex cycles, scaled by the global
-prefactor N^(-m/2 - r).  Cumulants restrict the sum to pairings that
-connect all factors (one orbit together with the factor rotation) and
-carry the same prefactor, which is what makes moment-cumulant inversion
-hold numerically.
+The moment of a product of r normalized trace factors over m letters is
+the sum, over all pairings of the letters, of a per-pairing weight times
+the product of the traces read off the particular vertex cycles of the
+pairing's glued surface, scaled by the prefactor N^(-m/2 - r).  A
+cumulant keeps the pairings whose surface is connected and carries the
+same prefactor, which is what makes moment-cumulant inversion hold
+numerically.
 
-Weights cover the generalized models: q^crossings for q-commutative
-families and a Gram factor per block for Hilbert-indexed families; the
-single-matrix model is q = 1 with a rank-one unit Gram.  Wigner letters
-are averaged over both transpose signs with weight 1/2 per letter, which
-requires square X.
+A pairing's weight is q^crossings times the Gram entry of each block's
+two families, which covers q-commutative and Hilbert-indexed families;
+the single-matrix model is q = 1 with a rank-one unit Gram.  Wigner
+letters are averaged over both transpose signs with weight 1/2 per
+letter, which requires square X.
 
-Evaluation is one pass of a numpy kernel over contiguous chunks of the
-canonical pairing table, refused up front, before any table is built, with
-:class:`BudgetError` when its work, (m-1)!! * m * 2^w for w Wigner
-letters, exceeds the budget it shares with the Wick oracle
-(``WTE_BUDGET``).  Each list of factor lengths compiles once into a
-plan (``_combinatorics``), which words that differ only in transpose
-signs or family labels share: the constant index arrays of the factor
-rotation and its inverse, the sheet face of every signed letter and the
-cycle order key.  The transpose signs are an input: one int8 row per sign
-assignment of the Wigner letters.  Per chunk, the decode gives each
-pairing's partner row and blocks, crossings are counted over block
-pairs, and one gluing of every pairing under every sign row reads the
-vertex permutation, the closed form of ``gluing._vertex_image``, from a
-table of each position's image per sign row and partner letter (one
-gather per row), labels its cycles by pointer doubling (the smallest
-position on each cycle is its canonical lead) and joins sheet faces into
-components.  The per-pairing functions of ``gluing.py`` are the
-specification the kernel is tested against.
+A sum whose work, (m-1)!! * m * 2^w for w Wigner letters, exceeds the
+budget it shares with the oracles (``WTE_BUDGET``) is refused with
+:class:`BudgetError` before any table is built.
 
-A chunk has two halves.  Its skeleton (``_Skeleton``) is what the factor
-lengths and the sign rows fix, as the Euler-characteristic expansion
-says the word alone fixes the glued surfaces: the decode and the
-gluing, the blocks and crossings, the census keys and connectivity, a
-lockstep walk of every particular cycle from its lead, and the chunk's
-distinct walked cycles with each row's indices into them; with it, built
-on first use, the objects that terms share (block tuples, letter tuples,
-each row's tuple of cycles and ``SurfaceReport``s).  The rest, per call
-(``_Sum.columns``), is one weight per distinct crossing count and block
-family pairs, and the kernel's last stage, ``_trace_walk``, which traces
-the distinct cycles of nonzero-weight terms as a prefix trie: each
-distinct prefix is multiplied once, in stacks, and every trace has the
-bits of :func:`~wte.matrices.trace_along`, whose ``math.fsum`` sums a
-float trace's diagonal.  It returns arrays (``_Columns``), from which
-``assemble`` builds the chunk's terms, one ``TermReport`` call per term
-through ``map`` over the skeleton's shared objects; ``TermReport`` sets
-its slots through their descriptors.
-Skeletons are memoised (``_skeleton``, an ``lru_cache``), keyed by the
-plan, the sign rows' bytes, the chunk's first pairing and its pairings
-per chunk, and bounded by 2 * (``_SHARD_CHUNKS`` - 1) = 14 entries,
-least recently used out first.  Only sums of fewer than
-``_SHARD_CHUNKS`` chunks enter, which always run in one process (m <= 12
-without Wigner letters), and such a chunk holds at most ``_CHUNK_TERMS``
-rows: with w <= 12 Wigner letters it is (4,096 >> w) pairings under 2^w
-sign rows, and w >= 13 needs m >= 14, which is 8 chunks or more.  A row
-holds about 370 bytes at m=12, so the memo holds at most about 22 MB.
-So a sweep over N, a moment and then the cumulant of one spec, and
-``clt_report`` over factors of equal lengths reuse them, while ``wte
-moment`` and ``cumulant``, one sum a process, never do.  The census
-reads no cycles and builds no skeleton: per chunk it decodes the
-pairings and glues them once (``census_rows``).
-A chunk depends only on its range of pairings, so ``columns`` may run in
-worker processes (``threads``; see ``_mapped``), which return arrays
-only, while the calling process builds the shared objects and assembles
-the terms, in canonical order; every output bit is the same at any
-thread count.  A term's
-value is its weight times its cycles' traces, multiplied in cycle
-order; a term of weight 0 has value 0 and its cycles are not traced.
-A cumulant keeps a pairing when its surface has a single component (the
-empty word counts as connected), which is read off the census key table:
-every factor's component label is 0, the label of factor 1.  Float
-evaluation reduces the chunks' float64 values with one correctly rounded
-``fsum`` in canonical pairing order, so the same configuration gives the
-same bits on every run.
-Exact mode puts each chunk's distinct weights over one common
-denominator: a term's value is the ``Fraction`` of its integer numerator
-(the weight's numerator times the trace product), a chunk's numerators
-are summed as plain ints once, and the total is the prefactor times the
-sum of the chunks' fractions.  Over a denominator of 1 the values are
-``Fraction(x)``, which skips the gcd.
+The sum runs over contiguous chunks of the canonical pairing table.
+Each list of factor lengths compiles once into a plan
+(``_combinatorics``); a chunk's skeleton (``_Skeleton``) decodes and
+glues its pairings under every transpose-sign row and walks their
+cycles; ``_Sum.columns`` reads its weights, traces and values as arrays,
+in this process or a worker (``_mapped``); ``_Sum.assemble`` builds its
+``TermReport``s in this process; and ``_evaluate`` reduces the chunks.
+The per-pairing functions of ``gluing.py`` are the specification the
+kernel is tested against.
+
+Every output bit is the same on every run and at any ``threads``.  Terms
+come in canonical order, by pairing and then by sign assignment.  A
+term's value is its weight times its cycles' traces, multiplied in cycle
+order as ``trace_along`` multiplies them, and each trace has
+``trace_along``'s bits; a term of weight 0 has value 0 and is not traced.
+The float total is one correctly rounded ``fsum`` of all values in
+canonical order, and the exact total the prefactor times the sum of the
+chunks' exact sums.
 
 Exact mode needs integer or rational entries in every slot of an even
 word, since every term reads all m slots; this is checked once, before
-any table is built.
-Its traces multiply the matrices' int64 views instead of their object
-views when every slot holds ``int`` entries and ``(amax * d)^L < 2^62``
-for the largest |entry| amax, the largest dimension d and the cycle
-length L: no entry of a partial product, and no trace, can then leave
-int64, so the traces are the same Python ints.  The cycles that fit and
-the rest are traced in two tries.
+any table is built.  A chunk's distinct weights share one common
+denominator, so each term's value is the ``Fraction`` of an integer
+numerator.  A cycle of length L is traced in int64 when every slot holds
+``int`` entries and ``(amax * d)^L < 2^62`` for the largest |entry| amax
+and the largest dimension d: every entry of a product of k <= L slot
+matrices, and its trace, is at most (amax * d)^k in absolute value, so
+none leaves int64 and the traces are the same Python ints.
 """
 
 from __future__ import annotations
@@ -109,6 +62,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -465,7 +419,10 @@ class _Plan:
     def glue(self, partner: np.ndarray, eps: np.ndarray) -> "_Gluing":
         """Vertex cycles and surface census of every pairing in ``partner``
         under every sign row of ``eps`` (column k: letter k's sign): row
-        i * len(eps) + j is pairing i under ``eps[j]``."""
+        i * len(eps) + j is pairing i under ``eps[j]``.  Each row's vertex
+        permutation is one gather from a lookup table, its cycles are
+        labelled by pointer doubling, and its sheet faces are joined into
+        components."""
         m, r = self.m, self.r
         count = len(partner) * len(eps)
         rows = np.arange(count)[:, None]
@@ -514,6 +471,11 @@ class _Plan:
         # One census per distinct key row, which the chunk's rows share.
         _, firsts, kind = np.unique(_row_codes(key), return_index=True, return_inverse=True)
         return _Gluing(img, particular, key[firsts], kind.reshape(-1))
+
+
+# The plan of each list of factor lengths, which words that differ only in
+# transpose signs, labels, matrices or dimensions share.
+_combinatorics = lru_cache(maxsize=64)(_Plan)
 
 
 @dataclass(frozen=True)
@@ -576,10 +538,8 @@ def _trace_walk(walk: np.ndarray, mats: Sequence[Matrix], exact: bool) -> list[N
     checks the profile).  The rows form a prefix trie (see
     ``_trie_traces``), which multiplies a prefix that adjacent rows share
     once, so sorted distinct rows (as a ``_Skeleton``'s ``walk`` holds)
-    share the most.  An exact cycle of length L is traced in int64 when
-    every slot holds ``int`` entries and ``(amax * d)^L < 2^62`` (see the
-    module docstring), and in object arrays otherwise, so the cycles that
-    fit and the rest are two tries.
+    share the most.  In exact mode the cycles within the int64 bound (see
+    the module docstring) and the rest are two tries.
     """
     if not len(walk):
         return []
@@ -703,22 +663,13 @@ def _trie_traces(
     return traces
 
 
-@lru_cache(maxsize=64)
-def _combinatorics(lengths: tuple[int, ...]) -> _Plan:
-    """The kernel's plan for the words with these factor lengths:
-    independent of the transpose signs, the labels, the pairing, the
-    matrices and the dimensions."""
-    return _Plan(lengths)
-
-
 class _Skeleton:
     """The half of one chunk of the pairing sum that the factor lengths and
     the sign rows fix, whatever the labels, q, Gram, matrices and
     dimensions: the chunk of at most ``rows`` canonical pairings from index
-    ``first``, each glued under every row of the int8 sign table ``eps``
-    whose bytes are ``signs`` (bytes, so that the arguments are a memo key),
-    so that row i * len(eps) + j is pairing i under ``eps[j]``, as in
-    ``_Plan.glue``.
+    ``first``, glued by ``_Plan.glue`` under every row of the int8 sign
+    table whose bytes are ``signs`` (bytes, so that the arguments are a
+    memo key).
 
     Per pairing: its blocks' first and second letters (``opens``,
     ``closes``), its crossings and whether its surface is connected.  Per
@@ -727,8 +678,8 @@ class _Skeleton:
     cycles, sorted, and ``ids`` per row the indices of its cycles in
     ``walk``, in lead order, padded with ``len(walk)``.  The arrays are
     read-only.  The objects that terms share, one per row (``blocks``,
-    ``cycles``, ``surfaces``, ``orders``), are built on first use, so a
-    worker process, which returns the arrays, builds none.
+    ``cycles``, ``surfaces``), are built on first use, so a worker
+    process, which returns the arrays, builds none.
     """
 
     def __init__(self, plan: _Plan, signs: bytes, first: int, rows: int):
@@ -787,11 +738,6 @@ class _Skeleton:
         """Per row, its census; the rows of one key share one report."""
         return _surfaces(self.lengths, self.keys, self.kind)
 
-    @cached_property
-    def orders(self) -> list[int]:
-        """Per row, its census's order exponent."""
-        return [s.order_exponent for s in self.surfaces]
-
 
 # Fewer chunks than this run in one process: starting the workers costs
 # about one chunk's work per worker, and on a 2-vCPU host sums of 3 and 6
@@ -800,7 +746,12 @@ _SHARD_CHUNKS = 8
 
 # The skeletons of the sums of fewer than ``_SHARD_CHUNKS`` chunks, which
 # always run in one process: two of the largest such sums, least recently
-# used out first (see the module docstring).
+# used out first.  Such a chunk holds at most ``_CHUNK_TERMS`` rows (with
+# w <= 12 Wigner letters, 4,096 >> w pairings under 2^w sign rows; w >= 13
+# needs m >= 14, which is 8 chunks or more), about 370 bytes each at m=12,
+# so the memo holds at most about 22 MB.  A sweep over N, a moment and then
+# the cumulant of one spec, and ``clt_report`` over factors of equal
+# lengths reuse them; ``wte moment``, one sum a process, never does.
 _skeleton = lru_cache(maxsize=2 * (_SHARD_CHUNKS - 1))(_Skeleton)
 
 
@@ -901,9 +852,7 @@ class _Sum:
         traces[-1] = 1
 
         # trace_along(cycles) multiplies its cycles' traces in order from 1,
-        # and so do the columns of the grid, padded with 1.  The mirror
-        # checks in glue already rule out a slot repeated across a term's
-        # cycles, which trace_along would refuse.
+        # and so do the columns of the grid, padded with 1.
         product = np.ones(len(rows), dtype=traces.dtype)
         with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
             for column in traces[ids].T:
@@ -928,11 +877,11 @@ class _Sum:
             values = list(map(Fraction, c.values))
         else:
             values = [Fraction(x, c.den) for x in c.values]
-        shared = [s.blocks, s.cycles, s.surfaces, s.orders]
+        blocks, cycles, surfaces = s.blocks, s.cycles, s.surfaces
         if len(c.rows) < s.size:
             rows = c.rows.tolist()
-            shared = [map(column.__getitem__, rows) for column in shared]
-        blocks, cycles, surfaces, orders = shared
+            blocks, cycles = (map(column.__getitem__, rows) for column in (blocks, cycles))
+            surfaces = list(map(surfaces.__getitem__, rows))  # read twice, below
         return list(map(
             TermReport,
             (s.first + c.rows // s.signs).tolist(),
@@ -940,7 +889,7 @@ class _Sum:
             map(c.weights.__getitem__, c.weight.tolist()),
             cycles,
             surfaces,
-            orders,
+            map(attrgetter("order_exponent"), surfaces),
             values,
             self.epsilons * (len(c.rows) // len(self.eps)),
         ))
@@ -1060,7 +1009,6 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool, threads: int
         "spec_hash": spec.fingerprint(),
     }
 
-    # Odd m has no pairings: the sum is empty and the total is 0.
     job = _Sum(spec, wigner_pos, transitive_only, exact)
     # Per chunk, its exact total, or in float mode its float64 values,
     # which one fsum adds.

@@ -130,6 +130,8 @@ def parse_matrix(text: str) -> Matrix:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
         raise MatrixFormatError(f'expected integer header "rows cols", got {lines[0]!r}')
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(f"expected at least one row and column, got {lines[0]!r}")
     if len(lines) != rows + 1:
         raise MatrixFormatError(f"expected {rows} rows after the header, got {len(lines) - 1}")
     data = []
@@ -301,7 +303,7 @@ def parse_bindings(
                 raise MatrixFormatError(f"circular alias involving {name}")
             tokens = entries[name].split()
             if tokens[0] == "I":
-                if len(tokens) != 2 or not tokens[1].isdigit():
+                if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
                     raise MatrixFormatError(f"binding {name}: use 'I <dim>'")
                 resolved[name] = identity(int(tokens[1]))
             elif len(tokens) == 1 and tokens[0] in entries:

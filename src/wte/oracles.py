@@ -25,12 +25,10 @@ seed) in a fixed draw order, and the reductions are exactly rounded, so
 a given (seed, samples) pair reproduces the same estimate bit for bit no
 matter how the evaluation is scheduled.  The draws are made in chunks
 of at most 4 MiB; Philox draws do not depend on how they are chunked,
-so the chunk size bounds memory without changing any estimate.  One
-background thread, the only code that touches the generator, draws
-and correlates chunk k + 1 while the calling thread multiplies chunk k
-through the word, so two chunks are in flight.  Both stages are numpy
-calls that release the GIL, and the chunks are taken in draw order;
-the serial loop that ``tests/mc.py`` keeps gives the same bits.
+so the chunk size bounds memory without changing any estimate, and
+neither does drawing the next chunk on a background thread (see
+``mc_oracle``): the serial loop that ``tests/mc.py`` keeps gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -211,7 +209,7 @@ _MC_CHUNK_BYTES = 4 << 20  # 4 MiB budget for the raw draw of one chunk; two are
 def _gram_factor(spec: MomentSpec, families: Sequence[str]) -> np.ndarray:
     g = np.array(
         [[float(spec.gram.value(a, b)) for b in families] for a in families]
-    )
+    ).reshape(len(families), len(families))
     try:
         return np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -254,6 +252,8 @@ def mc_oracle(
     if statistic == "cumulant" and r > 2:
         raise ValueError("plug-in cumulants are available up to r = 2 only")
 
+    _enforce_budget(samples * max(shape.m, 1), "Monte Carlo sampling")
+
     families = tuple(dict.fromkeys(shape.labels))
     chol = _gram_factor(spec, families)
     n_dim, m_dim = spec.n_dim, spec.m_dim
@@ -264,14 +264,15 @@ def mc_oracle(
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     factor_vals = [np.empty(samples) for _ in range(r)]
-    chunk = max(1, _MC_CHUNK_BYTES // (8 * len(families) * m_dim * n_dim))
+    chunk = max(1, _MC_CHUNK_BYTES // (8 * max(len(families), 1) * m_dim * n_dim))
     counts = [min(chunk, samples - done) for done in range(0, samples, chunk)]
 
     from concurrent.futures import ThreadPoolExecutor
 
     # One thread, the only code that touches rng, draws chunk k + 1 while
-    # this one multiplies chunk k; both stages run in numpy with the GIL
-    # released.  The chunks are taken in order, so the stream is the same.
+    # this one multiplies chunk k, so two chunks are in flight; both stages
+    # run in numpy with the GIL released.  The chunks are taken in order,
+    # so the stream is the same.
     drawer = ThreadPoolExecutor(1)
     try:
         pending = drawer.submit(_mc_draw, rng, chol, counts[0], m_dim, n_dim)
@@ -301,37 +302,22 @@ def mc_oracle(
         # Waits for a draw in flight, so no thread outlives the call.
         drawer.shutdown(cancel_futures=True)
 
-    if r == 0:
-        values = np.ones(samples)
-    else:
-        values = factor_vals[0].copy()
-        for fv in factor_vals[1:]:
-            values *= fv
     factor_means = tuple(math.fsum(fv.tolist()) / samples for fv in factor_vals)
-
-    if statistic == "moment" or r <= 1:
-        vals = values.tolist()
-        mean = math.fsum(vals) / samples
-        var = math.fsum((v - mean) ** 2 for v in vals) / (samples - 1)
-        return McReport(
-            estimate=mean,
-            stderr=math.sqrt(var / samples),
-            samples=samples,
-            seed=seed,
-            factor_means=factor_means,
-            statistic=statistic,
-        )
-
-    # Plug-in covariance of the two factors, stderr via its influence values.
-    y1, y2 = factor_vals[0], factor_vals[1]
-    m1, m2 = factor_means[0], factor_means[1]
-    psi = ((y1 - m1) * (y2 - m2)).tolist()
-    cov = math.fsum(psi) / (samples - 1)
-    psi_mean = math.fsum(psi) / samples
-    psi_var = math.fsum((x - psi_mean) ** 2 for x in psi) / (samples - 1)
+    cumulant = statistic == "cumulant" and r == 2
+    if cumulant:
+        # Plug-in covariance of the two factors, stderr via its influence values.
+        values = (factor_vals[0] - factor_means[0]) * (factor_vals[1] - factor_means[1])
+    else:
+        values = np.ones(samples)
+        for fv in factor_vals:
+            values *= fv
+    vals = values.tolist()
+    total = math.fsum(vals)
+    mean = total / samples
+    var = math.fsum((v - mean) ** 2 for v in vals) / (samples - 1)
     return McReport(
-        estimate=cov,
-        stderr=math.sqrt(psi_var / samples),
+        estimate=total / (samples - 1) if cumulant else mean,
+        stderr=math.sqrt(var / samples),
         samples=samples,
         seed=seed,
         factor_means=factor_means,

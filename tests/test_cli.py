@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import wte.engine
 from wte.cli import main
 from wte.expr import build_shape, parse
 from wte.gluing import MirrorPropertyError, slot_dimensions, surface_census
-from wte.perm import crossings, enumerate_pairings
+from wte.perm import crossings, cycle_string, enumerate_pairings
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -258,18 +259,34 @@ class TestMomentCommand:
         # No format holds every term's record before writing: term 0's is on
         # stdout before the record of term 2 reads its cycles.
         out, seen = io.StringIO(), []
-        real = wte.cli.cycle_string
+        real = wte.cli._term_record
 
-        def cycle_string(cycles):
+        def term_record(*args):
             seen.append(out.getvalue())
-            return real(cycles)
+            return real(*args)
 
-        monkeypatch.setattr(wte.cli, "cycle_string", cycle_string)
+        monkeypatch.setattr(wte.cli, "_term_record", term_record)
         monkeypatch.setattr(sys, "stdout", out)
         assert main([*ALT6_ARGS, "--terms", "--format", fmt]) == 0
         assert len(seen) == 15
         assert first not in seen[0] and first in seen[2]
         assert out.getvalue().count(first) == 1
+
+    def test_each_cycle_rendered_once(self, monkeypatch, capsys):
+        rendered = []
+        real = wte.cli.cycle_string
+        monkeypatch.setattr(wte.cli, "cycle_string", lambda c: rendered.append(c) or real(c))
+        payload = run_json(capsys, *ALT6_ARGS, "--terms")
+        # One call per distinct cycle, each rendering that cycle alone.
+        written = {c for t in payload["terms"] for c in re.findall(r"\([^)]*\)", t["cycles"])}
+        assert len(rendered) == len(set(rendered)) == len(written)
+        assert {real(c) for c in rendered} == written and all(len(c) == 1 for c in rendered)
+
+    def test_cycle_texts_stay_bounded(self):
+        texts, cycles = wte.cli._CycleText(), [(k, -k - 1) for k in range(1, 40_000)]
+        assert [texts[c] for c in cycles] == [cycle_string((c,)) for c in cycles]
+        assert [texts[c] for c in cycles[:5]] == ["(1,-2)", "(2,-3)", "(3,-4)", "(4,-5)", "(5,-6)"]
+        assert 0 < len(texts) <= 1 << 14
 
     def test_decimal_q_is_exact(self, capsys):
         args = ("moment", "--expr", "E[ tr(X' D1 X D2 X' D3 X D4) ]",
@@ -724,6 +741,32 @@ class TestExitCodes:
         )
         assert code == 4 and "identity binding" in err and out == ""
         assert built == [20]
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["identity", "matrix-file"])
+    def test_zero_dimension_in_input_file_is_2(self, capsys, tmp_path, from_file):
+        zero = tmp_path / "zero.txt"
+        zero.write_text("0 0\n")
+        binds = tmp_path / "binds.txt"
+        binds.write_text(f"D1 = {zero if from_file else 'I 0'}\nD2 = I 3\n")
+        code, out, err = run(
+            capsys, "moment", "--expr", QUAD, "--bind", str(binds), "-N", "3", "-M", "3"
+        )
+        assert code == 2 and out == ""
+        assert err in ("error: binding D1: use 'I <dim>'\n",
+                       "error: expected at least one row and column, got '0 0'\n")
+
+    def test_samples_past_budget_is_4(self):
+        # 10^13 samples of a 2-letter word: refused before any array is
+        # allocated, with one error line and no traceback.
+        proc = subprocess.run(
+            [sys.executable, "-m", "wte.cli", "verify", "--expr", QUAD, "--bind-identity",
+             "-N", "2", "-M", "2", "--samples", "10000000000000"],
+            capture_output=True, text=True, timeout=120,
+            env={k: v for k, v in dict(os.environ, PYTHONPATH=SRC).items() if k != "WTE_BUDGET"},
+        )
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr.count("error:") == 1 and "Monte Carlo sampling" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_long_alias_cycle_is_2(self, capsys, tmp_path):
         binds = tmp_path / "binds.txt"

@@ -126,6 +126,29 @@ class TestPairingTable:
             assert block_rows(opens, closes) == every[start:stop]
 
 
+class TestRowCodes:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_rows_renumber_and_keep_lexicographic_order(self, seed):
+        # Six columns of radix 2^20: 2^120 codes do not fit int64, so the
+        # distinct prefixes must be renumbered on the way.  Rows repeat, and
+        # many share a prefix of one to five columns.
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 1 << 20, size=(40, 6))
+        key = base[rng.integers(0, len(base), size=300)]
+        cut = rng.integers(1, 6, size=len(key))
+        fresh = rng.integers(0, 1 << 20, size=key.shape)
+        tail = (np.arange(6) >= cut[:, None]) & (rng.random(len(key)) < 0.5)[:, None]
+        key = np.where(tail, fresh, key)
+        key[0] = (1 << 20) - 1
+        radices = [int(col.max()) + 1 for col in key.T]
+        assert math.prod(radices) > 1 << 63
+        codes = wte.engine._row_codes(key)
+        assert codes.dtype == np.int64
+        _, want = np.unique(key, axis=0, return_inverse=True)
+        _, got = np.unique(codes, return_inverse=True)
+        assert (got.reshape(-1) == want.reshape(-1)).all()
+
+
 class TestKernelMatchesSpecification:
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s.lengths}{s.epsilon}")
     def test_every_pairing(self, shape):

@@ -104,6 +104,12 @@ class TestParseMatrix:
         with pytest.raises(MatrixFormatError, match="rows cols"):
             parse_matrix("x y\n")
 
+    @pytest.mark.parametrize("header", ["0 0", "0 2", "2 0"])
+    def test_zero_dimension_header(self, header):
+        # A fault in the file, as every other header fault is.
+        with pytest.raises(MatrixFormatError, match="at least one row and column"):
+            parse_matrix(f"{header}\n")
+
     def test_missing_rows(self):
         with pytest.raises(MatrixFormatError, match="expected 2 rows"):
             parse_matrix("2 2\n1 2\n")
@@ -492,6 +498,11 @@ class TestBindingsFile:
         links = "".join(f"D{k} = D{k % 2000 + 1}\n" for k in range(1, 2001))
         with pytest.raises(MatrixFormatError, match="circular alias involving D1$"):
             parse_bindings(links)
+
+    @pytest.mark.parametrize("dim", ["0", "00"])
+    def test_zero_identity(self, dim):
+        with pytest.raises(MatrixFormatError, match="use 'I <dim>'"):
+            parse_bindings(f"D1 = I {dim}\n")
 
     def test_bad_line(self):
         with pytest.raises(MatrixFormatError, match="name = target"):

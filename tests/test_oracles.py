@@ -430,6 +430,26 @@ class TestMcOracle:
         rep = mc_oracle(spec, 30_000, seed=21)
         assert rep.zscore(exact) <= 5
 
+    def test_empty_word_estimates_one(self):
+        spec = MomentSpec(WordShape(()), (), 2, 2)
+        rep = mc_oracle(spec, 10, seed=4)
+        assert (rep.estimate, rep.stderr, rep.factor_means) == (1.0, 0.0, ())
+        assert moment(spec).total == wick_oracle(spec) == rep.estimate
+
+    def test_samples_past_budget_refused_before_any_draw(self, monkeypatch):
+        # 1,000 samples of a 2-letter word are 2,000 operations against 1,999.
+        def never(*args):
+            raise AssertionError("drew samples before the budget check")
+
+        spec = make_spec((2,), (-1, 1), 2, 2, seed=12)
+        monkeypatch.setattr(wte.oracles, "_mc_draw", never)
+        monkeypatch.setenv("WTE_BUDGET", "1999")
+        with pytest.raises(BudgetError, match="Monte Carlo sampling"):
+            mc_oracle(spec, 1000)
+        monkeypatch.setenv("WTE_BUDGET", "2000")
+        with pytest.raises(AssertionError, match="before the budget check"):
+            mc_oracle(spec, 1000)
+
     def test_rejects_high_order_cumulant(self):
         spec = MomentSpec(
             WordShape.alternating((2, 2, 2)),
