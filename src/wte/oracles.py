@@ -23,12 +23,13 @@ bits are those of the one-assignment-at-a-time loop that
 the trace-word product.  Sampling is counter-based (Philox keyed by the
 seed) in a fixed draw order, and the reductions are exactly rounded, so
 a given (seed, samples) pair reproduces the same estimate bit for bit no
-matter how the evaluation is scheduled.  The draws are made in chunks
-of at most 4 MiB; Philox draws do not depend on how they are chunked,
-so the chunk size bounds memory without changing any estimate, and
-neither does drawing the next chunk on a background thread (see
-``mc_oracle``): the serial loop that ``tests/mc.py`` keeps gives the
-same bits.
+matter how the evaluation is scheduled.  A background thread draws the
+raw normals in chunks of at most 2 MiB; the calling thread correlates,
+scales and multiplies each chunk through the word in sample blocks of
+about 256 KiB an operand, which fit in L2.  Philox draws do not depend
+on how they are chunked, and every step after the draw works on each
+sample alone, so neither size changes any estimate: the serial loop
+that ``tests/mc.py`` keeps gives the same bits.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ class McReport:
         return abs(self.estimate - exact_value) / self.stderr
 
 
-_MC_CHUNK_BYTES = 4 << 20  # 4 MiB budget for the raw draw of one chunk; two are in flight
+_MC_CHUNK_BYTES = 2 << 20  # 2 MiB budget for the raw draw of one chunk; two are in flight
+_MC_BLOCK_BYTES = 256 << 10  # about 256 KiB an operand per sample block of the products
 
 
 def _gram_factor(spec: MomentSpec, families: Sequence[str]) -> np.ndarray:
@@ -220,12 +222,11 @@ def _gram_factor(spec: MomentSpec, families: Sequence[str]) -> np.ndarray:
 
 
 def _mc_draw(
-    rng: np.random.Generator, chol: np.ndarray, count: int, m_dim: int, n_dim: int
+    rng: np.random.Generator, families: int, count: int, m_dim: int, n_dim: int
 ) -> np.ndarray:
-    """The next ``count`` samples of every family, correlated by ``chol``
-    and scaled by 1/sqrt(n_dim): shape (count, families, m_dim, n_dim)."""
-    raw = rng.standard_normal((count, len(chol), m_dim, n_dim))
-    return np.einsum("gh,shmn->sgmn", chol, raw) / math.sqrt(n_dim)
+    """The next ``count`` raw standard normals of every family, uncorrelated
+    and unscaled: shape (count, families, m_dim, n_dim)."""
+    return rng.standard_normal((count, families, m_dim, n_dim))
 
 
 def mc_oracle(
@@ -264,57 +265,74 @@ def mc_oracle(
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     factor_vals = [np.empty(samples) for _ in range(r)]
-    chunk = max(1, _MC_CHUNK_BYTES // (8 * max(len(families), 1) * m_dim * n_dim))
+    fams = max(len(families), 1)
+    chunk = max(1, _MC_CHUNK_BYTES // (8 * fams * m_dim * n_dim))
+    block = max(1, _MC_BLOCK_BYTES // (8 * fams * max(m_dim, n_dim) ** 2))
     counts = [min(chunk, samples - done) for done in range(0, samples, chunk)]
 
     from concurrent.futures import ThreadPoolExecutor
 
     # One thread, the only code that touches rng, draws chunk k + 1 while
-    # this one multiplies chunk k, so two chunks are in flight; both stages
-    # run in numpy with the GIL released.  The chunks are taken in order,
-    # so the stream is the same.
+    # this one correlates and multiplies chunk k a block at a time, so two
+    # chunks are in flight; both stages run in numpy with the GIL
+    # released.  The chunks are taken in order, so the stream is the same.
     drawer = ThreadPoolExecutor(1)
     try:
-        pending = drawer.submit(_mc_draw, rng, chol, counts[0], m_dim, n_dim)
+        pending = drawer.submit(_mc_draw, rng, len(families), counts[0], m_dim, n_dim)
         done = 0
         for i, count in enumerate(counts):
-            correlated = pending.result()
+            raw = pending.result()
             if i + 1 < len(counts):
-                pending = drawer.submit(_mc_draw, rng, chol, counts[i + 1], m_dim, n_dim)
-            letter_mats = {}
-            for fam, gi in fam_index.items():
-                x = correlated[:, gi]
-                if fam in spec.wigner:
-                    x = 0.5 * (x + np.swapaxes(x, -1, -2))
-                letter_mats[fam] = x
-            for fi, (a, b) in enumerate(ranges):
-                prod = None
-                for k in range(a, b + 1):
-                    x = letter_mats[shape.labels[k - 1]]
-                    if shape.labels[k - 1] not in spec.wigner and eps[k - 1] == -1:
-                        x = np.swapaxes(x, -1, -2)
-                    prod = x if prod is None else prod @ x
-                    prod = prod @ const[k - 1]
-                traces = np.einsum("sii->s", prod) / n_dim
-                factor_vals[fi][done : done + count] = traces
+                pending = drawer.submit(_mc_draw, rng, len(families), counts[i + 1], m_dim, n_dim)
+            for lo in range(0, count, block):
+                correlated = np.einsum("gh,shmn->sgmn", chol, raw[lo : lo + block])
+                correlated /= math.sqrt(n_dim)
+                letter_mats = {}
+                for fam, gi in fam_index.items():
+                    x = correlated[:, gi]
+                    if fam in spec.wigner:
+                        x = 0.5 * (x + np.swapaxes(x, -1, -2))
+                    letter_mats[fam] = x
+                at = done + lo
+                for fi, (a, b) in enumerate(ranges):
+                    prod = None
+                    for k in range(a, b + 1):
+                        x = letter_mats[shape.labels[k - 1]]
+                        if shape.labels[k - 1] not in spec.wigner and eps[k - 1] == -1:
+                            x = np.swapaxes(x, -1, -2)
+                        prod = x if prod is None else prod @ x
+                        prod = prod @ const[k - 1]
+                    traces = np.einsum("sii->s", prod) / n_dim
+                    factor_vals[fi][at : at + len(traces)] = traces
             done += count
     finally:
         # Waits for a draw in flight, so no thread outlives the call.
         drawer.shutdown(cancel_futures=True)
 
-    factor_means = tuple(math.fsum(fv.tolist()) / samples for fv in factor_vals)
+    def floats(values: np.ndarray):
+        # Python floats, 4,096 (about 128 KiB) at a time: no list spans the samples.
+        for lo in range(0, len(values), 4096):
+            yield from values[lo : lo + 4096].tolist()
+
+    # Once the means are taken, factor_vals is reused in place.
+    factor_means = tuple(math.fsum(floats(fv)) / samples for fv in factor_vals)
     cumulant = statistic == "cumulant" and r == 2
     if cumulant:
         # Plug-in covariance of the two factors, stderr via its influence values.
-        values = (factor_vals[0] - factor_means[0]) * (factor_vals[1] - factor_means[1])
+        values, y2 = factor_vals
+        values -= factor_means[0]
+        y2 -= factor_means[1]
+        values *= y2
     else:
-        values = np.ones(samples)
-        for fv in factor_vals:
+        values = factor_vals[0] if r else np.ones(samples)
+        for fv in factor_vals[1:]:
             values *= fv
-    vals = values.tolist()
-    total = math.fsum(vals)
+    total = math.fsum(floats(values))
     mean = total / samples
-    var = math.fsum((v - mean) ** 2 for v in vals) / (samples - 1)
+    # A Python float's ** is the serial loop's C pow, which numpy's x * x
+    # differs from in the last bit now and then, and it raises
+    # OverflowError where numpy would warn and give inf.
+    var = math.fsum((v - mean) ** 2 for v in floats(values)) / (samples - 1)
     return McReport(
         estimate=total / (samples - 1) if cumulant else mean,
         stderr=math.sqrt(var / samples),

@@ -978,6 +978,19 @@ class TestVerifyCommand:
         (check,) = json.loads(proc.stdout)["checks"]
         assert proc.returncode == 1 and (check["engine"], check["oracle"]) == ("0.0", "nan")
 
+    def test_sample_variance_overflow_is_1(self, tmp_path):
+        # Deviations of about 1e160 square past the largest double: one
+        # error line and exit 1, not an inf stderr that passes.
+        (tmp_path / "d1.txt").write_text("2 2\n1e160 0\n0 1e160\n")
+        (tmp_path / "b.txt").write_text(f"D1 = {tmp_path / 'd1.txt'}\nD2 = I 2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wte.cli", "verify", "--expr", QUAD, "--bind",
+             str(tmp_path / "b.txt"), "-N", "2", "-M", "2", "--samples", "1000", "--seed", "1"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: (34, 'Numerical result out of range')\n"
+
     def test_interrupt_while_sampling_exits_130(self):
         # 2,000 one-sample chunks; the second draw sends this process
         # SIGINT, which the calling thread raises as KeyboardInterrupt

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,15 @@ def set_chunk(monkeypatch, spec, samples):
     )
 
 
+def set_block(monkeypatch, spec, samples):
+    """Size the oracle's sample blocks to ``samples`` samples of ``spec``."""
+    families = len(set(spec.shape.labels))
+    monkeypatch.setattr(
+        wte.oracles, "_MC_BLOCK_BYTES",
+        samples * 8 * families * max(spec.n_dim, spec.m_dim) ** 2,
+    )
+
+
 class TestMcOracle:
     def test_deterministic_replay(self):
         spec = make_spec((2,), (-1, 1), 4, 4, seed=10)
@@ -450,6 +460,31 @@ class TestMcOracle:
         with pytest.raises(AssertionError, match="before the budget check"):
             mc_oracle(spec, 1000)
 
+    def test_variance_overflow_raises(self):
+        # Deviations of about 1e160 square past the largest double; the
+        # variance raises as Python's float power does, not an inf stderr.
+        shape = WordShape.alternating((2,))
+        big = Matrix([[1e160, 0], [0, 1e160]])
+        spec = MomentSpec(shape, (big, Matrix.identity(2)), 2, 2)
+        with pytest.raises(OverflowError) as info:
+            mc_oracle(spec, 1000, seed=1)
+        assert str(info.value) == "(34, 'Numerical result out of range')"
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_peak_memory_per_sample(self, r):
+        # The products keep one float64 per sample and factor; the tail
+        # works in place, and only two chunks of draws are in flight.
+        samples = 1_000_000
+        shape = WordShape.alternating((2,) * r)
+        spec = MomentSpec(shape, (Matrix.identity(2),) * (2 * r), 2, 2)
+        tracemalloc.start()
+        try:
+            mc_oracle(spec, samples, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (r + 2) * samples + 2 * wte.oracles._MC_CHUNK_BYTES
+
     def test_rejects_high_order_cumulant(self):
         spec = MomentSpec(
             WordShape.alternating((2, 2, 2)),
@@ -473,20 +508,45 @@ class TestMcDrawThread:
     products; the report is the serial loop's, bit for bit, and no thread
     outlives the call."""
 
-    @pytest.mark.parametrize("chunk", [400, 200, 150], ids=["one", "two", "ragged"])
+    @pytest.mark.parametrize(
+        ("chunk", "block"),
+        [(400, None), (200, None), (150, None), (150, 1), (150, 7), (150, 1000)],
+        ids=["one", "two", "ragged", "one-sample-blocks", "ragged-blocks",
+             "blocks-past-the-chunk"],
+    )
     @pytest.mark.parametrize("word", MC_WORDS)
-    def test_matches_the_serial_loop(self, monkeypatch, word, chunk):
+    def test_matches_the_serial_loop(self, monkeypatch, word, chunk, block):
         spec, statistic = mc_word(word)
         want = mc_reference(spec, 400, seed=17, statistic=statistic)
         set_chunk(monkeypatch, spec, chunk)
+        if block is not None:
+            set_block(monkeypatch, spec, block)
         before = threading.active_count()
         got = mc_oracle(spec, 400, seed=17, statistic=statistic)
         assert report_bits(got) == report_bits(want)
         assert threading.active_count() == before
 
+    # The reports at 400 samples and seed 17, pinned so that a change that
+    # moves the oracle and the serial loop together still fails.
+    PINNED = {
+        "one_family": ("-0x1.a95284530516cp-5", "0x1.1a24ef9b2475cp+0",
+                       ["-0x1.a95284530516cp-5"], 400, 17, "moment"),
+        "gram": ("-0x1.25f23137e6afep-4", "0x1.2e5cb59054e5ep+0",
+                 ["-0x1.03121669d7c63p+0", "-0x1.0c9de1cfada21p+0"], 400, 17, "cumulant"),
+        "wigner": ("0x1.95c6ab7b91257p+1", "0x1.25a95c232b83cp+1",
+                   ["0x1.95c6ab7b91257p+1"], 400, 17, "moment"),
+    }
+
+    @pytest.mark.parametrize("word", MC_WORDS)
+    def test_pinned_bits(self, word):
+        spec, statistic = mc_word(word)
+        got = mc_oracle(spec, 400, seed=17, statistic=statistic)
+        assert report_bits(got) == self.PINNED[word]
+
     def test_matches_the_serial_loop_at_the_default_budget(self):
-        # 4 MiB chunks hold 512 samples of one 32 x 32 family: three chunks,
-        # the last ragged, against the serial loop's two 8 MiB chunks.
+        # 2 MiB chunks hold 256 samples of one 32 x 32 family, multiplied
+        # 32 at a time: five chunks, the last ragged, against the serial
+        # loop's two 8 MiB chunks, each multiplied whole.
         spec = make_spec((4,), (-1, 1, -1, 1), 32, 32, seed=18)
         want = mc_reference(spec, 1200, seed=19)
         assert report_bits(mc_oracle(spec, 1200, seed=19)) == report_bits(want)
