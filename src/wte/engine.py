@@ -23,7 +23,8 @@ Each list of factor lengths compiles once into a plan
 (``_combinatorics``); a chunk's skeleton (``_Skeleton``) decodes and
 glues its pairings under every transpose-sign row and walks their
 cycles; ``_Sum.columns`` reads its weights, traces and values as arrays,
-in this process or a worker (``_mapped``); ``_Sum.assemble`` builds its
+in this process or a worker (``_mapped``), or for a cumulant takes them
+from its moment's (``_moment_columns``); ``_Sum.assemble`` builds its
 ``TermReport``s in this process; and ``_evaluate`` reduces the chunks.
 The per-pairing functions of ``gluing.py`` are the specification the
 kernel is tested against.
@@ -57,9 +58,10 @@ import itertools
 import math
 import os
 import signal
+import threading
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -437,9 +439,10 @@ class _Plan:
 
         # Pointer doubling: after j steps, lead[x] is the smallest position
         # among x, v(x), ..., v^(2^j - 1)(x); 2^j >= 2m covers every cycle.
-        lead, hop = np.tile(pos, count), (img + base).ravel()
+        lead = np.tile(pos.astype(np.min_scalar_type(2 * m)), count)
+        hop = (img + base).ravel()
         for _ in range(self.doublings):
-            lead = np.minimum(lead, lead[hop])
+            np.minimum(lead, lead[hop], out=lead)
             hop = hop[hop]
         is_lead = lead.reshape(img.shape) == pos
         particular = is_lead[:, 0::2]  # leads that are positive letters
@@ -658,7 +661,10 @@ def _trie_traces(
         for k in np.flatnonzero(np.bincount(at_kind[ending])).tolist():
             rows = ending[at_kind[ending] == k]
             diagonal = prods[k].diagonal(axis1=1, axis2=2)[at_where[rows]]
-            sums = diagonal.sum(axis=1).tolist() if exact else map(math.fsum, diagonal.tolist())
+            if exact:
+                sums = diagonal.sum(axis=1).tolist()
+            else:  # rows as tuples, the same floats in the same order
+                sums = map(math.fsum, zip(*diagonal.T.tolist()))
             traces[rows] = list(sums)
     return traces
 
@@ -755,6 +761,43 @@ _SHARD_CHUNKS = 8
 _skeleton = lru_cache(maxsize=2 * (_SHARD_CHUNKS - 1))(_Skeleton)
 
 
+class _Memo:
+    """A map of at most ``maxsize`` entries, the least recently stored out
+    first, whose calls from several threads take turns."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize, self._lock = maxsize, threading.Lock()
+        self._entries: collections.OrderedDict = collections.OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            return self._entries.get(key)
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+# The moment columns of the chunks that ``_skeleton`` memoises, over all
+# rows and without the skeleton, keyed by the spec's fingerprint, the mode,
+# the pairings per chunk and the first pairing, under ``_skeleton``'s entry
+# bound: at most 4,096 rows of three read-only arrays an entry, about 3 MB
+# in all.  Every moment of such a sum stores its columns and reads none.  A
+# cumulant reads its moment's and keeps their connected rows; on a miss it
+# computes only those, so a lone cumulant (``clt_report``) works as before.
+_moment_columns = _Memo(_skeleton.cache_info().maxsize)
+
+
 def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, int]]:
     """Every pairing's (index, blocks, surface census, crossings), in
     canonical order, for the transpose signs as written: per chunk, one
@@ -776,15 +819,16 @@ class _Columns:
     into ``TermReport``s by ``_Sum.assemble``: the chunk's skeleton, the
     rows of it that are terms, in canonical order, and per term the index
     of its weight in ``weights`` and its value, a float64, or in exact mode
-    an integer numerator over ``den``.  ``total`` is the exact sum of the
-    values, 0 in float mode.
+    an integer numerator over ``den`` (an object array).  ``total`` is the
+    exact sum of the values, 0 in float mode.  An entry of
+    ``_moment_columns`` has no skeleton.
     """
 
-    skeleton: _Skeleton
+    skeleton: Optional[_Skeleton]
     rows: np.ndarray
     weights: list
     weight: np.ndarray
-    values: Union[np.ndarray, list]
+    values: np.ndarray
     den: int
     total: Number
 
@@ -795,7 +839,10 @@ class _Sum:
     process may run since it reads nothing but its first index and this
     object, and then ``assemble``, which builds its terms."""
 
-    def __init__(self, spec: MomentSpec, wigner_pos: list[int], transitive_only: bool, exact: bool):
+    def __init__(
+        self, spec: MomentSpec, wigner_pos: list[int], transitive_only: bool, exact: bool,
+        fingerprint: str,
+    ):
         shape, w = spec.shape, len(wigner_pos)
         self.spec, self.transitive_only, self.exact = spec, transitive_only, exact
         # One row of transpose signs per assignment to the Wigner letters, in
@@ -810,14 +857,27 @@ class _Sum:
         self.pairs = [(a, b) for a in self.families for b in self.families]  # by code of (a, b)
         rows = max(1, _CHUNK_TERMS >> w)
         self.rows, self.firsts = rows, range(0, pairing_count(shape.m), rows)
-        self.skeleton = _skeleton if len(self.firsts) < _SHARD_CHUNKS else _Skeleton
+        small = len(self.firsts) < _SHARD_CHUNKS
+        self.skeleton = _skeleton if small else _Skeleton
         self.signs = self.eps.tobytes()
+        self.memo = (fingerprint, exact, rows) if small else None
 
     def columns(self, first: int) -> _Columns:
         """The per-call work of the chunk from pairing ``first`` on its
         skeleton: weights, traces and values."""
         spec, exact, signs = self.spec, self.exact, len(self.eps)
         s = self.skeleton(self.plan, self.signs, first, self.rows)
+        memo_key = self.memo and (*self.memo, first)
+        # Terms in canonical order: by pairing, then by sign assignment.
+        if not self.transitive_only:
+            rows = np.arange(s.size)
+        else:
+            rows = np.flatnonzero(s.connected.repeat(signs))
+            full = _moment_columns.get(memo_key) if memo_key else None
+            if full is not None:  # the moment's columns on the connected rows
+                values = full.values[rows]
+                total = Fraction(sum(values), full.den) if exact else 0
+                return _Columns(s, rows, full.weights, full.weight[rows], values, full.den, total)
         codes = self.family[s.opens - 1] * len(self.families) + self.family[s.closes - 1]
         key = np.column_stack([s.cross, codes])
         # One weight per distinct (crossings, block family pairs) row.
@@ -826,10 +886,6 @@ class _Sum:
             _block_weight(k[0], [self.pairs[c] for c in k[1:]], spec, exact) * self.share
             for k in key[firsts].tolist()
         ]
-        # Terms in canonical order: by pairing, then by sign assignment.
-        rows = np.arange(s.size)
-        if self.transitive_only:
-            rows = np.flatnonzero(s.connected.repeat(signs))
         kind = kind.reshape(-1).repeat(signs)[rows]
         den = 1
         if exact:
@@ -860,23 +916,26 @@ class _Sum:
             if exact:
                 # An untraced cycle reads 0, so a term of weight 0 has
                 # numerator 0.
-                values = (weight * product).tolist()
+                values = weight * product
                 total: Number = Fraction(sum(values), den)
             else:
                 values, total = np.where(zero, weight, weight * product), 0
-        return _Columns(s, rows, weights, kind, values, den, total)
+        columns = _Columns(s, rows, weights, kind, values, den, total)
+        if memo_key and not self.transitive_only:
+            for a in (rows, kind, values):
+                a.flags.writeable = False
+            _moment_columns.put(memo_key, replace(columns, skeleton=None))
+        return columns
 
     def assemble(self, c: _Columns) -> list[TermReport]:
         """The chunk's terms, built column by column from the objects of its
         skeleton, which its terms and every call that shares the skeleton
         share."""
-        s = c.skeleton
-        if not self.exact:
-            values = c.values.tolist()
-        elif c.den == 1:  # Fraction(x) skips the gcd
-            values = list(map(Fraction, c.values))
-        else:
-            values = [Fraction(x, c.den) for x in c.values]
+        s, values = c.skeleton, c.values.tolist()
+        if self.exact and c.den == 1:  # Fraction(x) skips the gcd
+            values = list(map(Fraction, values))
+        elif self.exact:
+            values = [Fraction(x, c.den) for x in values]
         blocks, cycles, surfaces = s.blocks, s.cycles, s.surfaces
         if len(c.rows) < s.size:
             rows = c.rows.tolist()
@@ -1009,7 +1068,7 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool, threads: int
         "spec_hash": spec.fingerprint(),
     }
 
-    job = _Sum(spec, wigner_pos, transitive_only, exact)
+    job = _Sum(spec, wigner_pos, transitive_only, exact, metadata["spec_hash"])
     # Per chunk, its exact total, or in float mode its float64 values,
     # which one fsum adds.
     terms, sums = [], []

@@ -12,12 +12,16 @@ numpy, in slices of ``_WICK_SLICE`` assignments taken in
 ``itertools.product`` order.  Per slice the assignments are decoded
 into each block's row and column digits, each letter's slot entries
 are gathered with one fancy index, and the m gathered columns are
-multiplied in letter order.  Exact mode multiplies object arrays of
-the entries themselves (``int`` or ``Fraction``).  Float mode
-multiplies float64 arrays and sums each slice as a left fold in
-assignment order (``np.add.accumulate``, carried across slices), so its
-bits are those of the one-assignment-at-a-time loop that
-``tests/wick.py`` keeps as the specification.
+multiplied in letter order.  Exact mode multiplies int64 arrays when
+every slot holds ``int`` entries and ``_WICK_SLICE * amax^m < 2^62`` for
+the largest |entry| amax: a product of m entries is at most amax^m in
+absolute value and a slice sums at most ``_WICK_SLICE`` of them, so
+none leaves int64 and the sums are the same Python ints.  Otherwise it
+multiplies object arrays of the entries themselves (``int`` or
+``Fraction``).  Float mode multiplies float64 arrays and sums each slice
+as a left fold in assignment order (``np.add.accumulate``, carried
+across slices), so its bits are those of the one-assignment-at-a-time
+loop that ``tests/wick.py`` keeps as the specification.
 
 ``mc_oracle`` samples the Gaussian matrix families directly and averages
 the trace-word product.  Sampling is counter-based (Philox keyed by the
@@ -112,8 +116,12 @@ def wick_oracle(spec: MomentSpec, *, exact: bool = True) -> Number:
     if exact and not all(mat.is_exact for mat in spec.matrices):
         raise ValueError("exact mode requires integer or rational matrix entries")
 
-    entries = [mat.as_array(exact=exact) for mat in spec.matrices]
-    dtype = object if exact else float
+    amaxes = [mat.amax for mat in spec.matrices]
+    if exact and None not in amaxes and _WICK_SLICE * max(amaxes, default=0) ** m < 1 << 62:
+        entries, dtype = [mat.as_int64() for mat in spec.matrices], np.int64
+    else:
+        entries = [mat.as_array(exact=exact) for mat in spec.matrices]
+        dtype = object if exact else float
 
     gamma, _ = _rotation_arrays(shape.lengths)
     assignments = list(itertools.product((1, -1), repeat=w))
@@ -175,7 +183,8 @@ def wick_oracle(spec: MomentSpec, *, exact: bool = True) -> Number:
                     for ent, first, second in plan:
                         prod *= ent[digits[first], digits[second]]
                     if exact:
-                        acc = acc + prod.sum()
+                        part = prod.sum()
+                        acc = acc + (int(part) if dtype is np.int64 else part)
                     else:
                         # A left fold in assignment order, carried across
                         # slices: the bits of the scalar loop's sum.
@@ -332,7 +341,13 @@ def mc_oracle(
     # A Python float's ** is the serial loop's C pow, which numpy's x * x
     # differs from in the last bit now and then, and it raises
     # OverflowError where numpy would warn and give inf.
-    var = math.fsum((v - mean) ** 2 for v in floats(values)) / (samples - 1)
+    try:
+        var = math.fsum((v - mean) ** 2 for v in floats(values)) / (samples - 1)
+    except OverflowError:
+        raise OverflowError(
+            "Monte Carlo variance out of float range: the samples' squared "
+            "deviations from their mean pass the largest double"
+        ) from None
     return McReport(
         estimate=total / (samples - 1) if cumulant else mean,
         stderr=math.sqrt(var / samples),

@@ -989,7 +989,10 @@ class TestVerifyCommand:
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: (34, 'Numerical result out of range')\n"
+        assert proc.stderr == (
+            "error: Monte Carlo variance out of float range: the samples' squared "
+            "deviations from their mean pass the largest double\n"
+        )
 
     def test_interrupt_while_sampling_exits_130(self):
         # 2,000 one-sample chunks; the second draw sends this process

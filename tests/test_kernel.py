@@ -2,9 +2,13 @@
 ``vertex_permutation``, ``particular_cycles``, ``surface_census``,
 ``is_transitive``, ``crossings``, ``pairing_weight`` and ``trace_along``."""
 
+import hashlib
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -611,6 +615,7 @@ class TestSkeletonMemo:
                 start.wait()
                 for _ in range(3):
                     wte.engine._skeleton.cache_clear()
+                    wte.engine._moment_columns.clear()
                     out.append([as_rows(fn(spec, exact=exact))
                                 for spec in specs for fn in (moment, cumulant)])
             except Exception as exc:
@@ -628,3 +633,141 @@ class TestSkeletonMemo:
             sys.setswitchinterval(interval)
         assert errors == []
         assert got[0] == got[1] == [want] * 3
+
+
+def memo_word(name, exact):
+    """A spec of each path a cumulant takes through the moment-column
+    memo: one factor, two factors of six letters, q = 1/2, a Gram word and
+    a Wigner word."""
+    rng = random.Random(name)
+    labels, kw = (), {}
+    if name == "gram":
+        labels = ("X", "Y") * 4
+        kw["gram"] = Gram(("X", "Y"), ((1, Fraction(1, 3)), (Fraction(1, 3), 2)))
+    elif name == "wigner":
+        labels, kw["wigner"] = ("X", "Z", "X", "X", "Z", "X", "X", "X"), frozenset({"Z"})
+    elif name == "q_half":
+        kw["q"] = Fraction(1, 2)
+    lengths = (6, 6) if name == "six_six" else (8,) if name == "one_factor" else (5, 3)
+    shape = WordShape(lengths, tuple(rng.choice((1, -1)) for _ in range(sum(lengths))), labels)
+    n, m = (3, 3) if name == "wigner" else (3, 2)
+    make = int_matrices if exact else float_matrices
+    return MomentSpec(shape, make(rng, shape, n, m), n, m, **kw)
+
+
+def same_result(a, b, exact):
+    """Equal terms by repr, and the same total: exact Fractions or float bits."""
+    assert repr(a.terms) == repr(b.terms)
+    if exact:
+        assert a.total == b.total and type(a.total) is type(b.total)
+    else:
+        assert a.total.hex() == b.total.hex()
+
+
+MEMO_WORDS = ["one_factor", "six_six", "q_half", "gram", "wigner"]
+
+
+class TestMomentColumnsMemo:
+    """A cumulant after its spec's moment keeps the moment's memoised
+    columns on the connected rows, with the terms and total of a fresh
+    cumulant; a moment never reads the memo."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("name", MEMO_WORDS)
+    def test_cumulant_after_moment_is_a_fresh_cumulant(self, traced, name, exact):
+        spec = memo_word(name, exact)
+        fresh = cumulant(spec, exact=exact)
+        assert traced and len(wte.engine._moment_columns) == 0  # a lone cumulant stores none
+        moment(spec, exact=exact)
+        w = sum(lab in spec.wigner for lab in spec.shape.labels)
+        rows = wte.engine._CHUNK_TERMS >> w
+        assert len(wte.engine._moment_columns) == -(-pairing_count(spec.shape.m) // rows)
+        traced.clear()
+        reused = cumulant(spec, exact=exact)
+        assert traced == []  # every chunk was memoised
+        same_result(reused, fresh, exact)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_matches_a_fresh_process(self, exact):
+        # The (6, 6) word's cumulant in a process of its own.
+        script = (
+            "import hashlib, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_kernel import memo_word\n"
+            "from wte.engine import cumulant\n"
+            "exact = sys.argv[2] == 'exact'\n"
+            "res = cumulant(memo_word('six_six', exact), exact=exact)\n"
+            "total = str(res.total) if exact else res.total.hex()\n"
+            "print(total, hashlib.sha256(repr(res.terms).encode()).hexdigest())\n"
+        )
+        tests = str(pathlib.Path(__file__).resolve().parent)
+        src = str(pathlib.Path(wte.engine.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+        mode = "exact" if exact else "float"
+        out = subprocess.run([sys.executable, "-c", script, tests, mode], capture_output=True,
+                             text=True, timeout=120, env=env, check=True).stdout
+        spec = memo_word("six_six", exact)
+        moment(spec, exact=exact)
+        res = cumulant(spec, exact=exact)
+        total = str(res.total) if exact else res.total.hex()
+        assert out.split() == [total, hashlib.sha256(repr(res.terms).encode()).hexdigest()]
+
+    @pytest.mark.parametrize("change", ["entry", "q", "wigner"])
+    def test_another_spec_misses(self, traced, change):
+        spec = memo_word("wigner", True)
+        if change == "entry":
+            mats = list(spec.matrices)
+            mats[2] = Matrix([[x + 1 for x in row] for row in mats[2].entries])
+            other = MomentSpec(spec.shape, mats, 3, 3, wigner=spec.wigner)
+        elif change == "q":
+            other = MomentSpec(spec.shape, spec.matrices, 3, 3, q=Fraction(1, 3),
+                               wigner=spec.wigner)
+        else:
+            other = MomentSpec(spec.shape, spec.matrices, 3, 3)
+        moment(spec, exact=True)
+        traced.clear()
+        got = cumulant(other, exact=True)
+        assert traced  # it traced its own cycles
+        wte.engine._moment_columns.clear()
+        same_result(got, cumulant(other, exact=True), True)
+
+    def test_entry_bound_and_read_only_entries(self, traced):
+        memo = wte.engine._moment_columns
+        assert memo.maxsize == wte.engine._skeleton.cache_info().maxsize == 14
+        rng = random.Random(25)
+        shape = WordShape.alternating((6,))
+        specs = [MomentSpec(shape, int_matrices(rng, shape, 2, 2), 2, 2) for _ in range(15)]
+        for k, spec in enumerate(specs, start=1):
+            moment(spec, exact=True)
+            assert len(memo) == min(k, 14)
+        for entry in memo._entries.values():
+            assert entry.skeleton is None and len(entry.rows) == pairing_count(6)
+            for a in (entry.rows, entry.weight, entry.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+        # The first spec's columns, the least recently stored, went.
+        traced.clear()
+        cumulant(specs[-1], exact=True)
+        assert traced == []
+        cumulant(specs[0], exact=True)
+        assert traced
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_moment_never_reads_the_memo(self, traced, exact):
+        spec = memo_word("one_factor", exact)
+        first = moment(spec, exact=exact)
+        cumulant(spec, exact=exact)
+        traced.clear()
+        again = moment(spec, exact=exact)
+        assert traced  # it traced every chunk again
+        wte.engine._moment_columns.clear()
+        wte.engine._skeleton.cache_clear()
+        same_result(again, first, exact)
+        same_result(again, moment(spec, exact=exact), exact)
+
+    def test_sums_of_many_chunks_never_enter(self, monkeypatch):
+        # 105 pairings in chunks of 13: 9 chunks, which never enter.
+        monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 13)
+        spec = memo_word("one_factor", True)
+        moment(spec, exact=True)
+        assert len(wte.engine._moment_columns) == 0

@@ -173,6 +173,29 @@ class TestArraySumMatchesReference:
         monkeypatch.setattr(wte.oracles, "_WICK_SLICE", 3)
         assert wick_oracle(spec) == wick_reference(spec) == moment(spec, exact=True).total
 
+    @pytest.mark.parametrize("amax, int64", [(2**30 - 1, True), (2**30, False)])
+    def test_int64_sum_up_to_its_bound(self, monkeypatch, amax, int64):
+        # tr(X' D1 X D2) at N = M = 2 sums 4 assignments a pairing; in one
+        # slice of 4 the int64 bound 4 * amax^2 < 2^62 holds for amax < 2^30.
+        # Every product here is amax^2, so the slice sums to 4 * amax^2.
+        d = Matrix([[amax, amax], [amax, amax]])
+        spec = MomentSpec(WordShape.alternating((2,)), (d, d), 2, 2)
+        want = moment(spec, exact=True).total
+        monkeypatch.setattr(wte.oracles, "_WICK_SLICE", 4)
+        loads, as_int64 = [], Matrix.as_int64
+        monkeypatch.setattr(Matrix, "as_int64", lambda a: loads.append(a) or as_int64(a))
+        got = wick_oracle(spec)
+        assert bool(loads) is int64
+        assert got == wick_reference(spec) == want and type(got) is Fraction
+
+    def test_fraction_and_float_entries_keep_the_object_sum(self, monkeypatch):
+        loads, as_int64 = [], Matrix.as_int64
+        monkeypatch.setattr(Matrix, "as_int64", lambda a: loads.append(a) or as_int64(a))
+        fraction, floats = _word("fraction"), _word("q_half")
+        assert wick_oracle(fraction) == wick_reference(fraction)
+        assert wick_oracle(floats, exact=False) == wick_reference(floats, exact=False)
+        assert loads == []
+
     def test_empty_word(self):
         spec = MomentSpec(WordShape(()), (), 2, 3)
         assert wick_oracle(spec) == wick_reference(spec) == 1
@@ -462,13 +485,17 @@ class TestMcOracle:
 
     def test_variance_overflow_raises(self):
         # Deviations of about 1e160 square past the largest double; the
-        # variance raises as Python's float power does, not an inf stderr.
+        # variance raises an OverflowError that names it and its cause,
+        # not an inf stderr.
         shape = WordShape.alternating((2,))
         big = Matrix([[1e160, 0], [0, 1e160]])
         spec = MomentSpec(shape, (big, Matrix.identity(2)), 2, 2)
         with pytest.raises(OverflowError) as info:
             mc_oracle(spec, 1000, seed=1)
-        assert str(info.value) == "(34, 'Numerical result out of range')"
+        assert str(info.value) == (
+            "Monte Carlo variance out of float range: the samples' squared "
+            "deviations from their mean pass the largest double"
+        )
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_peak_memory_per_sample(self, r):
