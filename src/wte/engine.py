@@ -23,8 +23,8 @@ Each list of factor lengths compiles once into a plan
 (``_combinatorics``); a chunk's skeleton (``_Skeleton``) decodes and
 glues its pairings under every transpose-sign row and walks their
 cycles; ``_Sum.columns`` reads its weights, traces and values as arrays,
-in this process or a worker (``_mapped``), or for a cumulant takes them
-from its moment's (``_moment_columns``); ``_Sum.assemble`` builds its
+in this process or a worker (``_mapped``), or for a cumulant keeps those
+its skeleton holds (``_Skeleton.moment``); ``_Sum.assemble`` builds its
 ``TermReport``s in this process; and ``_evaluate`` reduces the chunks.
 The per-pairing functions of ``gluing.py`` are the specification the
 kernel is tested against.
@@ -58,10 +58,9 @@ import itertools
 import math
 import os
 import signal
-import threading
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -686,11 +685,16 @@ class _Skeleton:
     read-only.  The objects that terms share, one per row (``blocks``,
     ``cycles``, ``surfaces``), are built on first use, so a worker
     process, which returns the arrays, builds none.
+
+    ``moment`` is ``(None, None)``, or in one of ``_skeleton`` the last
+    moment on it, ``(_Sum.memo, (weights, weight, values, den))`` of its
+    ``_Columns``: read-only arrays that refer to no skeleton, in one tuple,
+    set and read whole, so threads that share the skeleton need no lock.
     """
 
     def __init__(self, plan: _Plan, signs: bytes, first: int, rows: int):
         eps = np.frombuffer(signs, dtype=np.int8).reshape(-1, plan.m + 1)
-        self.first, self.signs = first, len(eps)
+        self.first, self.signs, self.moment = first, len(eps), (None, None)
         self.lengths, self.signed = plan.lengths, plan.signed
         stop = min(pairing_count(plan.m), first + rows)
         partner, opens, closes = _pairing_table(plan.m, first, stop)
@@ -755,47 +759,11 @@ _SHARD_CHUNKS = 8
 # used out first.  Such a chunk holds at most ``_CHUNK_TERMS`` rows (with
 # w <= 12 Wigner letters, 4,096 >> w pairings under 2^w sign rows; w >= 13
 # needs m >= 14, which is 8 chunks or more), about 370 bytes each at m=12,
-# so the memo holds at most about 22 MB.  A sweep over N, a moment and then
-# the cumulant of one spec, and ``clt_report`` over factors of equal
-# lengths reuse them; ``wte moment``, one sum a process, never does.
+# so the memo holds at most about 22 MB, and their ``moment``s about 3 MB
+# more.  A sweep over N, a moment and then the cumulant of one spec, and
+# ``clt_report`` over factors of equal lengths reuse them; ``wte moment``,
+# one sum a process, never does.
 _skeleton = lru_cache(maxsize=2 * (_SHARD_CHUNKS - 1))(_Skeleton)
-
-
-class _Memo:
-    """A map of at most ``maxsize`` entries, the least recently stored out
-    first, whose calls from several threads take turns."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize, self._lock = maxsize, threading.Lock()
-        self._entries: collections.OrderedDict = collections.OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        with self._lock:
-            return self._entries.get(key)
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-# The moment columns of the chunks that ``_skeleton`` memoises, over all
-# rows and without the skeleton, keyed by the spec's fingerprint, the mode,
-# the pairings per chunk and the first pairing, under ``_skeleton``'s entry
-# bound: at most 4,096 rows of three read-only arrays an entry, about 3 MB
-# in all.  Every moment of such a sum stores its columns and reads none.  A
-# cumulant reads its moment's and keeps their connected rows; on a miss it
-# computes only those, so a lone cumulant (``clt_report``) works as before.
-_moment_columns = _Memo(_skeleton.cache_info().maxsize)
 
 
 def census_rows(shape: WordShape) -> Iterator[tuple[int, tuple, SurfaceReport, int]]:
@@ -819,18 +787,15 @@ class _Columns:
     into ``TermReport``s by ``_Sum.assemble``: the chunk's skeleton, the
     rows of it that are terms, in canonical order, and per term the index
     of its weight in ``weights`` and its value, a float64, or in exact mode
-    an integer numerator over ``den`` (an object array).  ``total`` is the
-    exact sum of the values, 0 in float mode.  An entry of
-    ``_moment_columns`` has no skeleton.
+    an integer numerator over ``den`` (an object array).
     """
 
-    skeleton: Optional[_Skeleton]
+    skeleton: _Skeleton
     rows: np.ndarray
     weights: list
     weight: np.ndarray
     values: np.ndarray
     den: int
-    total: Number
 
 
 class _Sum:
@@ -860,24 +825,22 @@ class _Sum:
         small = len(self.firsts) < _SHARD_CHUNKS
         self.skeleton = _skeleton if small else _Skeleton
         self.signs = self.eps.tobytes()
-        self.memo = (fingerprint, exact, rows) if small else None
+        self.memo = (fingerprint, exact) if small else None
 
     def columns(self, first: int) -> _Columns:
         """The per-call work of the chunk from pairing ``first`` on its
         skeleton: weights, traces and values."""
         spec, exact, signs = self.spec, self.exact, len(self.eps)
         s = self.skeleton(self.plan, self.signs, first, self.rows)
-        memo_key = self.memo and (*self.memo, first)
         # Terms in canonical order: by pairing, then by sign assignment.
         if not self.transitive_only:
             rows = np.arange(s.size)
         else:
             rows = np.flatnonzero(s.connected.repeat(signs))
-            full = _moment_columns.get(memo_key) if memo_key else None
-            if full is not None:  # the moment's columns on the connected rows
-                values = full.values[rows]
-                total = Fraction(sum(values), full.den) if exact else 0
-                return _Columns(s, rows, full.weights, full.weight[rows], values, full.den, total)
+            held, moment = s.moment
+            if self.memo and held == self.memo:  # the moment's columns on the connected rows
+                weights, weight, values, den = moment
+                return _Columns(s, rows, weights, weight[rows], values[rows], den)
         codes = self.family[s.opens - 1] * len(self.families) + self.family[s.closes - 1]
         key = np.column_stack([s.cross, codes])
         # One weight per distinct (crossings, block family pairs) row.
@@ -917,15 +880,12 @@ class _Sum:
                 # An untraced cycle reads 0, so a term of weight 0 has
                 # numerator 0.
                 values = weight * product
-                total: Number = Fraction(sum(values), den)
             else:
-                values, total = np.where(zero, weight, weight * product), 0
-        columns = _Columns(s, rows, weights, kind, values, den, total)
-        if memo_key and not self.transitive_only:
-            for a in (rows, kind, values):
-                a.flags.writeable = False
-            _moment_columns.put(memo_key, replace(columns, skeleton=None))
-        return columns
+                values = np.where(zero, weight, weight * product)
+        if self.memo and not self.transitive_only:
+            kind.flags.writeable = values.flags.writeable = False
+            s.moment = (self.memo, (weights, kind, values, den))
+        return _Columns(s, rows, weights, kind, values, den)
 
     def assemble(self, c: _Columns) -> list[TermReport]:
         """The chunk's terms, built column by column from the objects of its
@@ -1069,13 +1029,13 @@ def _evaluate(spec: MomentSpec, transitive_only: bool, exact: bool, threads: int
     }
 
     job = _Sum(spec, wigner_pos, transitive_only, exact, metadata["spec_hash"])
-    # Per chunk, its exact total, or in float mode its float64 values,
-    # which one fsum adds.
+    # Per chunk, its exact sum, or in float mode its float64 values, which
+    # one fsum adds.
     terms, sums = [], []
     with _mapped(job, threads) as chunks:
         for columns in chunks:
             terms += job.assemble(columns)
-            sums.append(columns.total if exact else columns.values)
+            sums.append(Fraction(sum(columns.values), columns.den) if exact else columns.values)
 
     if exact:
         prefactor: Number = Fraction(1, spec.n_dim ** (m // 2 + r))

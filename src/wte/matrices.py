@@ -206,7 +206,10 @@ def parse_gram(text: str) -> Gram:
             rows.append(tuple(_parse_number(t) for t in tokens))
         except ValueError:
             raise MatrixFormatError(f"gram file row {i}: unparseable entry in {ln!r}")
-    return Gram(labels, tuple(rows))
+    try:
+        return Gram(labels, tuple(rows))
+    except ValueError as exc:
+        raise MatrixFormatError(f"gram file: {exc}") from None
 
 
 def load_matrix(path: str) -> Matrix:

@@ -796,6 +796,24 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "text, code, fault",
+        [("X Y\n1 2\n3 1\n", 2, "gram file: gram matrix must be symmetric"),
+         ("X X\n1 0\n0 1\n", 2, "gram file: gram labels must be distinct"),
+         ("X Z\n1 0\n0 1\n", 1, "gram matrix does not cover families: ['Y']")],
+        ids=["asymmetric", "repeated-labels", "uncovered"],
+    )
+    def test_invalid_gram_file(self, capsys, tmp_path, text, code, fault):
+        # A fault inside the file exits 2; a valid file that misses a
+        # family of the word is a fault of the model, which exits 1.
+        gram = tmp_path / "gram.txt"
+        gram.write_text(text)
+        got = run(
+            capsys, "moment", "--expr", "E[ tr(X' D1 X D2) tr(Y' D3 Y D4) ]",
+            "--bind-identity", "-N", "2", "-M", "2", "--gram", str(gram),
+        )
+        assert got == (code, "", f"error: {fault}\n")
+
+    @pytest.mark.parametrize(
         "command, option, value",
         [
             ("verify", "--samples", "-4"),
@@ -997,9 +1015,11 @@ class TestVerifyCommand:
     def test_interrupt_while_sampling_exits_130(self):
         # 2,000 one-sample chunks; the second draw sends this process
         # SIGINT, which the calling thread raises as KeyboardInterrupt
-        # while it samples.
+        # while it samples.  The child takes Python's handler first, since
+        # it inherits SIGINT ignored when pytest runs as a background job.
         script = (
             "import os, signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
             "import wte.cli, wte.oracles\n"
             "draw, calls = wte.oracles._mc_draw, []\n"
             "def interrupting(*args):\n"

@@ -2,6 +2,7 @@
 ``vertex_permutation``, ``particular_cycles``, ``surface_census``,
 ``is_transitive``, ``crossings``, ``pairing_weight`` and ``trace_along``."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -615,7 +617,6 @@ class TestSkeletonMemo:
                 start.wait()
                 for _ in range(3):
                     wte.engine._skeleton.cache_clear()
-                    wte.engine._moment_columns.clear()
                     out.append([as_rows(fn(spec, exact=exact))
                                 for spec in specs for fn in (moment, cumulant)])
             except Exception as exc:
@@ -636,9 +637,9 @@ class TestSkeletonMemo:
 
 
 def memo_word(name, exact):
-    """A spec of each path a cumulant takes through the moment-column
-    memo: one factor, two factors of six letters, q = 1/2, a Gram word and
-    a Wigner word."""
+    """A spec of each path a cumulant takes through the moment columns a
+    skeleton holds: one factor, two factors of six letters, q = 1/2, a
+    Gram word and a Wigner word."""
     rng = random.Random(name)
     labels, kw = (), {}
     if name == "gram":
@@ -664,27 +665,49 @@ def same_result(a, b, exact):
         assert a.total.hex() == b.total.hex()
 
 
+@pytest.fixture
+def skeletons(monkeypatch):
+    """The skeleton of every chunk the engine computes columns on, in order."""
+    seen = []
+    real = wte.engine._Sum.columns
+
+    def spy(self, first):
+        columns = real(self, first)
+        seen.append(columns.skeleton)
+        return columns
+
+    monkeypatch.setattr(wte.engine._Sum, "columns", spy)
+    return seen
+
+
+def holds_none(skeletons):
+    """True when no skeleton holds moment columns."""
+    return all(s.moment == (None, None) for s in skeletons)
+
+
 MEMO_WORDS = ["one_factor", "six_six", "q_half", "gram", "wigner"]
 
 
 class TestMomentColumnsMemo:
-    """A cumulant after its spec's moment keeps the moment's memoised
-    columns on the connected rows, with the terms and total of a fresh
-    cumulant; a moment never reads the memo."""
+    """A cumulant after its spec's moment keeps the moment's columns, which
+    each memoised skeleton holds, on the connected rows, with the terms and
+    total of a fresh cumulant; a moment never reads them."""
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("name", MEMO_WORDS)
-    def test_cumulant_after_moment_is_a_fresh_cumulant(self, traced, name, exact):
+    def test_cumulant_after_moment_is_a_fresh_cumulant(self, traced, skeletons, name, exact):
         spec = memo_word(name, exact)
         fresh = cumulant(spec, exact=exact)
-        assert traced and len(wte.engine._moment_columns) == 0  # a lone cumulant stores none
+        assert traced and holds_none(skeletons)  # a lone cumulant stores none
+        skeletons.clear()
         moment(spec, exact=exact)
         w = sum(lab in spec.wigner for lab in spec.shape.labels)
         rows = wte.engine._CHUNK_TERMS >> w
-        assert len(wte.engine._moment_columns) == -(-pairing_count(spec.shape.m) // rows)
+        assert len({id(s) for s in skeletons}) == -(-pairing_count(spec.shape.m) // rows)
+        assert all(s.moment[0] == (spec.fingerprint(), exact) for s in skeletons)
         traced.clear()
         reused = cumulant(spec, exact=exact)
-        assert traced == []  # every chunk was memoised
+        assert traced == []  # every chunk's skeleton held its moment
         same_result(reused, fresh, exact)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -728,29 +751,67 @@ class TestMomentColumnsMemo:
         traced.clear()
         got = cumulant(other, exact=True)
         assert traced  # it traced its own cycles
-        wte.engine._moment_columns.clear()
+        wte.engine._skeleton.cache_clear()
         same_result(got, cumulant(other, exact=True), True)
 
-    def test_entry_bound_and_read_only_entries(self, traced):
-        memo = wte.engine._moment_columns
-        assert memo.maxsize == wte.engine._skeleton.cache_info().maxsize == 14
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_another_moment_in_between_misses(self, traced, exact):
+        # A skeleton holds the last moment on it: after moment(A) and
+        # moment(B) of one shape, cumulant(A) computes its own rows, and
+        # stores nothing, so cumulant(B) still reads B's columns.
+        a = memo_word("six_six", exact)
+        make = int_matrices if exact else float_matrices
+        b = MomentSpec(a.shape, make(random.Random(26), a.shape, 3, 2), 3, 2)
+        moment(a, exact=exact)
+        moment(b, exact=exact)
+        traced.clear()
+        got = cumulant(a, exact=exact)
+        assert traced
+        traced.clear()
+        cumulant(b, exact=exact)
+        assert traced == []
+        wte.engine._skeleton.cache_clear()
+        same_result(got, cumulant(a, exact=exact), exact)
+
+    def test_entry_bound_and_read_only_entries(self, traced, skeletons):
+        # The columns live on the skeleton memo's entries, at most 14:
+        # fifteen words of one chunk each, which differ in transpose signs.
+        assert wte.engine._skeleton.cache_info().maxsize == 14
         rng = random.Random(25)
-        shape = WordShape.alternating((6,))
-        specs = [MomentSpec(shape, int_matrices(rng, shape, 2, 2), 2, 2) for _ in range(15)]
-        for k, spec in enumerate(specs, start=1):
+        specs = []
+        for eps in itertools.islice(itertools.product((1, -1), repeat=6), 15):
+            shape = WordShape((6,), eps)
+            specs.append(MomentSpec(shape, int_matrices(rng, shape, 2, 2), 2, 2))
+        for spec in specs:
             moment(spec, exact=True)
-            assert len(memo) == min(k, 14)
-        for entry in memo._entries.values():
-            assert entry.skeleton is None and len(entry.rows) == pairing_count(6)
-            for a in (entry.rows, entry.weight, entry.values):
+        assert wte.engine._skeleton.cache_info().currsize == 14
+        for s in skeletons:
+            weights, weight, values, den = s.moment[1]
+            assert len(weight) == len(values) == pairing_count(6) == s.size
+            for a in (weight, values):
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
-        # The first spec's columns, the least recently stored, went.
+        # The first spec's skeleton, the least recently used, went.
         traced.clear()
         cumulant(specs[-1], exact=True)
         assert traced == []
         cumulant(specs[0], exact=True)
         assert traced
+
+    def test_evicted_skeleton_is_freed_without_the_collector(self, skeletons):
+        # The held columns refer to no skeleton, so no reference cycle
+        # keeps an evicted one alive.
+        moment(memo_word("one_factor", True), exact=True)
+        refs = [weakref.ref(s) for s in skeletons]
+        skeletons.clear()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            wte.engine._skeleton.cache_clear()
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     def test_moment_never_reads_the_memo(self, traced, exact):
@@ -760,14 +821,15 @@ class TestMomentColumnsMemo:
         traced.clear()
         again = moment(spec, exact=exact)
         assert traced  # it traced every chunk again
-        wte.engine._moment_columns.clear()
         wte.engine._skeleton.cache_clear()
         same_result(again, first, exact)
         same_result(again, moment(spec, exact=exact), exact)
 
-    def test_sums_of_many_chunks_never_enter(self, monkeypatch):
-        # 105 pairings in chunks of 13: 9 chunks, which never enter.
+    def test_sums_of_many_chunks_never_enter(self, monkeypatch, skeletons):
+        # 105 pairings in chunks of 13: 9 chunks, whose skeletons are not
+        # memoised and hold nothing.
         monkeypatch.setattr(wte.engine, "_CHUNK_TERMS", 13)
         spec = memo_word("one_factor", True)
         moment(spec, exact=True)
-        assert len(wte.engine._moment_columns) == 0
+        assert len(skeletons) == 9 and holds_none(skeletons)
+        assert wte.engine._skeleton.cache_info().currsize == 0

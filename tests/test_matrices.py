@@ -119,6 +119,19 @@ class TestParseMatrix:
             parse_matrix("1 2\n1 2 3\n")
 
 
+class TestParseGram:
+    @pytest.mark.parametrize(
+        "text, fault",
+        [("X Y\n1 2\n3 1\n", "gram matrix must be symmetric"),
+         ("X X\n1 0\n0 1\n", "gram labels must be distinct")],
+        ids=["asymmetric", "repeated-labels"],
+    )
+    def test_invalid_matrix_is_a_format_error(self, text, fault):
+        # A fault in the file, as every other parse_gram error is.
+        with pytest.raises(MatrixFormatError, match=f"^gram file: {fault}$"):
+            parse_gram(text)
+
+
 class TestMatrixSet:
     # A word's slot matrices are a plain tuple.  Signed slots are read only
     # by trace_along, so these check the lookup (-k is the transpose of slot
